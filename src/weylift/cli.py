@@ -51,17 +51,23 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _finite_field(p, k=1):
+    """Field("Fp", p, k) from flag values, or a usage error."""
+    try:
+        return Field("Fp", int(p), int(k))
+    except (ValueError, WeyliftError) as exc:
+        raise UsageError(f"bad field p={p!r} k={k!r}: {exc}") from exc
+
+
 def _parse_field(text):
     if text in (None, "Q", "q"):
         return Field("Q")
-    if ":" in text:
-        p, k = text.split(":", 1)
-        return Field("Fp", int(p), int(k))
-    return Field("Fp", int(text))
+    p, _, k = text.partition(":")
+    return _finite_field(p, k or 1)
 
 
 def _parse_primes(text):
-    return tuple(int(p) for p in text.split(",") if p)
+    return tuple(_finite_field(p).p for p in text.split(",") if p)
 
 
 def _load(path, loader):
@@ -109,13 +115,14 @@ def _cmd_compose(args):
 
 
 def _cmd_invert(args):
-    doc = load_json(args.endo)
+    doc, loaded = _load(
+        args.endo, lambda d: word_from_json(d) if "gens" in d else endo_from_json(d)
+    )
     if "gens" in doc:
-        word = word_from_json(doc)
-        payload = word_to_json(invert_word(word))
+        payload = word_to_json(invert_word(loaded))
         _maybe_out(args, payload)
         return {"word": doc}, {"word": payload}, {"exact": True}, True
-    _, endo = _load(args.endo, endo_from_json)
+    endo = loaded
     if args.order is None:
         raise UsageError("--order is required to invert an endomorphism")
     inv = truncated_inverse(endo, args.order)
@@ -144,10 +151,8 @@ def _cmd_approximate(args):
 
 def _cmd_phi_p(args):
     doc, endo = _load(args.endo, endo_from_json)
-    field = None
-    if endo.field.char == 0:
-        field = Field("Fp", args.prime)
-    elif endo.field.p != args.prime:
+    field = _finite_field(args.prime)
+    if endo.field.char not in (0, args.prime):
         raise UsageError(
             f"endo field has characteristic {endo.field.p}, not {args.prime}"
         )

@@ -7,14 +7,24 @@ Products use the closed reordering formula
     d^b x^c = sum_k k! C(b,k) C(c,k) mu^k x^(c-k) d^(b-k),   mu in {1, h},
 
 applied independently per index, which is valid because generators with
-distinct indices commute.  The skew flavor has no closed form here;
-products move one generator at a time through the normal form using
-xi_j xi_i = xi_i xi_j - h k_ij (i < j), whose corrections are central.
+distinct indices commute.  Each product call builds one table keyed by
+the exponent pair (b, c): an entry holds the weights k! C(b,k) C(c,k)
+already reduced into the coefficient field, by descending k, with the
+weights that are zero in the field left out.  In characteristic p that
+drops every contraction of order k >= p, since k! vanishes, and the
+orders below p whose binomials vanish by Lucas's theorem.  A term pair
+starts from its summed key and is extended one index at a time through
+the table; leaf coefficients are summed and zero sums swept out once at
+the end.  The table lives only for the call.
+
+The skew flavor has no closed form here; products move one generator at
+a time through the normal form using xi_j xi_i = xi_i xi_j - h k_ij
+(i < j), whose corrections are central.
 """
 
 from __future__ import annotations
 
-from math import comb, factorial
+from operator import add as _add_int
 
 from .elements import SparseElement
 from .errors import (
@@ -72,61 +82,74 @@ def _require_graded(flavor, grading):
         )
 
 
+def _contraction_weights(field, b_exp, c_exp):
+    """Nonzero k! C(b,k) C(c,k) in the field, as (k, weight) by descending k.
+
+    In characteristic p every k >= p is dropped (k! vanishes), and so is
+    every k whose binomials vanish by Lucas's theorem.
+    """
+    top = min(b_exp, c_exp)
+    if field.char:
+        top = min(top, field.char - 1)
+    entry = [(0, field.one())]
+    w = 1
+    for k in range(1, top + 1):
+        w = w * (b_exp - k + 1) * (c_exp - k + 1) // k
+        wk = field.from_int(w)
+        if not field.is_zero(wk):
+            entry.append((k, wk))
+    entry.reverse()
+    return tuple(entry)
+
+
 def _paired_mul(a: WeylElt, b: WeylElt, maxdeg, grading):
     flavor, field = a.flavor, a.field
-    add, mul, is_zero, from_int = field.add, field.mul, field.is_zero, field.from_int
+    add, mul = field.add, field.mul
     m = flavor.pairs
-    haug = flavor.kind == HAUG
-    h_slot = flavor.h_slot
+    h_slot = flavor.h_slot if flavor.kind == HAUG else None
+    truncated = maxdeg is not None
+    right = [
+        (k2, c2, grading.weight(flavor, k2) if truncated else 0)
+        for k2, c2 in b.terms.items()
+    ]
+    table = {}
     terms = {}
-    weights = None
-    if maxdeg is not None:
-        weights = (
-            {k: grading.weight(flavor, k) for k in a.terms},
-            {k: grading.weight(flavor, k) for k in b.terms},
-        )
     for k1, c1 in a.terms.items():
-        if maxdeg is not None and weights[0][k1] > maxdeg:
+        room = maxdeg - grading.weight(flavor, k1) if truncated else 0
+        if room < 0:
             continue
-        for k2, c2 in b.terms.items():
-            if maxdeg is not None and weights[0][k1] + weights[1][k2] > maxdeg:
+        for k2, c2, w2 in right:
+            if w2 > room:
                 continue
-            base = mul(c1, c2)
-            if is_zero(base):
-                continue
+            leaves = [(list(map(_add_int, k1, k2)), mul(c1, c2))]
             # Contract the d-block of k1 against the x-block of k2.
-            caps = [min(k1[m + i], k2[i]) for i in range(m)]
-            stack = [(0, [], 1)]
-            while stack:
-                idx, chosen, factor = stack.pop()
-                if idx == m:
-                    key = list(k1)
-                    for i in range(m):
-                        c = chosen[i]
-                        key[i] = k1[i] + k2[i] - c
-                        key[m + i] = k1[m + i] + k2[m + i] - c
-                    total = sum(chosen)
-                    for s in range(2 * m, flavor.key_len):
-                        key[s] = k1[s] + k2[s]
-                    if haug and total:
-                        key[h_slot] += total
-                    key = tuple(key)
-                    c = mul(base, from_int(factor)) if factor != 1 else base
-                    if key in terms:
-                        c = add(terms[key], c)
-                    if is_zero(c):
-                        terms.pop(key, None)
-                    else:
-                        terms[key] = c
+            for i in range(m):
+                b_exp, c_exp = k1[m + i], k2[i]
+                if not (b_exp and c_exp):
                     continue
-                b_exp, c_exp = k1[m + idx], k2[idx]
-                for c in range(caps[idx] + 1):
-                    f = factor
-                    if c:
-                        f = factor * factorial(c) * comb(b_exp, c) * comb(c_exp, c)
-                    stack.append((idx + 1, chosen + [c], f))
+                entry = table.get((b_exp, c_exp))
+                if entry is None:
+                    entry = table[b_exp, c_exp] = _contraction_weights(field, b_exp, c_exp)
+                grown = []
+                for key, c in leaves:
+                    for k, w in entry:
+                        if k:
+                            key_k = key.copy()
+                            key_k[i] -= k
+                            key_k[m + i] -= k
+                            if h_slot is not None:
+                                key_k[h_slot] += k
+                            grown.append((key_k, mul(c, w)))
+                        else:
+                            grown.append((key, c))
+                leaves = grown
+            for key, c in leaves:
+                key = tuple(key)
+                prev = terms.get(key)
+                terms[key] = c if prev is None else add(prev, c)
+    zero = field.zero()
     out = WeylElt(field, flavor)
-    out.terms = terms
+    out.terms = {key: c for key, c in terms.items() if c != zero}
     return out
 
 

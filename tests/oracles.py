@@ -118,10 +118,29 @@ def weyl_from_words(field, flavor, words):
 
 
 def oracle_mul(a, b):
-    """Weyl product through the rewriting oracle (rational coefficients)."""
-    flavor = a.flavor
-    words = word_mul(flavor, words_from_weyl(a), words_from_weyl(b))
-    return weyl_from_words(a.field, flavor, words)
+    """Weyl product through the rewriting oracle.
+
+    The rewriting runs over Q and reduces into the field at the end.  Over
+    F_{p^k} with k > 1 the coefficients are not rationals, so each pair of
+    terms is rewritten as a product of unit monomials and scaled by the
+    product of its coefficients in the field.
+    """
+    flavor, field = a.flavor, a.field
+    if field.k == 1:
+        words = word_mul(flavor, words_from_weyl(a), words_from_weyl(b))
+        return weyl_from_words(field, flavor, words)
+    out = WeylElt(field, flavor)
+    for key_a, c_a in a.terms.items():
+        for key_b, c_b in b.terms.items():
+            unit = oracle_mul(
+                WeylElt(QQ, flavor, {key_a: Fraction(1)}),
+                WeylElt(QQ, flavor, {key_b: Fraction(1)}),
+            )
+            c = field.mul(c_a, c_b)
+            out = out + WeylElt(field, flavor, {
+                key: field.mul(c, field.from_fraction(q)) for key, q in unit.terms.items()
+            })
+    return out
 
 
 def oracle_power(elem, e):

@@ -61,6 +61,44 @@ def test_usage_errors(tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["invert", "--in", "{missing}"],
+        ["invert", "--in", "{broken}", "--order", "3"],
+        ["bracket", "x1", "p1", "--field", "abc"],
+        ["bracket", "x1", "p1", "--field", "4"],
+        ["bracket", "x1", "p1", "--field", "7:x"],
+        ["lift", "--in", "{shear}", "--order", "4", "--primes", "3,x"],
+        ["lift", "--in", "{shear}", "--order", "4", "--primes", "3,4"],
+        ["phi-p", "--in", "{weyl}", "--prime", "4"],
+        ["phi-p", "--in", "{weyl}", "--prime", "1"],
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_bad_input_is_usage_error(tmp_path, argv):
+    broken = tmp_path / "broken.json"
+    broken.write_text("{not json")
+    paths = {
+        "missing": str(tmp_path / "missing.json"),
+        "broken": str(broken),
+        "shear": shear_file(tmp_path),
+        "weyl": weyl_file(tmp_path),
+    }
+    rep, code = run_command([arg.format(**paths) for arg in argv])
+    assert code == 1
+    assert set(rep) == {"schema", "error"}
+    assert set(rep["error"]) == {"usage"}
+    assert isinstance(rep["error"]["usage"], str)
+
+
+def test_field_flags_accepted():
+    for field, expected in (("Q", "-1"), ("7", "6")):
+        rep, code = run_command(["bracket", "x1", "p1", "--n", "1", "--field", field])
+        assert code == 0
+        assert rep["result"]["bracket"] == expected
+
+
 def test_compose(tmp_path):
     a = shear_file(tmp_path, "a.json")
     b = tmp_path / "b.json"

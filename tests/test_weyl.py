@@ -69,6 +69,65 @@ def test_random_products_match_oracle(flavor):
         assert a * b == oracle_mul(a, b)
 
 
+F9 = Field("Fp", 3, 2, modulus=(1, 0, 1))
+FINITE_FIELDS = [Field("Fp", 3), Field("Fp", 5), Field("Fp", 7), F9]
+
+
+def high_power_elt(rng, field, flavor, top, max_terms=3):
+    """Random element whose single exponents reach top, so that contractions
+    of every order up to top occur; over F_p with top >= p this includes the
+    orders whose weights vanish."""
+    terms = {}
+    for _ in range(rng.randrange(1, max_terms + 1)):
+        key = [0] * flavor.key_len
+        for slot in range(flavor.main_count):
+            if rng.random() < 0.6:
+                key[slot] = rng.randrange(top + 1)
+        if flavor.has_h and rng.random() < 0.3:
+            key[flavor.h_slot] = 1
+        coeff = field.from_coeffs([rng.randrange(field.p) for _ in range(field.k)])
+        terms[tuple(key)] = coeff if not field.is_zero(coeff) else field.one()
+    return WeylElt(field, flavor, terms)
+
+
+@pytest.mark.parametrize("kind", [STANDARD, HAUG])
+@pytest.mark.parametrize("field", FINITE_FIELDS, ids=repr)
+def test_finite_field_products_match_oracle(field, kind):
+    p = field.char
+    fl = BracketFlavor(kind, 1)
+    x, d = gens(field, fl)
+    # d^b x^c around p: orders >= p and the Lucas zeros below p drop out.
+    for b in range(p - 1, p + 2):
+        for c in range(p - 1, p + 2):
+            lhs = bounded_power(d, b) * bounded_power(x, c)
+            assert lhs == oracle_mul(bounded_power(d, b), bounded_power(x, c))
+    rng = random.Random(p * field.k)
+    for _ in range(12):
+        a = high_power_elt(rng, field, fl, 2 * p)
+        b = high_power_elt(rng, field, fl, 2 * p)
+        assert a * b == oracle_mul(a, b)
+    if p == 3:
+        fl2 = BracketFlavor(kind, 2)
+        for _ in range(8):
+            a = high_power_elt(rng, field, fl2, 2 * p)
+            b = high_power_elt(rng, field, fl2, 2 * p)
+            assert a * b == oracle_mul(a, b)
+
+
+@pytest.mark.parametrize("field", FINITE_FIELDS, ids=repr)
+def test_finite_field_truncated_haug_matches_oracle(field):
+    p = field.char
+    hfl = BracketFlavor(HAUG, 1)
+    gr = Grading.default_for(hfl)
+    rng = random.Random(100 + p * field.k)
+    for _ in range(8):
+        a = high_power_elt(rng, field, hfl, 2 * p)
+        b = high_power_elt(rng, field, hfl, 2 * p)
+        full = oracle_mul(a, b)
+        for maxdeg in (p, 2 * p, 3 * p, 5 * p):
+            assert a.mul_truncated(b, maxdeg, gr) == full.truncate(maxdeg, gr)
+
+
 def test_associativity_random():
     for flavor in (BracketFlavor(STANDARD, 2), BracketFlavor(SKEW, 3)):
         rng = random.Random(5)
@@ -141,6 +200,17 @@ def test_pth_power_matches_oracle():
         rng = random.Random(p)
         for _ in range(6):
             a = random_poly(rng, field, fl, cls=WeylElt, max_terms=3, max_deg=2)
+            assert pth_power(a) == oracle_power(a, p)
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_pth_power_matches_oracle_larger_primes(p):
+    field = Field("Fp", p)
+    rng = random.Random(p)
+    for fl, top in ((BracketFlavor(STANDARD, 1), 2), (BracketFlavor(HAUG, 1), 2),
+                    (BracketFlavor(STANDARD, 2), 1)):
+        for _ in range(6):
+            a = high_power_elt(rng, field, fl, top)
             assert pth_power(a) == oracle_power(a, p)
 
 
