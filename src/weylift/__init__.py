@@ -36,7 +36,7 @@ from .endo import (
     truncated_inverse,
 )
 from .errors import WeyliftError
-from .fields import Field, QQ, Scalar, reduce_mod_p
+from .fields import Field, QQ
 from .flavors import BracketFlavor, Grading, HAUG, SKEW, STANDARD
 from .grammar import element_to_text, parse_element
 from .poly import Poly, jacobian, poisson_bracket
@@ -89,7 +89,6 @@ __all__ = [
     "SKEW",
     "STANDARD",
     "ScanVerdict",
-    "Scalar",
     "SparseElement",
     "TameWord",
     "WaringTerm",
@@ -133,7 +132,6 @@ __all__ = [
     "random_tame",
     "random_unimodular_matrix",
     "reduce_endo_mod_p",
-    "reduce_mod_p",
     "restrict_to_center",
     "symplectic_completion",
     "transport",

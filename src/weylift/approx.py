@@ -16,8 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .elements import SparseElement
-from .endo import Endo, check_symplecto, jacobian_is_unit, truncated_inverse
+from .endo import Endo, check_symplecto, jacobian_is_unit
 from .errors import (
     DeviationNotHamiltonian,
     NotSymplectic,

@@ -51,19 +51,18 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _finite_field(p, k=1):
-    """Field("Fp", p, k) from flag values, or a usage error."""
+def _finite_field(text, accepted="a prime"):
+    """Field("Fp", p) from a flag value, or a usage error naming what is accepted."""
     try:
-        return Field("Fp", int(p), int(k))
+        return Field("Fp", int(text))
     except (ValueError, WeyliftError) as exc:
-        raise UsageError(f"bad field p={p!r} k={k!r}: {exc}") from exc
+        raise UsageError(f"expected {accepted}, got {text!r}: {exc}") from exc
 
 
 def _parse_field(text):
     if text in (None, "Q", "q"):
         return Field("Q")
-    p, _, k = text.partition(":")
-    return _finite_field(p, k or 1)
+    return _finite_field(text, "Q or a prime")
 
 
 def _parse_primes(text):
@@ -298,7 +297,7 @@ def build_parser():
     p.add_argument("--side", choices=("P", "W"), default="P")
     p.add_argument("--flavor", choices=("standard", "haug", "skew"), default="standard")
     p.add_argument("--n", type=int, default=1)
-    p.add_argument("--field", default="Q")
+    p.add_argument("--field", default="Q", help="Q or a prime p for F_p")
 
     p = add("corpus", _cmd_corpus, help="reproducible random word corpus")
     p.add_argument("--seed", type=int, required=True)

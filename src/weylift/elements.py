@@ -281,16 +281,6 @@ class SparseElement:
         out.terms = terms
         return out
 
-    def induced_h(self):
-        """Reinterpret a standard-flavor element in the h-augmented flavor."""
-        target = self.flavor.with_h()
-        h_slot = target.h_slot
-        out = type(self)(self.field, target)
-        out.terms = {
-            key[:h_slot] + (0,) + key[h_slot:]: c for key, c in self.terms.items()
-        }
-        return out
-
     # -- display ----------------------------------------------------------------
 
     def to_text(self, side: str = "P") -> str:

@@ -24,7 +24,7 @@ from .errors import (
     WrongArity,
 )
 from .flavors import Grading
-from .linalg import mat_inv, omega_matrix_raw
+from .linalg import mat_inv
 from .poly import Poly, jacobian, poisson_bracket, structure_element
 from .weyl import WeylElt, weyl_commutator, weyl_structure
 

@@ -59,10 +59,6 @@ class SingularLinearPart(WeyliftError):
     """The degree-one coefficient matrix is not invertible."""
 
 
-class IncompatibleFlavor(WeyliftError):
-    """A generator or operation is not admissible for this flavor."""
-
-
 class NotSymplectic(WeyliftError):
     """A map that must preserve the bracket does not."""
 

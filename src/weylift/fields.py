@@ -3,8 +3,7 @@
 A Field object performs arithmetic on raw values and never wraps them:
 rationals are Fraction, prime fields are int in [0, p), and extensions
 are coefficient tuples of length k over the modulus basis 1, a, ..,
-a^(k-1).  The Scalar class is a thin user-facing wrapper that pairs a
-raw value with its field and supports operator syntax.
+a^(k-1).
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ from fractions import Fraction
 
 from .errors import (
     DivisionByZero,
-    FieldMismatch,
     NotFiniteField,
     NotPIntegral,
     WeyliftError,
@@ -299,140 +297,3 @@ class Field:
 
 #: Shared rationals instance; Field("Q") compares equal to it.
 QQ = Field("Q")
-
-
-class Scalar:
-    """A field element tagged with its field, with operator syntax."""
-
-    __slots__ = ("field", "raw")
-
-    def __init__(self, field: Field, raw):
-        self.field = field
-        self.raw = raw
-
-    @staticmethod
-    def of(field: Field, value) -> "Scalar":
-        if isinstance(value, Scalar):
-            if value.field != field:
-                raise FieldMismatch(f"{value.field} vs {field}")
-            return value
-        if isinstance(value, int):
-            return Scalar(field, field.from_int(value))
-        if isinstance(value, Fraction):
-            return Scalar(field, field.from_fraction(value))
-        return Scalar(field, value)
-
-    def _coerce(self, other) -> "Scalar":
-        if isinstance(other, Scalar):
-            if other.field != self.field:
-                raise FieldMismatch(f"{self.field} vs {other.field}")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return Scalar.of(self.field, other)
-        return NotImplemented
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return Scalar(self.field, self.field.add(self.raw, other.raw))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return Scalar(self.field, self.field.sub(self.raw, other.raw))
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return Scalar(self.field, self.field.sub(other.raw, self.raw))
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return Scalar(self.field, self.field.mul(self.raw, other.raw))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return Scalar(self.field, self.field.div(self.raw, other.raw))
-
-    def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return Scalar(self.field, self.field.div(other.raw, self.raw))
-
-    def __neg__(self):
-        return Scalar(self.field, self.field.neg(self.raw))
-
-    def __pow__(self, e: int):
-        return Scalar(self.field, self.field.pow_int(self.raw, e))
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Scalar.of(self.field, other)
-        return (
-            isinstance(other, Scalar)
-            and self.field == other.field
-            and self.raw == other.raw
-        )
-
-    def __hash__(self):
-        return hash((self.field, self.raw))
-
-    def __repr__(self):
-        return f"Scalar({self.field.format_raw(self.raw)} over {self.field!r})"
-
-    def __str__(self):
-        return self.field.format_raw(self.raw)
-
-    @property
-    def is_zero(self) -> bool:
-        return self.field.is_zero(self.raw)
-
-    def inverse(self) -> "Scalar":
-        return Scalar(self.field, self.field.inv(self.raw))
-
-
-# -- module-level operation names ---------------------------------------
-
-def field_arith(a: Scalar, b: Scalar, op: str) -> Scalar:
-    """Apply one of '+', '-', '*', '/' to two scalars of the same field."""
-    if not isinstance(a, Scalar) or not isinstance(b, Scalar):
-        raise WeyliftError("field_arith expects Scalar operands")
-    if a.field != b.field:
-        raise FieldMismatch(f"{a.field} vs {b.field}")
-    if op == "+":
-        return a + b
-    if op == "-":
-        return a - b
-    if op == "*":
-        return a * b
-    if op == "/":
-        return a / b
-    raise WeyliftError(f"unknown operation {op!r}")
-
-
-def frobenius(a: Scalar, inverse: bool = False) -> Scalar:
-    """The p-power map on a finite-field scalar, or its inverse."""
-    return Scalar(a.field, a.field.frobenius(a.raw, inverse=inverse))
-
-
-def reduce_mod_p(q, field: Field) -> Scalar:
-    """Reduce a rational (or rational Scalar) into a finite field."""
-    if field.kind != "Fp":
-        raise NotFiniteField("reduction target must be a finite field")
-    if isinstance(q, Scalar):
-        if q.field.kind != "Q":
-            raise FieldMismatch("reduce_mod_p starts from a rational scalar")
-        q = q.raw
-    return Scalar(field, field.from_fraction(Fraction(q)))

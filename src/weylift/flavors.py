@@ -32,6 +32,7 @@ class BracketFlavor:
         "kind", "n", "aux", "names",
         "pairs", "main_count", "has_h", "has_k",
         "k_pairs", "_k_pos", "h_slot", "k_start", "t_slot", "key_len",
+        "contractions",
     )
 
     def __init__(self, kind: str, n: int, aux: bool = False, names=None):
@@ -56,6 +57,18 @@ class BracketFlavor:
         self.k_start = g + (1 if self.has_h else 0)
         self.t_slot = self.k_start + len(self.k_pairs)
         self.key_len = self.t_slot + 1
+        # (j, i, central slots, sign) for each g_j after g_i in the normal
+        # order that does not commute with it: [g_j, g_i] = sign * the
+        # product of the central slots.
+        if self.has_k:
+            self.contractions = tuple(
+                (j, i, (self.h_slot, self.k_start + idx), -1)
+                for idx, (i, j) in enumerate(self.k_pairs)
+            )
+        else:
+            central = (self.h_slot,) if self.has_h else ()
+            m = self.pairs
+            self.contractions = tuple((m + i, i, central, 1) for i in range(m))
 
     # -- identity --------------------------------------------------------
 
@@ -184,11 +197,6 @@ class BracketFlavor:
         if self.kind != HAUG:
             raise WeyliftError("only the h-augmented flavor specializes in h")
         return BracketFlavor(STANDARD, self.n, aux=self.aux, names=self.names)
-
-    def with_h(self) -> "BracketFlavor":
-        if self.kind != STANDARD:
-            raise WeyliftError("only the standard flavor augments in h")
-        return BracketFlavor(HAUG, self.n, aux=self.aux, names=self.names)
 
     def center_flavor(self) -> "BracketFlavor":
         """Coordinate flavor for the center: z, w names, same h presence."""

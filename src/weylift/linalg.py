@@ -50,10 +50,6 @@ def mat_vec(field, a, v):
     return out
 
 
-def mat_neg(field, a):
-    return [[field.neg(x) for x in row] for row in a]
-
-
 def mat_eq(field, a, b):
     if len(a) != len(b):
         return False
@@ -88,40 +84,6 @@ def mat_inv(field, a):
     return [row[n:] for row in work]
 
 
-def solve_linear(field, a, b):
-    """One solution of A x = b, or SingularLinearPart if inconsistent.
-
-    Free columns are set to zero.
-    """
-    rows, cols = len(a), len(a[0])
-    work = [list(row) + [rhs] for row, rhs in zip(a, b)]
-    pivots = []
-    r = 0
-    for col in range(cols):
-        pivot = next((i for i in range(r, rows) if not field.is_zero(work[i][col])), None)
-        if pivot is None:
-            continue
-        work[r], work[pivot] = work[pivot], work[r]
-        inv = field.inv(work[r][col])
-        work[r] = [field.mul(inv, x) for x in work[r]]
-        for i in range(rows):
-            if i == r or field.is_zero(work[i][col]):
-                continue
-            f = work[i][col]
-            work[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(work[i], work[r])]
-        pivots.append(col)
-        r += 1
-        if r == rows:
-            break
-    for i in range(r, rows):
-        if not field.is_zero(work[i][cols]):
-            raise SingularLinearPart("inconsistent linear system")
-    x = [field.zero()] * cols
-    for i, col in enumerate(pivots):
-        x[col] = work[i][cols]
-    return x
-
-
 def omega_matrix_raw(field, flavor):
     """The structure matrix of the paired bracket as raw field values."""
     g = flavor.main_count
@@ -140,6 +102,16 @@ def is_symplectic(field, a, j):
 
 
 def symplectic_inverse(field, a, j):
-    """For paired J with J^2 = -1: A in Sp gives A^(-1) = -J A^T J."""
-    at = transpose(a)
-    return mat_neg(field, mat_mul(field, mat_mul(field, j, at), j))
+    """For paired J with J^2 = -1: A in Sp gives A^(-1) = -J A^T J.
+
+    J is a signed permutation: row i holds sign_i at column s_i, and s is
+    an involution, so -J A^T J has entry (i, r) = sign_i sign_r A[s_r][s_i].
+    """
+    g = len(j)
+    one = field.one()
+    s = [next(c for c in range(g) if not field.is_zero(j[i][c])) for i in range(g)]
+    plus = [j[i][s[i]] == one for i in range(g)]
+    return [
+        [a[s[r]][s[i]] if plus[i] == plus[r] else field.neg(a[s[r]][s[i]]) for r in range(g)]
+        for i in range(g)
+    ]

@@ -101,10 +101,6 @@ def word_from_json(doc):
     return TameWord(doc["kind"], doc["n"], [_gen_from_json(g) for g in doc["gens"]])
 
 
-def curve_to_json(curve):
-    return {"weights": list(curve.weights)}
-
-
 def curve_from_json(doc):
     return DiagonalCurve(doc["weights"])
 

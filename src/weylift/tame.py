@@ -23,11 +23,12 @@ from .errors import (
     IndexOutOfRange,
     NotSymplectic,
     SideMismatch,
-    SingularLinearPart,
     WeyliftError,
     WrongArity,
 )
+from .fields import QQ
 from .flavors import STANDARD, BracketFlavor
+from .linalg import mat_inv, mat_mul, omega_matrix_raw, symplectic_inverse
 
 SP = "sp"
 LIN = "lin"
@@ -98,46 +99,9 @@ class ElementaryGen:
                 self.kind, (index, {e: -c for e, c in poly.items()})
             )
         if self.kind == SP:
-            return ElementaryGen(SP, _symplectic_matrix_inverse(self.data))
-        return ElementaryGen(LIN, _rational_inverse(self.data))
-
-
-def _rational_inverse(matrix):
-    n = len(matrix)
-    work = [
-        list(row) + [Fraction(int(i == j)) for j in range(n)]
-        for i, row in enumerate(matrix)
-    ]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if work[r][col]), None)
-        if pivot is None:
-            raise SingularLinearPart("matrix generator is singular")
-        work[col], work[pivot] = work[pivot], work[col]
-        inv = 1 / work[col][col]
-        work[col] = [inv * v for v in work[col]]
-        for r in range(n):
-            if r != col and work[r][col]:
-                f = work[r][col]
-                work[r] = [v - f * w for v, w in zip(work[r], work[col])]
-    return tuple(tuple(row[n:]) for row in work)
-
-
-def _symplectic_matrix_inverse(matrix):
-    """A^(-1) = -J A^T J, which keeps integral entries integral."""
-    g = len(matrix)
-    m = g // 2
-
-    def jsign(i):
-        # row i of J has a single entry: -1 at i+m (i < m), +1 at i-m.
-        return (-1, i + m) if i < m else (1, i - m)
-
-    out = [[Fraction(0)] * g for _ in range(g)]
-    for i in range(g):
-        si, ji = jsign(i)
-        for j in range(g):
-            sj, jj = jsign(j)
-            out[i][j] = si * sj * matrix[jj][ji]
-    return tuple(tuple(row) for row in out)
+            omega = omega_matrix_raw(QQ, BracketFlavor(STANDARD, len(self.data) // 2))
+            return ElementaryGen(SP, symplectic_inverse(QQ, self.data, omega))
+        return ElementaryGen(LIN, mat_inv(QQ, self.data))
 
 
 class TameWord:
@@ -286,14 +250,6 @@ def _cross_transvection(n, i, j, m):
     return out
 
 
-def _mat_mul_fracs(a, b):
-    g = len(a)
-    return [
-        [sum(a[i][t] * b[t][j] for t in range(g)) for j in range(g)]
-        for i in range(g)
-    ]
-
-
 def random_symplectic_matrix(n, rng, steps=3):
     g = 2 * n
     acc = [[Fraction(int(r == s)) for s in range(g)] for r in range(g)]
@@ -307,7 +263,7 @@ def random_symplectic_matrix(n, rng, steps=3):
         else:
             i, j = rng.sample(range(n), 2)
             factor = _cross_transvection(n, i, j, rng.choice([-2, -1, 1, 2]))
-        acc = _mat_mul_fracs(acc, factor)
+        acc = mat_mul(QQ, acc, factor)
     return acc
 
 

@@ -1,25 +1,32 @@
 """Normal-ordered Weyl elements for all three bracket flavors.
 
-The basis for paired flavors is x^K d^L (every x left of every d) with
-relations [d_i, x_j] = delta_ij (standard) or h delta_ij (h-augmented).
-Products use the closed reordering formula
+Every flavor orders its main generators g_1 < .. < g_N and stores the
+basis monomials g_1^e_1 .. g_N^e_N.  The bracket of two generators is
+central, so the product of two normal-ordered monomials is one
+contraction (Wick) formula: for each pair g_j > g_i with
+[g_j, g_i] = s z (z a monomial in the central slots, s = +-1), a left
+factor g_j^b meets a right factor g_i^c as
 
-    d^b x^c = sum_k k! C(b,k) C(c,k) mu^k x^(c-k) d^(b-k),   mu in {1, h},
+    g_j^b . g_i^c = sum_k k! C(b,k) C(c,k) (s z)^k g_i^(c-k) g_j^(b-k),
 
-applied independently per index, which is valid because generators with
-distinct indices commute.  Each product call builds one table keyed by
-the exponent pair (b, c): an entry holds the weights k! C(b,k) C(c,k)
-already reduced into the coefficient field, by descending k, with the
-weights that are zero in the field left out.  In characteristic p that
-drops every contraction of order k >= p, since k! vanishes, and the
-orders below p whose binomials vanish by Lucas's theorem.  A term pair
-starts from its summed key and is extended one index at a time through
-the table; leaf coefficients are summed and zero sums swept out once at
-the end.  The table lives only for the call.
+and the pairs apply one after another.  The flavor supplies the pairs
+(BracketFlavor.contractions):
 
-The skew flavor has no closed form here; products move one generator at
-a time through the normal form using xi_j xi_i = xi_i xi_j - h k_ij
-(i < j), whose corrections are central.
+    flavor      pairs (j, i)          z           s
+    standard    (d_i, x_i)            1           +1
+    haug        (d_i, x_i)            h           +1
+    skew        (xi_j, xi_i), i < j   h k_ij      -1
+
+Each product call builds one table keyed by (b, c, s): an entry holds
+the weights k! C(b,k) C(c,k) s^k already reduced into the coefficient
+field, by descending k, with the weights that are zero in the field left
+out.  In characteristic p that drops every contraction of order k >= p,
+since k! vanishes, and the orders below p whose binomials vanish by
+Lucas's theorem.  A term pair starts from its summed key and is
+extended one pair at a time through the table; leaf coefficients are
+summed and zero sums swept out once at the end.  With more than one
+skew pair a slot is in several pairs, so each leaf carries the
+exponents its earlier contractions left free.
 """
 
 from __future__ import annotations
@@ -50,9 +57,7 @@ class WeylElt(SparseElement):
         if isinstance(other, int):
             return self.scale(self.field.from_int(other))
         self._check_compatible(other)
-        if self.flavor.kind == SKEW:
-            return _skew_mul(self, other, None, None)
-        return _paired_mul(self, other, None, None)
+        return _ordered_mul(self, other, None, None)
 
     def __rmul__(self, other):
         if isinstance(other, int):
@@ -64,9 +69,7 @@ class WeylElt(SparseElement):
         self._check_compatible(other)
         g = grading or Grading.default_for(self.flavor)
         _require_graded(self.flavor, g)
-        if self.flavor.kind == SKEW:
-            return _skew_mul(self, other, maxdeg, g)
-        return _paired_mul(self, other, maxdeg, g)
+        return _ordered_mul(self, other, maxdeg, g)
 
 
 def _require_graded(flavor, grading):
@@ -82,8 +85,8 @@ def _require_graded(flavor, grading):
         )
 
 
-def _contraction_weights(field, b_exp, c_exp):
-    """Nonzero k! C(b,k) C(c,k) in the field, as (k, weight) by descending k.
+def _contraction_weights(field, b_exp, c_exp, sign):
+    """Nonzero k! C(b,k) C(c,k) sign^k in the field, as (k, weight) by descending k.
 
     In characteristic p every k >= p is dropped (k! vanishes), and so is
     every k whose binomials vanish by Lucas's theorem.
@@ -94,7 +97,7 @@ def _contraction_weights(field, b_exp, c_exp):
     entry = [(0, field.one())]
     w = 1
     for k in range(1, top + 1):
-        w = w * (b_exp - k + 1) * (c_exp - k + 1) // k
+        w = sign * w * (b_exp - k + 1) * (c_exp - k + 1) // k
         wk = field.from_int(w)
         if not field.is_zero(wk):
             entry.append((k, wk))
@@ -102,17 +105,37 @@ def _contraction_weights(field, b_exp, c_exp):
     return tuple(entry)
 
 
-def _paired_mul(a: WeylElt, b: WeylElt, maxdeg, grading):
+def _minus(exps, slot, k):
+    return exps[:slot] + (exps[slot] - k,) + exps[slot + 1 :]
+
+
+class _WeightTable(dict):
+    """(b, c, sign) -> _contraction_weights, filled on first use."""
+
+    __slots__ = ("field",)
+
+    def __init__(self, field):
+        self.field = field
+
+    def __missing__(self, key):
+        entry = self[key] = _contraction_weights(self.field, *key)
+        return entry
+
+
+def _ordered_mul(a: WeylElt, b: WeylElt, maxdeg, grading):
     flavor, field = a.flavor, a.field
     add, mul = field.add, field.mul
-    m = flavor.pairs
-    h_slot = flavor.h_slot if flavor.kind == HAUG else None
+    pairs = flavor.contractions
+    # Skew pairs share slots once there is more than one of them; then each
+    # leaf tracks the exponents its contractions left free.  Otherwise they
+    # are those of k1 and k2.
+    shared = flavor.has_k and len(pairs) > 1
     truncated = maxdeg is not None
     right = [
         (k2, c2, grading.weight(flavor, k2) if truncated else 0)
         for k2, c2 in b.terms.items()
     ]
-    table = {}
+    table = _WeightTable(field)
     terms = {}
     for k1, c1 in a.terms.items():
         room = maxdeg - grading.weight(flavor, k1) if truncated else 0
@@ -121,95 +144,40 @@ def _paired_mul(a: WeylElt, b: WeylElt, maxdeg, grading):
         for k2, c2, w2 in right:
             if w2 > room:
                 continue
-            leaves = [(list(map(_add_int, k1, k2)), mul(c1, c2))]
-            # Contract the d-block of k1 against the x-block of k2.
-            for i in range(m):
-                b_exp, c_exp = k1[m + i], k2[i]
-                if not (b_exp and c_exp):
+            # A leaf is (key, coefficient, free exponents of k1, of k2).
+            leaves = [(list(map(_add_int, k1, k2)), mul(c1, c2), k1, k2)]
+            # Contract g_j of the left factor against g_i of the right one.
+            for j, i, central, sign in pairs:
+                if not (k1[j] and k2[i]):
                     continue
-                entry = table.get((b_exp, c_exp))
-                if entry is None:
-                    entry = table[b_exp, c_exp] = _contraction_weights(field, b_exp, c_exp)
+                # Unshared, one entry serves every leaf.
+                entry = None if shared else table[k1[j], k2[i], sign]
                 grown = []
-                for key, c in leaves:
-                    for k, w in entry:
-                        if k:
-                            key_k = key.copy()
-                            key_k[i] -= k
-                            key_k[m + i] -= k
-                            if h_slot is not None:
-                                key_k[h_slot] += k
-                            grown.append((key_k, mul(c, w)))
+                for leaf in leaves:
+                    key, c, free1, free2 = leaf
+                    for k, w in entry or table[free1[j], free2[i], sign]:
+                        if not k:
+                            grown.append(leaf)
+                            continue
+                        key_k = key.copy()
+                        key_k[j] -= k
+                        key_k[i] -= k
+                        for slot in central:
+                            key_k[slot] += k
+                        if shared:
+                            grown.append(
+                                (key_k, mul(c, w), _minus(free1, j, k), _minus(free2, i, k))
+                            )
                         else:
-                            grown.append((key, c))
+                            grown.append((key_k, mul(c, w), free1, free2))
                 leaves = grown
-            for key, c in leaves:
+            for key, c, _, _ in leaves:
                 key = tuple(key)
                 prev = terms.get(key)
                 terms[key] = c if prev is None else add(prev, c)
     zero = field.zero()
     out = WeylElt(field, flavor)
     out.terms = {key: c for key, c in terms.items() if c != zero}
-    return out
-
-
-def _skew_times_gen(elt: WeylElt, i: int) -> WeylElt:
-    """Right-multiply a normal form by generator i.
-
-    xi^C xi_i = xi^(C + e_i) - h * sum_{j > i, C_j > 0} C_j k_ij xi^(C - e_j).
-    """
-    flavor, field = elt.flavor, elt.field
-    add, mul, is_zero, from_int = field.add, field.mul, field.is_zero, field.from_int
-    g = flavor.main_count
-    h_slot = flavor.h_slot
-    terms = {}
-
-    def put(key, c):
-        if key in terms:
-            c = add(terms[key], c)
-        if is_zero(c):
-            terms.pop(key, None)
-        else:
-            terms[key] = c
-
-    for key, c in elt.terms.items():
-        put(key[:i] + (key[i] + 1,) + key[i + 1 :], c)
-        for j in range(i + 1, g):
-            e = key[j]
-            if e == 0:
-                continue
-            k_slot = flavor.k_slot(i, j)
-            new_key = list(key)
-            new_key[j] -= 1
-            new_key[h_slot] += 1
-            new_key[k_slot] += 1
-            put(tuple(new_key), mul(c, from_int(-e)))
-    out = WeylElt(field, flavor)
-    out.terms = terms
-    return out
-
-
-def _skew_mul(a: WeylElt, b: WeylElt, maxdeg, grading):
-    flavor, field = a.flavor, a.field
-    g = flavor.main_count
-    out = WeylElt.zero(field, flavor)
-    for keyB, cB in b.terms.items():
-        part = a
-        if maxdeg is not None:
-            wB = grading.weight(flavor, keyB)
-            part = part.truncate(maxdeg - wB, grading)
-        for i in range(g):
-            for _ in range(keyB[i]):
-                part = _skew_times_gen(part, i)
-        central = (0,) * g + keyB[g:]
-        shifted = WeylElt(field, flavor)
-        shifted.terms = {
-            tuple(x + y for x, y in zip(k, central)): field.mul(c, cB)
-            for k, c in part.terms.items()
-        }
-        out = out + shifted
-    if maxdeg is not None:
-        out = out.truncate(maxdeg, grading)
     return out
 
 

@@ -69,6 +69,7 @@ def test_usage_errors(tmp_path):
         ["bracket", "x1", "p1", "--field", "abc"],
         ["bracket", "x1", "p1", "--field", "4"],
         ["bracket", "x1", "p1", "--field", "7:x"],
+        ["bracket", "x1", "p1", "--field", "7:2"],
         ["lift", "--in", "{shear}", "--order", "4", "--primes", "3,x"],
         ["lift", "--in", "{shear}", "--order", "4", "--primes", "3,4"],
         ["phi-p", "--in", "{weyl}", "--prime", "4"],

@@ -27,6 +27,7 @@ from weylift.tame import (
     evaluate,
     gen_endo,
     invert_word,
+    random_symplectic_matrix,
     random_tame,
     transport,
 )
@@ -71,6 +72,17 @@ def test_gen_inverses_compose_to_identity():
 def test_shift_inverse_negates():
     g = ElementaryGen("xshift", (0, {2: 1, 3: -4}))
     assert g.inverse().data == (0, {2: Fraction(-1), 3: Fraction(4)})
+
+
+def test_symplectic_inverse_matches_gauss_jordan():
+    # The sp inverse reads -J A^T J off the signed permutation J; the lin
+    # inverse eliminates, so the two share no code.
+    rng = random.Random(3)
+    for n in (1, 2, 3):
+        for _ in range(5):
+            matrix = random_symplectic_matrix(n, rng)
+            sp_inverse = ElementaryGen("sp", matrix).inverse().data
+            assert sp_inverse == ElementaryGen("lin", matrix).inverse().data
 
 
 def test_singular_linear_inverse_rejected():
