@@ -49,6 +49,10 @@ class ExpansionBoundExceeded(WeyliftError):
     """An intermediate expansion grew past the configured term bound."""
 
 
+class InvalidExponent(WeyliftError):
+    """A power was asked for with an exponent that is not an int >= 0."""
+
+
 class NegativeHExponent(WeyliftError):
     """An operation that needs polynomial h-dependence met a pole in h."""
 

@@ -27,15 +27,27 @@ extended one pair at a time through the table; leaf coefficients are
 summed and zero sums swept out once at the end.  With more than one
 skew pair a slot is in several pairs, so each leaf carries the
 exponents its earlier contractions left free.
+
+Over Q and over a prime field F_p the kernel multiplies and adds the
+raw values with the plain operators instead of going through Field.
+Over F_p the products and sums are then unreduced ints, and each sum is
+reduced mod p once, in the final zero sweep.  Extensions F_{p^k}, k > 1,
+keep Field.mul and Field.add.
+
+Powers multiply by the base again and again rather than square: the
+right factor stays the short input, so each contraction order is capped
+by its degree, and a p-th power does fewer term products in all than by
+repeated squaring (Fateman, Stud. Appl. Math. 53, 1974).
 """
 
 from __future__ import annotations
 
-from operator import add as _add_int
+from operator import add as _add, mul as _mul
 
 from .elements import SparseElement
 from .errors import (
     ExpansionBoundExceeded,
+    InvalidExponent,
     NotCentral,
     NotInPthPowerForm,
     PositiveCharacteristic,
@@ -124,7 +136,10 @@ class _WeightTable(dict):
 
 def _ordered_mul(a: WeylElt, b: WeylElt, maxdeg, grading):
     flavor, field = a.flavor, a.field
-    add, mul = field.add, field.mul
+    # Over Q and F_p the raw values take the plain operators; F_p sums are
+    # reduced once, below.
+    plain = field.k == 1
+    add, mul = (_add, _mul) if plain else (field.add, field.mul)
     pairs = flavor.contractions
     # Skew pairs share slots once there is more than one of them; then each
     # leaf tracks the exponents its contractions left free.  Otherwise they
@@ -145,7 +160,7 @@ def _ordered_mul(a: WeylElt, b: WeylElt, maxdeg, grading):
             if w2 > room:
                 continue
             # A leaf is (key, coefficient, free exponents of k1, of k2).
-            leaves = [(list(map(_add_int, k1, k2)), mul(c1, c2), k1, k2)]
+            leaves = [(list(map(_add, k1, k2)), mul(c1, c2), k1, k2)]
             # Contract g_j of the left factor against g_i of the right one.
             for j, i, central, sign in pairs:
                 if not (k1[j] and k2[i]):
@@ -175,9 +190,13 @@ def _ordered_mul(a: WeylElt, b: WeylElt, maxdeg, grading):
                 key = tuple(key)
                 prev = terms.get(key)
                 terms[key] = c if prev is None else add(prev, c)
-    zero = field.zero()
     out = WeylElt(field, flavor)
-    out.terms = {key: c for key, c in terms.items() if c != zero}
+    p = field.char
+    if plain and p:
+        out.terms = {key: r for key, c in terms.items() if (r := c % p)}
+    else:
+        zero = field.zero()
+        out.terms = {key: c for key, c in terms.items() if c != zero}
     return out
 
 
@@ -186,7 +205,10 @@ def weyl_commutator(a: WeylElt, b: WeylElt) -> WeylElt:
 
 
 def pth_power(a: WeylElt, bound: int | None = None) -> WeylElt:
-    """a^p in the residue characteristic, guarded by a term-count bound."""
+    """a^p in the residue characteristic, guarded by a term-count bound.
+
+    Computed by bounded_power: p products with a on the right.
+    """
     p = a.field.char
     if p == 0:
         raise PositiveCharacteristic("pth_power needs a finite field")
@@ -194,6 +216,16 @@ def pth_power(a: WeylElt, bound: int | None = None) -> WeylElt:
 
 
 def bounded_power(a: WeylElt, e: int, bound: int | None = None) -> WeylElt:
+    """a^e by e multiplications with a on the right, each result guarded.
+
+    The right factor stays the short input a, which costs fewer term
+    products than squaring the growing power.  Raises
+    ExpansionBoundExceeded when an intermediate power has more than
+    `bound` terms (EXPANSION_BOUND by default), and InvalidExponent unless
+    e is an int >= 0.
+    """
+    if not isinstance(e, int) or e < 0:
+        raise InvalidExponent(f"exponent must be an int >= 0, got {e!r}")
     limit = EXPANSION_BOUND if bound is None else bound
 
     def guard(x):
@@ -204,13 +236,8 @@ def bounded_power(a: WeylElt, e: int, bound: int | None = None) -> WeylElt:
         return x
 
     acc = WeylElt.one(a.field, a.flavor)
-    base = a
-    while e:
-        if e & 1:
-            acc = guard(acc * base)
-        e >>= 1
-        if e:
-            base = guard(base * base)
+    for _ in range(e):
+        acc = guard(acc * a)
     return acc
 
 

@@ -150,6 +150,23 @@ def oracle_power(elem, e):
     return acc
 
 
+def oracle_binary_power(elem, e):
+    """elem^e by square-and-multiply through the library product.
+
+    A different order of products than bounded_power, which multiplies by
+    elem again and again; it reaches primes where oracle_power is too slow.
+    """
+    acc = WeylElt.one(elem.field, elem.flavor)
+    base = elem
+    while e:
+        if e & 1:
+            acc = acc * base
+        e >>= 1
+        if e:
+            base = base * base
+    return acc
+
+
 # ------------------------------------------------------------ sympy bridge
 
 def sympy_symbols(flavor, side="P"):

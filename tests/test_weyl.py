@@ -1,13 +1,15 @@
 """Weyl algebra arithmetic against an independent rewriting oracle."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
-from oracles import oracle_mul, oracle_power, random_poly
+from oracles import oracle_binary_power, oracle_mul, oracle_power, random_poly
 from weylift import BracketFlavor, Field, QQ
 from weylift.errors import (
     ExpansionBoundExceeded,
+    InvalidExponent,
     NotCentral,
     PositiveCharacteristic,
     WeyliftError,
@@ -231,6 +233,61 @@ def test_pth_power_matches_oracle_larger_primes(p):
         for _ in range(6):
             a = high_power_elt(rng, field, fl, top)
             assert pth_power(a) == oracle_power(a, p)
+
+
+@pytest.mark.parametrize("p", [11, 13, 17])
+def test_pth_power_matches_binary_power(p):
+    field = Field("Fp", p)
+    rng = random.Random(p)
+    for fl in (BracketFlavor(STANDARD, 1), BracketFlavor(STANDARD, 2), BracketFlavor(HAUG, 1)):
+        for _ in range(4):
+            a = random_poly(rng, field, fl, cls=WeylElt, max_terms=3, max_deg=2)
+            assert pth_power(a) == oracle_binary_power(a, p)
+
+
+@pytest.mark.parametrize("e", [-1, -5, 1.0, 2.5, "3", None])
+def test_bounded_power_rejects_bad_exponent(e):
+    fl = BracketFlavor(STANDARD, 1)
+    x, d = gens(QQ, fl)
+    with pytest.raises(InvalidExponent):
+        bounded_power(x + d, e)
+
+
+def _assert_reduced(elem):
+    field = elem.field
+    for c in elem.terms.values():
+        if field.char:
+            assert type(c) is int and 0 < c < field.char, c
+        else:
+            assert type(c) is Fraction and c != 0, c
+
+
+@pytest.mark.parametrize("field", [QQ, Field("Fp", 2), Field("Fp", 3), Field("Fp", 7)],
+                         ids=repr)
+def test_product_coefficients_are_reduced(field):
+    rng = random.Random(500 + field.char)
+    for fl in (BracketFlavor(STANDARD, 2), BracketFlavor(HAUG, 2), BracketFlavor(SKEW, 2)):
+        gr = None if fl.kind == STANDARD else Grading.default_for(fl)
+        for _ in range(10):
+            a = random_poly(rng, field, fl, cls=WeylElt, max_deg=4)
+            b = random_poly(rng, field, fl, cls=WeylElt, max_deg=4)
+            _assert_reduced(a * b)
+            if gr is not None:
+                for maxdeg in (2, 4, 8):
+                    _assert_reduced(a.mul_truncated(b, maxdeg, gr))
+
+
+def test_product_drops_sums_that_vanish_mod_p():
+    # (x + d)(x + 2d) = x^2 + 3 x d + 2 d^2 + 1: the x d sum is 3, zero in F_3.
+    f3 = Field("Fp", 3)
+    fl = BracketFlavor(STANDARD, 1)
+    x, d = gens(f3, fl)
+    prod = (x + d) * (x + d * 2)
+    assert prod.num_terms() == 3
+    assert next(iter((x * d).terms)) not in prod.terms
+    assert prod == x * x + d * d * 2 + WeylElt.one(f3, fl)
+    assert prod == oracle_mul(x + d, x + d * 2)
+    _assert_reduced(prod)
 
 
 def test_pth_power_of_linear_is_central():
