@@ -277,8 +277,12 @@ def symplectic_completion(field, covector, flavor):
     return transpose(mat_inv(field, b))
 
 
+#: Letters in one corrector word: conjugate, shift, conjugate back.
+CORRECTOR_LETTERS = 3
+
+
 def corrector(term, flavor, field=QQ, check=True):
-    """Three-generator word evaluating exactly to the unit shift of the term.
+    """Word evaluating exactly to the unit shift of the term.
 
     The conjugating matrix moves the covector form onto the first
     momentum, where the potential becomes a single-coordinate shift.
@@ -351,11 +355,11 @@ def approximate(endo, n_target, tie_break="lex"):
         terms = waring_decompose(h, tie_break)
         report["stages"][k] = len(terms)
         for term in terms:
-            gens = corrector(term, flavor, field)
-            word_gens.extend(gens)
-            for gen in gens:
-                inv_endo = gen_endo(gen.inverse(), "P", flavor, field)
-                residual = inv_endo.compose(residual, maxdeg, gr)
+            word_gens.extend(corrector(term, flavor, field))
+            # The corrector evaluates to the shift by the term's potential;
+            # the shift by minus it undoes it, since X_h kills c . g.
+            undo = hamiltonian_shift_endo(-term.potential(field, flavor))
+            residual = undo.compose(residual, maxdeg, gr)
         left = [
             (img - Poly.generator(field, flavor, i)).height(gr)
             for i, img in enumerate(residual.images)
@@ -368,3 +372,17 @@ def approximate(endo, n_target, tie_break="lex"):
     )
     report["residual_height"] = None if final == float("inf") else final
     return TameWord("symplectic", flavor.pairs, word_gens), report
+
+
+def stage_prefix(word, report, n_target):
+    """The word approximate returns at order n_target, cut from the word
+    and report of a higher order for the same endo.
+
+    Stage k reads only the degree-k residual, so the stages below
+    n_target run alike at both orders: the prefix is the linear letter,
+    if there is one, then the correctors of those stages.
+    """
+    stages = report["stages"]
+    linear = len(word) - CORRECTOR_LETTERS * sum(stages.values())
+    kept = sum(count for k, count in stages.items() if k < n_target)
+    return TameWord(word.kind, word.n, word.gens[: linear + CORRECTOR_LETTERS * kept])

@@ -73,9 +73,7 @@ def restrict_to_center(endo):
             raise InternalCentralityFailure(
                 f"p-th power of image {i} failed to be central"
             )
-        coords = center_coordinates(power, check=False)
-        coords.flavor = target
-        images.append(coords)
+        images.append(center_coordinates(power, check=False))
     h_image = None
     if flavor.has_h:
         h_image = Poly(field, target)

@@ -220,17 +220,6 @@ class SparseElement:
         out.terms = terms
         return out
 
-    def shift_t(self, e: int):
-        """Multiply by t^e."""
-        if e == 0:
-            return self
-        slot = self.flavor.t_slot
-        out = type(self)(self.field, self.flavor)
-        out.terms = {
-            k[:slot] + (k[slot] + e,) + k[slot + 1 :]: c for k, c in self.terms.items()
-        }
-        return out
-
     def shift_h(self, e: int):
         """Multiply by h^e (negative exponents are Laurent)."""
         if e == 0:

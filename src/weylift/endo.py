@@ -10,9 +10,11 @@ the reordering corrections preserve (see weyl.mul_truncated).
 from __future__ import annotations
 
 import math
+from operator import mul as _mul
 
 from .elements import SparseElement
 from .errors import (
+    DimensionMismatch,
     FieldMismatch,
     FlavorMismatch,
     NegativeHExponent,
@@ -478,39 +480,55 @@ def truncated_inverse(endo, n, grading=None):
     return psi
 
 
-def dilation_conjugate(endo, e, grading=None):
-    """Conjugate by the grading dilation g -> t^e g.
+def diagonal_conjugate(endo, slot, weights):
+    """Conjugate by the diagonal rescaling g_s -> tau^(w_s) g_s.
 
-    The graded degree-m part of each main image picks up t^((m-1)e); the
-    h image is untouched.
+    tau is the symbol in key slot `slot`: t, or h on flavors with h.
+    `weights` holds w_s for the main generators and then, when the
+    flavor has h, for h, in slot order; k_ab weighs w_a + w_b, since
+    {g_a, g_b} = h k_ab.  A monomial of weight w in the image of slot s
+    picks up tau^(w - w_s).  tau itself weighs 0, so only its slot
+    changes and distinct monomials stay distinct.
     """
-    flavor, field = endo.flavor, endo.field
-    gr = grading or Grading.default_for(flavor)
-    cls = endo.element_cls()
+    flavor = endo.flavor
+    if len(weights) != flavor.k_start:
+        raise DimensionMismatch(
+            f"{len(weights)} weights for {flavor.k_start} main and h slots"
+        )
+    full = [*weights, *(weights[a] + weights[b] for a, b in flavor.k_pairs), 0]
+    if full[slot]:
+        raise WeyliftError("the rescaling symbol itself must weigh 0")
 
-    def twist(img, base_weight):
-        out = cls.zero(field, flavor)
-        buckets = {}
-        for key, c in img.terms.items():
-            w = gr.weight(flavor, key)
-            buckets.setdefault(w, []).append((key, c))
-        for w, items in buckets.items():
-            part = cls.from_terms(field, flavor, items)
-            out = out + part.shift_t((w - base_weight) * e)
-        return out
-
-    images = [twist(img, 1) for img in endo.images]
-    k_images = (
-        [twist(img, gr.k) for img in endo.k_images]
-        if endo.k_images is not None
-        else None
-    )
+    images = []
+    for img, base in zip(endo.all_images(), full):
+        out = type(img)(img.field, flavor)
+        out.terms = {
+            key[:slot]
+            + (key[slot] + sum(map(_mul, full, key)) - base,)
+            + key[slot + 1 :]: c
+            for key, c in img.terms.items()
+        }
+        images.append(out)
+    g = flavor.main_count
     return Endo(
         endo.side,
         flavor,
-        field,
-        images,
-        endo.h_image,
-        k_images,
+        endo.field,
+        images[:g],
+        images[g] if flavor.has_h else None,
+        images[flavor.k_start :] if flavor.has_k else None,
         allow_free_term=True,
     )
+
+
+def dilation_conjugate(endo, e, grading=None):
+    """Conjugate by the grading dilation g -> t^(e w(g)) g, w the grading
+    weight of the main generators and of h (see diagonal_conjugate).
+
+    With the default grading the graded degree-m part of each main image
+    picks up t^((m-1)e); a multiple of h is left as it is.
+    """
+    flavor = endo.flavor
+    gr = grading or Grading.default_for(flavor)
+    weights = [e * gr.main] * flavor.main_count + [e * gr.h] * flavor.has_h
+    return diagonal_conjugate(endo, flavor.t_slot, weights)

@@ -160,10 +160,6 @@ class BracketFlavor:
             return 1
         return 0
 
-    def omega_matrix(self):
-        g = self.main_count
-        return [[self.omega(i, j) for j in range(g)] for i in range(g)]
-
     # -- names ---------------------------------------------------------------
 
     def gen_names(self, side: str = "P"):

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+from operator import add as _add
+
 from .elements import SparseElement
 from .errors import IndexOutOfRange, PositiveCharacteristic, WeyliftError
-from .flavors import SKEW, STANDARD, BracketFlavor
+from .flavors import STANDARD, BracketFlavor, Grading
 
 
 class Poly(SparseElement):
@@ -16,52 +18,15 @@ class Poly(SparseElement):
         if isinstance(other, int):
             return self.scale(self.field.from_int(other))
         self._check_compatible(other)
-        field = self.field
-        add, mul, is_zero = field.add, field.mul, field.is_zero
-        terms = {}
-        for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
-                key = tuple(a + b for a, b in zip(k1, k2))
-                c = mul(c1, c2)
-                if key in terms:
-                    c = add(terms[key], c)
-                if is_zero(c):
-                    terms.pop(key, None)
-                else:
-                    terms[key] = c
-        out = Poly(field, self.flavor)
-        out.terms = terms
-        return out
+        return _commutative_mul(self, other, None, None)
 
     __rmul__ = __mul__
 
     def mul_truncated(self, other, maxdeg, grading=None):
         """Product with terms of weighted degree above maxdeg dropped."""
         self._check_compatible(other)
-        from .flavors import Grading
-
         g = grading or Grading.default_for(self.flavor)
-        field, flavor = self.field, self.flavor
-        add, mul, is_zero = field.add, field.mul, field.is_zero
-        terms = {}
-        for k1, c1 in self.terms.items():
-            w1 = g.weight(flavor, k1)
-            if w1 > maxdeg:
-                continue
-            for k2, c2 in other.terms.items():
-                if w1 + g.weight(flavor, k2) > maxdeg:
-                    continue
-                key = tuple(a + b for a, b in zip(k1, k2))
-                c = mul(c1, c2)
-                if key in terms:
-                    c = add(terms[key], c)
-                if is_zero(c):
-                    terms.pop(key, None)
-                else:
-                    terms[key] = c
-        out = Poly(field, flavor)
-        out.terms = terms
-        return out
+        return _commutative_mul(self, other, maxdeg, g)
 
     def partial(self, i: int) -> "Poly":
         """Formal partial derivative in the i-th main generator."""
@@ -70,73 +35,83 @@ class Poly(SparseElement):
             raise IndexOutOfRange(f"no main generator {i}")
         field = self.field
         terms = {}
+        # e -> e - 1 in one slot is injective, so no two terms meet.
         for key, c in self.terms.items():
             e = key[i]
             if e == 0:
                 continue
             v = field.mul(c, field.from_int(e))
-            if field.is_zero(v):
-                continue
-            new_key = key[:i] + (e - 1,) + key[i + 1 :]
-            if new_key in terms:
-                v = field.add(terms[new_key], v)
-                if field.is_zero(v):
-                    del terms[new_key]
-                    continue
-            terms[new_key] = v
+            if not field.is_zero(v):
+                terms[key[:i] + (e - 1,) + key[i + 1 :]] = v
         out = Poly(field, flavor)
         out.terms = terms
         return out
 
 
+def _commutative_mul(a: Poly, b: Poly, maxdeg, grading):
+    """a * b, with the terms of weighted degree above maxdeg dropped unless
+    maxdeg is None; the right factor's weights are computed once."""
+    flavor, field = a.flavor, a.field
+    add, mul = field.add, field.mul
+    truncated = maxdeg is not None
+    right = [
+        (k2, c2, grading.weight(flavor, k2) if truncated else 0)
+        for k2, c2 in b.terms.items()
+    ]
+    terms = {}
+    for k1, c1 in a.terms.items():
+        room = maxdeg - grading.weight(flavor, k1) if truncated else 0
+        if room < 0:
+            continue
+        for k2, c2, w2 in right:
+            if w2 > room:
+                continue
+            key = tuple(map(_add, k1, k2))
+            prev = terms.get(key)
+            c = mul(c1, c2)
+            terms[key] = c if prev is None else add(prev, c)
+    out = Poly(field, flavor)
+    is_zero = field.is_zero
+    out.terms = {key: c for key, c in terms.items() if not is_zero(c)}
+    return out
+
+
+def _central_element(cls, flavor, field, central, sign):
+    """sign times the monomial of the central slots, as an element."""
+    key = [0] * flavor.key_len
+    for slot in central:
+        key[slot] = 1
+    return cls(field, flavor, {tuple(key): field.from_int(sign)})
+
+
 def structure_element(flavor: BracketFlavor, field, i: int, j: int, cls=Poly):
-    """The bracket (or commutator) of generators i and j as an element."""
-    if i == j:
-        return cls.zero(field, flavor)
-    if flavor.kind == SKEW:
-        sign = 1 if i < j else -1
-        a, b = (i, j) if i < j else (j, i)
-        key = tuple(
-            x + y for x, y in zip(flavor.h_key(), flavor.k_key(a, b))
-        )
-        raw = field.one() if sign == 1 else field.neg(field.one())
-        return cls(field, flavor, {key: raw})
-    w = flavor.omega(i, j)
-    if w == 0:
-        return cls.zero(field, flavor)
-    raw = field.from_int(w)
-    if flavor.has_h:
-        return cls(field, flavor, {flavor.h_key(): raw})
-    return cls.constant(field, flavor, raw)
+    """The bracket (or commutator) of generators i and j as an element,
+    read off the flavor's contraction pairs."""
+    for a, b, central, sign in flavor.contractions:
+        if (a, b) in ((i, j), (j, i)):
+            return _central_element(
+                cls, flavor, field, central, sign if a == i else -sign
+            )
+    return cls.zero(field, flavor)
 
 
 def poisson_bracket(f: Poly, g: Poly) -> Poly:
-    """{f, g} extended from the structure constants by the Leibniz rule."""
+    """{f, g} by the Leibniz rule from the flavor's contraction pairs.
+
+    Each pair (j, i) with {g_j, g_i} = s z adds
+    s z (d_j f d_i g - d_i f d_j g); no other pair of generators has a
+    nonzero bracket.
+    """
     f._check_compatible(g)
     flavor, field = f.flavor, f.field
+    df = [f.partial(s) for s in range(flavor.main_count)]
+    dg = [g.partial(s) for s in range(flavor.main_count)]
     result = Poly.zero(field, flavor)
-    partials_f = {}
-    partials_g = {}
-
-    def pf(i):
-        if i not in partials_f:
-            partials_f[i] = f.partial(i)
-        return partials_f[i]
-
-    def pg(i):
-        if i not in partials_g:
-            partials_g[i] = g.partial(i)
-        return partials_g[i]
-
-    for i in range(flavor.main_count):
-        for j in range(i + 1, flavor.main_count):
-            s = structure_element(flavor, field, i, j)
-            if s.is_zero:
-                continue
-            term = pf(i) * pg(j) - pf(j) * pg(i)
-            if term.is_zero:
-                continue
-            result = result + s * term
+    for j, i, central, sign in flavor.contractions:
+        term = df[j] * dg[i] - df[i] * dg[j]
+        if not term.is_zero:
+            z = _central_element(Poly, flavor, field, central, sign)
+            result = result + z * term
     return result
 
 

@@ -60,17 +60,28 @@ def endo_from_json(doc):
     return Endo(side, flavor, field, images, h_image, k_images, allow_free_term=True)
 
 
-def _gen_to_json(gen):
+class _Texts(dict):
+    """value -> str(value), filled on first use: one document then holds
+    one string per distinct value instead of one per entry."""
+
+    __slots__ = ()
+
+    def __missing__(self, value):
+        text = self[value] = str(value)
+        return text
+
+
+def _gen_to_json(gen, texts):
     if gen.kind in (SP, LIN):
         return {
             "kind": gen.kind,
-            "matrix": [[str(v) for v in row] for row in gen.data],
+            "matrix": [[texts[v] for v in row] for row in gen.data],
         }
     index, poly = gen.data
     if gen.kind == SHIFT:
-        body = {",".join(str(x) for x in e): str(c) for e, c in poly.items()}
+        body = {",".join(str(x) for x in e): texts[c] for e, c in poly.items()}
     else:
-        body = {str(e): str(c) for e, c in poly.items()}
+        body = {str(e): texts[c] for e, c in poly.items()}
     return {"kind": gen.kind, "index": index, "poly": body}
 
 
@@ -90,10 +101,11 @@ def _gen_from_json(doc):
 
 
 def word_to_json(word):
+    texts = _Texts()
     return {
         "kind": word.kind,
         "n": word.n,
-        "gens": [_gen_to_json(g) for g in word.gens],
+        "gens": [_gen_to_json(g, texts) for g in word.gens],
     }
 
 

@@ -20,11 +20,16 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .approx import approximate
+from .approx import approximate, stage_prefix
 from .charp import phi_p
-from .endo import Endo, check_symplecto, jacobian_is_unit, truncated_inverse
+from .endo import (
+    Endo,
+    check_symplecto,
+    diagonal_conjugate,
+    jacobian_is_unit,
+    truncated_inverse,
+)
 from .errors import (
-    DimensionMismatch,
     ExpansionBoundExceeded,
     IndexOutOfRange,
     InsufficientK,
@@ -72,48 +77,12 @@ def curve_order(curve):
 
 
 def conjugate_by_curve(endo, curve):
-    """Exact Laurent conjugate: a monomial with main exponents l in the
-    image of generator i picks up t^(sum m_j l_j + k-weights - m_i)."""
+    """Exact Laurent conjugate by g_i -> t^(m_i) g_i (endo.diagonal_conjugate):
+    a monomial with main exponents l in the image of generator i picks up
+    t^(sum m_j l_j + k-weights - m_i)."""
     flavor = endo.flavor
-    m = curve.weights
-    if len(m) != flavor.main_count:
-        raise DimensionMismatch(
-            f"curve has {len(m)} weights, flavor has {flavor.main_count} generators"
-        )
-    pair_weight = {}
-    if flavor.has_k:
-        for idx, (a, b) in enumerate(flavor.k_pairs):
-            pair_weight[idx] = m[a] + m[b]
-
-    def monomial_weight(key):
-        w = sum(mi * e for mi, e in zip(m, flavor.main_exponents(key)))
-        if flavor.has_k:
-            for idx, e in enumerate(flavor.k_exponents(key)):
-                if e:
-                    w += pair_weight[idx] * e
-        return w
-
-    def twist(img, base):
-        out = type(img)(endo.field, flavor)
-        terms = {}
-        slot = flavor.t_slot
-        for key, c in img.terms.items():
-            e = monomial_weight(key) - base
-            nk = key[:slot] + (key[slot] + e,) + key[slot + 1 :]
-            terms[nk] = c
-        out.terms = terms
-        return out
-
-    images = [twist(img, m[i]) for i, img in enumerate(endo.images)]
-    h_image = twist(endo.h_image, 0) if endo.h_image is not None else None
-    k_images = None
-    if endo.k_images is not None:
-        k_images = [
-            twist(img, pair_weight[idx]) for idx, img in enumerate(endo.k_images)
-        ]
-    return Endo(
-        endo.side, flavor, endo.field, images, h_image, k_images, allow_free_term=True
-    )
+    weights = curve.weights + (0,) * flavor.has_h
+    return diagonal_conjugate(endo, flavor.t_slot, weights)
 
 
 def pole_order(endo):
@@ -305,9 +274,11 @@ def lift(sigma, n, primes=()):
     ordered evaluation of the transported approximation word when the
     expansion stays within budget, else a graded h-truncated
     evaluation; certificate["representation"] records which.  The
-    certificate also records stabilization between orders n-1 and n,
-    per-prime comparison against the center morphism, canonicity under
-    the alternate corrector ordering, and the commutation table.
+    certificate also records stabilization between orders n-1 and n
+    (the order n-1 word is a prefix of the order-n word, see
+    approx.stage_prefix), per-prime comparison against the center
+    morphism, canonicity under the alternate corrector ordering, and
+    the commutation table.
     """
     flavor, field = sigma.flavor, sigma.field
     if flavor.kind != STANDARD or flavor.aux:
@@ -346,7 +317,7 @@ def lift(sigma, n, primes=()):
     }
 
     if n >= 3:
-        word_prev, _ = approximate(sigma, n - 1)
+        word_prev = stage_prefix(word, report, n - 1)
         trunc_prev = evaluate(
             transport(word_prev), "W", hflavor, field, maxdeg=n, grading=hgrading
         )
@@ -523,36 +494,10 @@ def h_weight_conjugate(endo, exponents):
     """Conjugate by the diagonal h-rescaling g_i -> h^(e_i) g_i.
 
     The monomial rule matches conjugate_by_curve with h in place of t,
-    so images may pick up negative h powers; useful for building
-    h-Laurent subjects for the twist.
+    k_ab weighing e_a + e_b, so images may pick up negative h powers;
+    useful for building h-Laurent subjects for the twist.
     """
-    flavor, field = endo.flavor, endo.field
+    flavor = endo.flavor
     if not flavor.has_h:
         raise WeyliftError("h rescaling needs an h symbol")
-    if len(exponents) != flavor.main_count:
-        raise DimensionMismatch("one exponent per main generator required")
-
-    def twist(img, base):
-        out = type(img)(field, flavor)
-        slot = flavor.h_slot
-        terms = {}
-        for key, c in img.terms.items():
-            e = sum(
-                ei * li for ei, li in zip(exponents, flavor.main_exponents(key))
-            ) - base
-            nk = key[:slot] + (key[slot] + e,) + key[slot + 1 :]
-            prev = terms.get(nk)
-            terms[nk] = c if prev is None else field.add(prev, c)
-        out.terms = {k: v for k, v in terms.items() if not field.is_zero(v)}
-        return out
-
-    images = [twist(img, exponents[i]) for i, img in enumerate(endo.images)]
-    k_images = None
-    if endo.k_images is not None:
-        k_images = [
-            twist(img, exponents[a] + exponents[b])
-            for (a, b), img in zip(flavor.k_pairs, endo.k_images)
-        ]
-    return Endo(
-        endo.side, flavor, field, images, endo.h_image, k_images, allow_free_term=True
-    )
+    return diagonal_conjugate(endo, flavor.h_slot, (*exponents, 0))

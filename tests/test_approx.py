@@ -24,6 +24,7 @@ from weylift.approx import (
     hamiltonian_shift_endo,
     is_symplectic,
     omega_matrix_raw,
+    stage_prefix,
     symplectic_completion,
     transpose,
     waring_decompose,
@@ -231,3 +232,46 @@ def test_approximate_input_guards():
     hend = Endo.identity("P", hfl, QQ)
     with pytest.raises(WeyliftError):
         approximate(hend, 3)
+
+
+def test_shift_by_minus_potential_undoes_the_shift():
+    rng = random.Random(41)
+    for flavor, top in ((FL1, 4), (FL2, 3)):
+        ident = Endo.identity("P", flavor, QQ)
+        for _ in range(6):
+            covector = [0] * flavor.main_count
+            while not any(covector):
+                covector = [rng.randint(-2, 2) for _ in covector]
+            lam = Fraction(rng.choice((-3, -1, 1, 2)), rng.randint(1, 4))
+            term = WaringTerm(lam, covector, rng.randint(2, top))
+            h = term.potential(QQ, flavor)
+            there, back = hamiltonian_shift_endo(h), hamiltonian_shift_endo(-h)
+            assert there != ident
+            assert back.compose(there) == ident, term
+            assert there.compose(back) == ident, term
+
+
+def test_stage_prefix_is_the_lower_order_word():
+    from test_acceptance import _corpus
+
+    # (endo, orders): each order's word, cut one order lower, is the
+    # word of that order.
+    cases = [(sigma, (3, 4, 5, 6)) for _, _, _, sigma in _corpus()]
+    for n, length, maxdeg, seeds in ((1, 4, 3, range(40)), (2, 3, 2, range(38))):
+        flavor = BracketFlavor("standard", n)
+        cases += [
+            (evaluate(random_tame(n, length, maxdeg, seed), "P", flavor, QQ), (3, 4))
+            for seed in seeds
+        ]
+    checked = cut = 0
+    for sigma, orders in cases:
+        lower = approximate(sigma, orders[0])[0]
+        for order in orders[1:]:
+            word, report = approximate(sigma, order)
+            prefix = stage_prefix(word, report, order - 1)
+            assert prefix == lower, (sigma, order)
+            checked += 1
+            cut += len(prefix) < len(word)
+            lower = word
+    assert checked == 228
+    assert cut > 50

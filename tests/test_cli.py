@@ -1,13 +1,16 @@
 """Command-line interface: reports, exit codes, reproducibility."""
 
 import copy
+import hashlib
 import json
+from fractions import Fraction
 
 import pytest
 
 from weylift import BracketFlavor, Endo, QQ, parse_element
 from weylift.cli import main, run_command
 from weylift.serialize import dump_json, endo_to_json, load_json, object_from_json
+from weylift.tame import ElementaryGen, TameWord, evaluate
 
 FL1 = BracketFlavor("standard", 1)
 
@@ -227,3 +230,92 @@ def test_inputs_digest_stable(tmp_path):
     assert rep1["inputs_digest"] == rep2["inputs_digest"]
     rep3, _ = run_command(["singscan", "--endo", sig, "--order", "3"])
     assert rep3["inputs_digest"] != rep1["inputs_digest"]
+
+
+def _golden_files(tmp_path):
+    """Input documents for the pinned reports, written under tmp_path."""
+    fl2 = BracketFlavor("standard", 2)
+    # x1 += x2 and p2 -= p1, then shifts on both pairs: an n = 2 word
+    # whose first letter is linear.
+    cross = [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, -1, 1]]
+    word = TameWord("symplectic", 2, [
+        ElementaryGen("sp", cross),
+        ElementaryGen("pshift", (0, {2: Fraction(1), 3: Fraction(-2)})),
+        ElementaryGen("xshift", (1, {2: Fraction(3)})),
+    ])
+    paths = {}
+
+    def put(name, endo):
+        path = tmp_path / f"{name}.json"
+        dump_json(endo_to_json(endo), str(path))
+        paths[name] = str(path)
+
+    put("linear2", evaluate(word, "P", fl2, QQ))
+    put("composite", Endo("P", FL1, QQ, [pelt("x1 + p1^2"), pelt("p1")]).compose(
+        Endo("P", FL1, QQ, [pelt("x1"), pelt("p1 + x1^2")])
+    ))
+    shifts = TameWord("symplectic", 1, [
+        ElementaryGen("xshift", (0, {2: Fraction(1)})),
+        ElementaryGen("pshift", (0, {3: Fraction(2)})),
+    ])
+    put("weyl", evaluate(shifts, "W", FL1, QQ))
+    put("shear", Endo("P", FL1, QQ, [pelt("x1 + p1^2"), pelt("p1")]))
+    aux = BracketFlavor("standard", 1, aux=True)
+    put("special", Endo("P", aux, QQ, [
+        parse_element(text, QQ, aux, "P") for text in ("x1 + x1*p1^2", "u", "p1", "v")
+    ]))
+    return paths
+
+
+_BRACKET_EXPRS = {
+    ("standard", "P"): ("x1^2*p1 + 3*x2*p2^2", "p1^3*x2 + x1*p2"),
+    ("standard", "W"): ("x1^2*d1 + 3*x2*d2^2", "d1^3*x2 + x1*d2"),
+    ("haug", "P"): ("x1^2*p1*h + 2*x2*p2", "p1^2 + x1*p2*h"),
+    ("haug", "W"): ("x1^2*d1*h + 2*x2*d2", "d1^2 + x1*d2*h"),
+    ("skew", "P"): ("xi1*xi3^2 + 2*xi2*xi4*h", "xi2^2*xi3 + 3*xi1*k1_2"),
+    ("skew", "W"): ("xi1*xi3^2 + 2*xi2*xi4*h", "xi2^2*xi3 + 3*xi1*k1_2"),
+}
+
+
+def _bracket(flavor, side, field):
+    return ["bracket", *_BRACKET_EXPRS[flavor, side], "--side", side,
+            "--flavor", flavor, "--n", "2", "--field", field]
+
+
+#: (argv, sha256 of the canonical JSON report without timing_ms).
+_PINNED = [
+    (["approximate", "--in", "{linear2}", "--order", "4"], "f732626ef561fef628217d4bef43a5992c76a5ca47d6271576cc0455af87dfde"),
+    (["approximate", "--in", "{linear2}", "--order", "4", "--tie-break", "alt"], "9b1d1265b1b5c085b57aaaaf0ea5e83448557c9130699c584db549a856b3df0c"),
+    (["lift", "--in", "{composite}", "--order", "5", "--primes", "3,5,7"], "574e5e31184753930c4e89c17d611aed9bc5f1a4288f7c96764e9010accbc4cb"),
+    (["phi-p", "--in", "{weyl}", "--prime", "3"], "6b8ef1b4d1308a094d670a830520c2b8f4d8aaece8e9b7dd44f4a46dabd0eff4"),
+    (["phi-p", "--in", "{weyl}", "--prime", "5"], "b3e69a3f98751405096e2b650de29b6e562e0355c1ef93a817a1c06233d715b2"),
+    (["singscan", "--in", "{shear}", "--order", "3"], "76543f19daacba5a49aaf2fd902beab39d32d24c8ff38c843661578136fe6c4c"),
+    (["singscan", "--in", "{special}", "--order", "3"], "6e479b294c2df9fe1067697b2b361731d8f2f7d2bdfb291556b686ca6ed33f50"),
+    (["singscan", "--in", "{shear}", "--order", "2", "--samples", "20", "--seed", "4"], "35d6039064eb2bdbb06a57d3e2c9142bb874c4d26cf5682ad463bf604d3a8b3a"),
+    (_bracket("standard", "P", "Q"), "75d9a4ce1ab72efa52ae369bde150cc2cbbb7ddab5771d92b44ac3804fb7aebd"),
+    (_bracket("standard", "P", "7"), "a3ad6e401f151cfa2f9ac3019b52304bf22b908188770d7633bbbf9ff94ea3b4"),
+    (_bracket("standard", "W", "Q"), "7cae641c2339184eff2b4be4035f099bb4e27c3525e71ce4bebafbdc47386e53"),
+    (_bracket("standard", "W", "7"), "8de25049762d141810e955ae5dd416facaffe60cda8e963266dc064d43d8ea02"),
+    (_bracket("haug", "P", "Q"), "373ff30a959e1350f46f68ffb424587f366b7ab43eb6193a7f92aab84af9c93e"),
+    (_bracket("haug", "P", "7"), "c67b4911bb7f5bf01befbc6eda87f4c8d721d79dee63bf99dce679ef5a327fc0"),
+    (_bracket("haug", "W", "Q"), "3f574254a0b9b2051601e004e88646a9df74b57ee442deb323702a4c8b2a542d"),
+    (_bracket("haug", "W", "7"), "0192108e90ada64656985e1bb789c9b1bb8f21e17faa6094916493091879fccf"),
+    (_bracket("skew", "P", "Q"), "25d43656391ccf5751629d9172fe2eec9be617f540983f41de1f6412fba81f1f"),
+    (_bracket("skew", "P", "7"), "f99256edb5eb2990b22f69e05b340cae3e571e41bd02b5b1f07681cde59934dd"),
+    (_bracket("skew", "W", "Q"), "9317c35d326ecf58bce8553c948cc2b0ae599fb8737d0c09c0dec7608a217520"),
+    (_bracket("skew", "W", "7"), "ff0d677316d77f64eb795dec97be8834e66bef6c1ac8006dddcc267e67a224c3"),
+]
+
+
+def _report_digest(report):
+    report = {k: v for k, v in report.items() if k != "timing_ms"}
+    text = json.dumps(report, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_reports_are_pinned(tmp_path):
+    paths = _golden_files(tmp_path)
+    for argv, want in _PINNED:
+        rep, code = run_command([arg.format(**paths) for arg in argv])
+        assert code == 0, (argv, rep)
+        assert _report_digest(rep) == want, argv

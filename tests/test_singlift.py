@@ -1,5 +1,6 @@
 """Curve conjugation, pole scanning, and the lifting pipeline."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,12 +8,14 @@ import pytest
 from weylift import (
     BracketFlavor,
     Endo,
+    Poly,
     QQ,
     check_symplecto,
     endo_rank,
     parse_element,
 )
-from weylift.errors import DimensionMismatch, InsufficientK
+from weylift.endo import diagonal_conjugate, dilation_conjugate
+from weylift.errors import DimensionMismatch, InsufficientK, WeyliftError
 from weylift.flavors import Grading
 from weylift.singlift import (
     DiagonalCurve,
@@ -249,3 +252,100 @@ def test_h_weight_conjugate():
     assert str(up.images[0]) == "p1^2*h^4 + x1"
     with pytest.raises(DimensionMismatch):
         h_weight_conjugate(e, (1,))
+
+
+def _rescaling(flavor, slot, weights, sign=1):
+    """g_s -> tau^(sign w_s) g_s for the symbol tau in `slot`; h by its
+    own weight (weights[g]) and k_ab by w_a + w_b, written out apart from
+    diagonal_conjugate."""
+
+    def scaled(key, w):
+        key = list(key)
+        key[slot] += sign * w
+        return Poly(QQ, flavor, {tuple(key): QQ.one()})
+
+    g = flavor.main_count
+    images = [scaled(flavor.gen_key(s), weights[s]) for s in range(g)]
+    h_image = scaled(flavor.h_key(), weights[g]) if flavor.has_h else None
+    k_images = [
+        scaled(flavor.k_key(a, b), weights[a] + weights[b]) for a, b in flavor.k_pairs
+    ] or None
+    return Endo("P", flavor, QQ, images, h_image, k_images)
+
+
+def _random_endo(rng, flavor):
+    """Each main and k image is its symbol plus three random monomials."""
+
+    def noisy(base):
+        terms = {base: QQ.one()}
+        for _ in range(3):
+            key = [0] * flavor.key_len
+            for _ in range(rng.randrange(1, 4)):
+                key[rng.randrange(flavor.main_count)] += 1
+            if flavor.has_h:
+                key[flavor.h_slot] = rng.randrange(2)
+            if flavor.has_k:
+                key[rng.randrange(flavor.k_start, flavor.t_slot)] += rng.randrange(2)
+            terms[tuple(key)] = QQ.from_int(rng.choice((-2, -1, 1, 2)))
+        return Poly(QQ, flavor, terms)
+
+    images = [noisy(flavor.gen_key(s)) for s in range(flavor.main_count)]
+    k_images = [noisy(flavor.k_key(a, b)) for a, b in flavor.k_pairs] or None
+    return Endo("P", flavor, QQ, images, None, k_images)
+
+
+def _conjugated(phi, slot, weights):
+    """D o phi o D^-1 by Endo.compose, D the rescaling by `weights`."""
+    fwd = _rescaling(phi.flavor, slot, weights)
+    back = _rescaling(phi.flavor, slot, weights, sign=-1)
+    return fwd.compose(phi.compose(back))
+
+
+@pytest.mark.parametrize(
+    "flavor",
+    [
+        BracketFlavor("standard", 1, aux=True),
+        BracketFlavor("haug", 1),
+        BracketFlavor("haug", 1, aux=True),
+        BracketFlavor("skew", 1),
+        BracketFlavor("skew", 2),
+    ],
+    ids=repr,
+)
+def test_diagonal_conjugations_match_composition(flavor):
+    rng = random.Random(f"{flavor!r}")
+    g, no_h = flavor.main_count, (0,) * flavor.has_h
+    for _ in range(4):
+        phi = _random_endo(rng, flavor)
+        m = tuple(rng.randrange(1, 5) for _ in range(g))
+        got = conjugate_by_curve(phi, DiagonalCurve(m))
+        assert got == _conjugated(phi, flavor.t_slot, m + no_h)
+        e = rng.randrange(1, 3)
+        gr = Grading.default_for(flavor)
+        weights = (e * gr.main,) * g + (e * gr.h,) * flavor.has_h
+        assert dilation_conjugate(phi, e) == _conjugated(phi, flavor.t_slot, weights)
+        if flavor.has_h:
+            exps = tuple(rng.randrange(-2, 3) for _ in range(g))
+            got = h_weight_conjugate(phi, exps)
+            assert got == _conjugated(phi, flavor.h_slot, exps + (0,))
+
+
+def test_h_weight_conjugate_weighs_k_by_its_pair():
+    skew = BracketFlavor("skew", 1)
+    phi = Endo("P", skew, QQ, [
+        parse_element("xi1 + k1_2*xi2", QQ, skew, "P"),
+        parse_element("xi2", QQ, skew, "P"),
+    ])
+    out = h_weight_conjugate(phi, (2, 0))
+    assert [str(img) for img in out.all_images()] == ["xi1 + xi2*k1_2", "xi2", "h", "k1_2"]
+    assert out == _conjugated(phi, skew.h_slot, (2, 0, 0))
+
+
+def test_diagonal_conjugate_guards():
+    hfl = BracketFlavor("haug", 1)
+    e = Endo.identity("P", hfl, QQ)
+    with pytest.raises(DimensionMismatch):
+        diagonal_conjugate(e, hfl.t_slot, (1, 1))
+    with pytest.raises(WeyliftError):
+        diagonal_conjugate(e, hfl.h_slot, (1, 1, 1))
+    assert diagonal_conjugate(e, hfl.t_slot, (1, 1, 2)) == e
