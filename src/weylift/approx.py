@@ -14,7 +14,7 @@ degree higher.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import factorial, gcd, prod
 
 from .endo import Endo, check_symplecto, jacobian_is_unit
 from .errors import (
@@ -30,7 +30,14 @@ from .fields import QQ
 from .flavors import STANDARD, Grading
 from .poly import Poly
 from .tame import SP, XSHIFT, ElementaryGen, TameWord, gen_endo
-from .linalg import identity_matrix, is_symplectic, mat_inv, mat_vec, omega_matrix_raw, transpose
+from .linalg import (
+    identity_matrix,
+    is_symplectic,
+    omega_matrix_raw,
+    signed_permutation,
+    symplectic_inverse,
+    transpose,
+)
 
 
 def hamiltonian_field(h):
@@ -139,66 +146,93 @@ def _canonical_covector(vec, d):
     return Fraction(sign * g) ** d, vec
 
 
+def _lattice(u, d):
+    """The points a of N^u with |a| = d, in descending lex order."""
+    if u == 1:
+        return [(d,)]
+    return [(i,) + rest for i in range(d, -1, -1) for rest in _lattice(u - 1, d - i)]
+
+
+def _lagrange_numerator(a, d):
+    """Integer coefficients of d^d prod_i a_i! L_a, keyed by exponent.
+
+    L_a = prod_i prod_{j < a_i} (d x_i - j s) / (d (a_i - j)), with s the
+    sum of the variables, is the degree-d form that is 1 at a and 0 at
+    every other lattice point: on |x| = d each factor is
+    (x_i - j) / (a_i - j), so L_a vanishes unless x_i >= a_i for all i.
+    """
+    u = len(a)
+    poly = {(0,) * u: 1}
+    for i, top in enumerate(a):
+        for j in range(top):
+            lin = [d - j if k == i else -j for k in range(u)]
+            out = {}
+            for b, c in poly.items():
+                for k, w in enumerate(lin):
+                    if w:
+                        key = b[:k] + (b[k] + 1,) + b[k + 1 :]
+                        out[key] = out.get(key, 0) + c * w
+            poly = out
+    return poly
+
+
 def waring_decompose(h, tie_break="lex"):
     """Split a homogeneous form over Q into powers of linear forms.
 
-    Powers of a single generator pass through as one term.  Mixed
-    monomials polarize over sign vectors; covectors are canonicalized
-    to primitive integer vectors and equal covectors merge.  The
-    result re-expands to h exactly (asserted), in a deterministic
-    order controlled by tie_break ("lex" or "alt").
+    Let U be the u main generators h uses and d its degree.  The powers
+    (a . g_U)^d over the lattice points a of N^U with |a| = d span the
+    degree-d forms in g_U (Reznick, Sums of even powers of real linear
+    forms, Mem. AMS 1992), and there are exactly C(u+d-1, d) of them, so
+    h is one exact solve over that basis: at most C(u+d-1, d) terms, and
+    a form in one generator stays a single term.  Matching coefficients
+    of g^b gives sum_a lam_a a^b = h_b / multinomial(d; b): an
+    interpolation at the lattice points, whose inverse is read off the
+    Lagrange forms of the principal lattice (_lagrange_numerator;
+    Chung & Yao, SIAM J. Numer. Anal. 14, 1977).  The tie break "alt"
+    uses the basis with alternating signs on the used generators,
+    a_i -> (-1)^i a_i, and lists the terms in reverse, so it gives a
+    really different word.  Covectors are canonicalized to primitive
+    integer vectors and equal covectors merge.  The result re-expands
+    to h exactly (checked) in a deterministic order.
     """
     if h.field.char != 0:
         raise PositiveCharacteristic("splitting into powers needs characteristic 0")
+    if tie_break not in ("lex", "alt"):
+        raise WeyliftError(f"unknown tie break {tie_break!r}")
     if h.is_zero:
         return []
     flavor, field = h.flavor, h.field
     g = flavor.main_count
     d = h.degree()
-    if h.height() != d:
-        raise WeyliftError("potential must be homogeneous")
-    acc = {}
-
-    def put(vec, lam):
-        canon = _canonical_covector(vec, d)
-        if canon is None:
-            return
-        scale, vec = canon
-        acc[vec] = acc.get(vec, Fraction(0)) + lam * scale
-
+    if d < 1 or h.height() != d:
+        raise WeyliftError("potential must be homogeneous of positive degree")
+    exps = {key: flavor.main_exponents(key) for key in h.terms}
+    used = [i for i in range(g) if any(e[i] for e in exps.values())]
+    alt = tie_break == "alt"
+    signs = [(-1) ** i if alt else 1 for i in range(len(used))]
+    # c_b = h_b / multinomial(d; b), times signs^b on the alternating basis.
+    rhs = {}
     for key, coeff in h.terms.items():
-        exps = flavor.main_exponents(key)
-        lam = Fraction(coeff)
-        support = [i for i in range(g) if exps[i]]
-        if len(support) == 1:
-            vec = [0] * g
-            vec[support[0]] = 1
-            put(tuple(vec), lam)
+        b = tuple(exps[key][i] for i in used)
+        c = Fraction(coeff) / (factorial(d) // prod(factorial(e) for e in b))
+        rhs[b] = -c if alt and sum(b[1::2]) % 2 else c
+    acc = {}
+    for a in _lattice(len(used), d):
+        numer = _lagrange_numerator(a, d)
+        lam = sum(numer.get(b, 0) * c for b, c in rhs.items())
+        if not lam:
             continue
-        letters = []
-        for i in support:
-            letters.extend([i] * exps[i])
-        base = Fraction(1, 2 ** (d - 1))
-        for i in range(1, d):
-            base /= i + 1
-        stack = [(1, [1], 1)]
-        while stack:
-            idx, pattern, sign = stack.pop()
-            if idx == d:
-                vec = [0] * g
-                for pos, s in zip(letters, pattern):
-                    vec[pos] += s
-                put(tuple(vec), lam * sign * base)
-                continue
-            stack.append((idx + 1, pattern + [1], sign))
-            stack.append((idx + 1, pattern + [-1], -sign))
+        lam /= d ** d * prod(factorial(e) for e in a)
+        vec = [0] * g
+        for i, s, e in zip(used, signs, a):
+            vec[i] = s * e
+        scale, vec = _canonical_covector(vec, d)
+        acc[vec] = acc.get(vec, Fraction(0)) + lam * scale
     terms = [
         WaringTerm(lam, vec, d) for vec, lam in sorted(acc.items()) if lam
     ]
-    if tie_break == "alt":
-        terms = list(reversed(terms))
-    elif tie_break != "lex":
-        raise WeyliftError(f"unknown tie break {tie_break!r}")
+    if alt:
+        terms.reverse()
     total = Poly.zero(field, flavor)
     for t in terms:
         total = total + t.potential(field, flavor)
@@ -211,7 +245,10 @@ def symplectic_completion(field, covector, flavor):
     """Matrix A with A symplectic and apply(linear(A), c . g) = first momentum.
 
     Builds a symplectic basis whose first momentum column is the
-    covector, then returns the inverse transpose.
+    covector, then returns the inverse transpose.  J is a signed
+    permutation (row i holds sign_i at column s_i), so the pairing
+    a^T J b is sum_i sign_i a_i b_(s_i), and the inverse of the basis
+    matrix is linalg.symplectic_inverse.
     """
     g = flavor.main_count
     n = flavor.pairs
@@ -219,12 +256,13 @@ def symplectic_completion(field, covector, flavor):
     c = [field.from_int(v) for v in covector]
     if all(field.is_zero(v) for v in c):
         raise ZeroCovector("covector must be nonzero")
+    perm, plus = signed_permutation(field, j)
 
     def pairing(a, b):
-        jb = mat_vec(field, j, b)
         s = field.zero()
-        for x, y in zip(a, jb):
-            s = field.add(s, field.mul(x, y))
+        for x, i, up in zip(a, perm, plus):
+            t = field.mul(x, b[i])
+            s = field.add(s, t) if up else field.sub(s, t)
         return s
 
     basis_v = [c]
@@ -269,12 +307,15 @@ def symplectic_completion(field, covector, flavor):
             if z is None:
                 raise WeyliftError("failed to extend a symplectic basis")
             basis_v.append(z)
-    b = [[basis_u[s][r] for s in range(n)] for r in range(g)]
+    # B^T J B = J, entry by entry: entry (r, s) is the pairing of columns
+    # r and s.  Both sides are antisymmetric, so r < s is the whole check.
+    cols = basis_u + basis_v
     for r in range(g):
-        b[r].extend(basis_v[s][r] for s in range(n))
-    if not is_symplectic(field, b, j):
-        raise WeyliftError("completion produced a non-symplectic basis")
-    return transpose(mat_inv(field, b))
+        for s in range(r + 1, g):
+            if not field.is_zero(field.sub(pairing(cols[r], cols[s]), j[r][s])):
+                raise WeyliftError("completion produced a non-symplectic basis")
+    b = transpose(cols)
+    return transpose(symplectic_inverse(field, b, j))
 
 
 #: Letters in one corrector word: conjugate, shift, conjugate back.

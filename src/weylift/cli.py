@@ -22,7 +22,7 @@ from .endo import (
     jacobian_is_unit,
     truncated_inverse,
 )
-from .errors import ExprSyntaxError, UnknownGenerator, WeyliftError
+from .errors import ExpansionBoundExceeded, ExprSyntaxError, UnknownGenerator, WeyliftError
 from .fields import Field
 from .flavors import BracketFlavor
 from .grammar import element_to_text, parse_element
@@ -210,6 +210,8 @@ def _cmd_bracket(args):
         b = parse_element(args.exprs[1], field, flavor, args.side, cls)
     except (ExprSyntaxError, UnknownGenerator) as exc:
         raise UsageError(str(exc)) from exc
+    except ExpansionBoundExceeded as exc:
+        raise UsageError(f"ExpansionBoundExceeded: {exc}") from exc
     out = weyl_commutator(a, b) if args.side == "W" else poisson_bracket(a, b)
     inputs = {
         "a": args.exprs[0],

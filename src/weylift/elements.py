@@ -9,13 +9,18 @@ from __future__ import annotations
 import math
 
 from .errors import (
+    ExpansionBoundExceeded,
     FieldMismatch,
     FlavorMismatch,
+    InvalidExponent,
     NegativeHExponent,
     SideMismatch,
 )
 from .fields import Field
 from .flavors import BracketFlavor, Grading
+
+#: Default cap on intermediate term counts in repeated products.
+EXPANSION_BOUND = 200_000
 
 
 def term_sort_key(flavor: BracketFlavor, key: tuple):
@@ -67,11 +72,6 @@ class SparseElement:
         return cls(field, flavor, {flavor.k_key(i, j): raw})
 
     @classmethod
-    def t_power(cls, field, flavor, e: int, coeff=None):
-        raw = field.one() if coeff is None else coeff
-        return cls(field, flavor, {flavor.t_key(e): raw})
-
-    @classmethod
     def from_terms(cls, field, flavor, pairs):
         """Build from (key, raw) pairs, accumulating duplicates."""
         terms = {}
@@ -109,10 +109,6 @@ class SparseElement:
 
     def has_constant_term(self) -> bool:
         return self.flavor.unit_key() in self.terms
-
-    def sorted_terms(self):
-        flavor = self.flavor
-        return sorted(self.terms.items(), key=lambda kv: term_sort_key(flavor, kv[0]))
 
     def __eq__(self, other):
         return (
@@ -161,16 +157,25 @@ class SparseElement:
         out.terms = {k: field.mul(c, raw) for k, c in self.terms.items()}
         return out
 
-    def __pow__(self, e: int):
-        if e < 0:
-            raise ValueError("negative powers of algebra elements are not defined")
+    def __pow__(self, e: int, bound: int | None = None):
+        """self^e by e multiplications with self on the right, each result guarded.
+
+        The right factor stays the short input, which costs fewer term
+        products than squaring the growing power.  Raises
+        ExpansionBoundExceeded when an intermediate power has more than
+        `bound` terms (EXPANSION_BOUND by default), and InvalidExponent
+        unless e is an int >= 0.
+        """
+        if not isinstance(e, int) or e < 0:
+            raise InvalidExponent(f"exponent must be an int >= 0, got {e!r}")
+        limit = EXPANSION_BOUND if bound is None else bound
         acc = type(self).one(self.field, self.flavor)
-        base = self
-        while e:
-            if e & 1:
-                acc = acc * base
-            base = base * base if e > 1 else base
-            e >>= 1
+        for _ in range(e):
+            acc = acc * self
+            if len(acc.terms) > limit:
+                raise ExpansionBoundExceeded(
+                    f"intermediate expansion hit {len(acc.terms)} terms (bound {limit})"
+                )
         return acc
 
     # -- degree and height ------------------------------------------------------

@@ -40,16 +40,6 @@ def mat_mul(field, a, b):
     return out
 
 
-def mat_vec(field, a, v):
-    out = []
-    for row in a:
-        s = field.zero()
-        for x, y in zip(row, v):
-            s = field.add(s, field.mul(x, y))
-        out.append(s)
-    return out
-
-
 def mat_eq(field, a, b):
     if len(a) != len(b):
         return False
@@ -101,6 +91,14 @@ def is_symplectic(field, a, j):
     return mat_eq(field, mat_mul(field, mat_mul(field, at, j), a), j)
 
 
+def signed_permutation(field, j):
+    """(s, plus) for a signed permutation J: row i holds +1 or -1 at
+    column s_i, and plus_i says which."""
+    g = len(j)
+    s = [next(c for c in range(g) if not field.is_zero(j[i][c])) for i in range(g)]
+    return s, [j[i][s[i]] == field.one() for i in range(g)]
+
+
 def symplectic_inverse(field, a, j):
     """For paired J with J^2 = -1: A in Sp gives A^(-1) = -J A^T J.
 
@@ -108,9 +106,7 @@ def symplectic_inverse(field, a, j):
     an involution, so -J A^T J has entry (i, r) = sign_i sign_r A[s_r][s_i].
     """
     g = len(j)
-    one = field.one()
-    s = [next(c for c in range(g) if not field.is_zero(j[i][c])) for i in range(g)]
-    plus = [j[i][s[i]] == one for i in range(g)]
+    s, plus = signed_permutation(field, j)
     return [
         [a[s[r]][s[i]] if plus[i] == plus[r] else field.neg(a[s[r]][s[i]]) for r in range(g)]
         for i in range(g)

@@ -46,8 +46,6 @@ from operator import add as _add, mul as _mul
 
 from .elements import SparseElement
 from .errors import (
-    ExpansionBoundExceeded,
-    InvalidExponent,
     NotCentral,
     NotInPthPowerForm,
     PositiveCharacteristic,
@@ -55,9 +53,6 @@ from .errors import (
 )
 from .flavors import HAUG, SKEW, Grading
 from .poly import Poly, structure_element
-
-#: Default cap on intermediate term counts in repeated products.
-EXPANSION_BOUND = 200_000
 
 
 class WeylElt(SparseElement):
@@ -215,30 +210,8 @@ def pth_power(a: WeylElt, bound: int | None = None) -> WeylElt:
     return bounded_power(a, p, bound)
 
 
-def bounded_power(a: WeylElt, e: int, bound: int | None = None) -> WeylElt:
-    """a^e by e multiplications with a on the right, each result guarded.
-
-    The right factor stays the short input a, which costs fewer term
-    products than squaring the growing power.  Raises
-    ExpansionBoundExceeded when an intermediate power has more than
-    `bound` terms (EXPANSION_BOUND by default), and InvalidExponent unless
-    e is an int >= 0.
-    """
-    if not isinstance(e, int) or e < 0:
-        raise InvalidExponent(f"exponent must be an int >= 0, got {e!r}")
-    limit = EXPANSION_BOUND if bound is None else bound
-
-    def guard(x):
-        if x.num_terms() > limit:
-            raise ExpansionBoundExceeded(
-                f"intermediate expansion hit {x.num_terms()} terms (bound {limit})"
-            )
-        return x
-
-    acc = WeylElt.one(a.field, a.flavor)
-    for _ in range(e):
-        acc = guard(acc * a)
-    return acc
+#: a^e with an optional term bound: the one guarded power routine.
+bounded_power = SparseElement.__pow__
 
 
 def is_central(a: WeylElt) -> bool:

@@ -2,8 +2,10 @@
 
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from weylift import (
     BracketFlavor,
@@ -130,6 +132,50 @@ def test_waring_reconstitutes():
                 assert reconstitute(terms, FL2) == h
 
 
+@st.composite
+def _forms_in_used_generators(draw):
+    """(form, u, d): a degree-d form in u of the g = 4 generators."""
+    d = draw(st.integers(3, 5))
+    used = draw(st.lists(st.integers(0, 3), min_size=1, max_size=4, unique=True))
+    monos = draw(st.lists(
+        st.lists(st.sampled_from(used), min_size=d, max_size=d), min_size=1, max_size=6,
+    ))
+    monos.append((used * d)[:d])
+    h = Poly.zero(QQ, FL2)
+    for mono in monos:
+        key = [0] * len(FL2.unit_key())
+        for i in mono:
+            key[i] += 1
+        num = draw(st.integers(-6, 6).filter(bool))
+        den = draw(st.integers(1, 5))
+        h = h + Poly.from_terms(QQ, FL2, [(tuple(key), QQ.from_fraction(Fraction(num, den)))])
+    u = sum(any(k[i] for k in h.terms) for i in range(FL2.main_count))
+    return h, u, d
+
+
+@settings(max_examples=40, deadline=None)
+@given(_forms_in_used_generators())
+def test_waring_basis_split_reexpands_within_its_bound(case):
+    h, u, d = case
+    if h.is_zero:
+        return
+    splits = {}
+    for tie_break in ("lex", "alt"):
+        terms = waring_decompose(h, tie_break)
+        assert reconstitute(terms, FL2) == h
+        assert len(terms) <= comb(u + d - 1, d)
+        assert all(t.degree == d for t in terms)
+        splits[tie_break] = terms
+    if u == 1:
+        assert len(splits["lex"]) == 1 and splits["lex"] == splits["alt"]
+
+
+def test_waring_rejects_constant_and_mixed_degree():
+    for text in ("3", "x1^3 + p1^2"):
+        with pytest.raises(WeyliftError):
+            waring_decompose(pelt(text))
+
+
 def test_waring_tie_breaks_differ():
     h = pelt("x1^2*p2 + x2^3", FL2)
     lex = waring_decompose(h, "lex")
@@ -200,6 +246,21 @@ def test_approximate_random_words():
                 assert a == b.truncate(3, gr)
             if report["residual_height"] is not None:
                 assert report["residual_height"] >= 4
+
+
+def test_heavy_word_fits_the_basis_bound():
+    # Stage 2 splits a cubic, stage 3 a quartic, in g = 4 generators:
+    # at most C(6, 3) + C(7, 4) = 55 correctors of 3 letters, plus the
+    # linear letter.
+    target = evaluate(random_tame(2, 4, 2, seed=5), "P", FL2, QQ)
+    gr = Grading.default_for(FL2)
+    for tie_break in ("lex", "alt"):
+        word, report = approximate(target, 4, tie_break=tie_break)
+        assert report["stages"][2] <= comb(6, 3) and report["stages"][3] <= comb(7, 4)
+        assert len(word) <= 166
+        got = evaluate(word, "P", FL2, QQ, maxdeg=3, grading=gr)
+        for a, b in zip(got.images, target.images):
+            assert a == b.truncate(3, gr)
 
 
 def test_approximate_raises_rank_of_residual():

@@ -10,7 +10,7 @@ import pytest
 from weylift import BracketFlavor, Endo, QQ, parse_element
 from weylift.cli import main, run_command
 from weylift.serialize import dump_json, endo_to_json, load_json, object_from_json
-from weylift.tame import ElementaryGen, TameWord, evaluate
+from weylift.tame import ElementaryGen, TameWord, evaluate, random_tame
 
 FL1 = BracketFlavor("standard", 1)
 
@@ -94,6 +94,19 @@ def test_bad_input_is_usage_error(tmp_path, argv):
     assert set(rep) == {"schema", "error"}
     assert set(rep["error"]) == {"usage"}
     assert isinstance(rep["error"]["usage"], str)
+
+
+def test_power_past_the_expansion_bound_is_usage_error(monkeypatch):
+    import weylift.elements
+
+    # A small bound reaches the same guard as EXPANSION_BOUND, sooner.
+    monkeypatch.setattr(weylift.elements, "EXPANSION_BOUND", 500)
+    rep, code = run_command(["bracket", "--side", "W", "--", "(x1+d1)^5000", "x1"])
+    assert code == 1
+    assert set(rep) == {"schema", "error"}
+    message = rep["error"]["usage"]
+    assert message.startswith("ExpansionBoundExceeded: ")
+    assert "(bound 500)" in message
 
 
 def test_field_flags_accepted():
@@ -251,6 +264,8 @@ def _golden_files(tmp_path):
         paths[name] = str(path)
 
     put("linear2", evaluate(word, "P", fl2, QQ))
+    # Its stage potentials use several generators at once (mixed splits).
+    put("mixed", evaluate(random_tame(2, 4, 2, seed=4), "P", fl2, QQ))
     put("composite", Endo("P", FL1, QQ, [pelt("x1 + p1^2"), pelt("p1")]).compose(
         Endo("P", FL1, QQ, [pelt("x1"), pelt("p1 + x1^2")])
     ))
@@ -286,6 +301,8 @@ def _bracket(flavor, side, field):
 _PINNED = [
     (["approximate", "--in", "{linear2}", "--order", "4"], "f732626ef561fef628217d4bef43a5992c76a5ca47d6271576cc0455af87dfde"),
     (["approximate", "--in", "{linear2}", "--order", "4", "--tie-break", "alt"], "9b1d1265b1b5c085b57aaaaf0ea5e83448557c9130699c584db549a856b3df0c"),
+    (["approximate", "--in", "{mixed}", "--order", "4"], "ab532e6c1cd7f93740969a69b880b8985d7f9dae347c4763f907ccb68e640368"),
+    (["approximate", "--in", "{mixed}", "--order", "4", "--tie-break", "alt"], "256f0993368934a92fa558ed7b49c7afd32e3648e201019bbb3daefecf359b4c"),
     (["lift", "--in", "{composite}", "--order", "5", "--primes", "3,5,7"], "574e5e31184753930c4e89c17d611aed9bc5f1a4288f7c96764e9010accbc4cb"),
     (["phi-p", "--in", "{weyl}", "--prime", "3"], "6b8ef1b4d1308a094d670a830520c2b8f4d8aaece8e9b7dd44f4a46dabd0eff4"),
     (["phi-p", "--in", "{weyl}", "--prime", "5"], "b3e69a3f98751405096e2b650de29b6e562e0355c1ef93a817a1c06233d715b2"),
