@@ -96,9 +96,14 @@ def deviation_hamiltonian(deviations, k):
 
 
 class WaringTerm:
-    """lam * (covector . generators)^degree with a primitive covector."""
+    """lam * (covector . generators)^degree with a primitive covector.
 
-    __slots__ = ("lam", "covector", "degree")
+    The expanded potential is kept on the term after its first use: the
+    re-expansion check, the corrector's exactness check and the undo
+    shift all read it.
+    """
+
+    __slots__ = ("lam", "covector", "degree", "_expanded")
 
     def __init__(self, lam, covector, degree):
         if all(v == 0 for v in covector):
@@ -106,6 +111,7 @@ class WaringTerm:
         self.lam = lam
         self.covector = tuple(int(v) for v in covector)
         self.degree = int(degree)
+        self._expanded = None
 
     def __repr__(self):
         return f"WaringTerm({self.lam}, {self.covector}, {self.degree})"
@@ -120,6 +126,9 @@ class WaringTerm:
         )
 
     def potential(self, field, flavor):
+        cached = self._expanded
+        if cached is not None and cached.field == field and cached.flavor == flavor:
+            return cached
         form = Poly.from_terms(
             field,
             flavor,
@@ -129,7 +138,8 @@ class WaringTerm:
                 if v
             ],
         )
-        return (form ** self.degree).scale(field.from_fraction(self.lam))
+        self._expanded = (form ** self.degree).scale(field.from_fraction(self.lam))
+        return self._expanded
 
 
 def _canonical_covector(vec, d):

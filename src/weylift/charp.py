@@ -145,12 +145,9 @@ def center_bracket(a, b, shifts=None):
         if c.denominator != 1 or c.numerator % p:
             raise NotDivisibleByP(f"commutator coefficient {c} is not divisible by {p}")
         divided[key] = Fraction(c.numerator // p)
-    reduced = WeylElt(field, la.flavor)
-    reduced.terms = {
-        key: field.from_fraction(c)
-        for key, c in divided.items()
-        if not field.is_zero(field.from_fraction(c))
-    }
+    reduced = WeylElt(
+        field, la.flavor, {key: field.from_fraction(c) for key, c in divided.items()}
+    )
     coords = center_coordinates(reduced)
     coords.flavor = a.flavor
     return -coords
@@ -235,10 +232,7 @@ def _exhaustive_root(h, target, degree, exhaustive_bound):
     values = list(field.elements())
     found = None
     for assignment in itertools.product(values, repeat=len(keys)):
-        cand = WeylElt(field, w_flavor)
-        cand.terms = {
-            k: v for k, v in zip(keys, assignment) if not field.is_zero(v)
-        }
+        cand = WeylElt(field, w_flavor, dict(zip(keys, assignment)))
         if pth_power(cand) == target:
             if found is not None:
                 raise Ambiguous("two distinct roots share the target coordinates")

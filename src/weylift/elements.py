@@ -1,12 +1,15 @@
 """Shared sparse-element machinery for Poisson and Weyl elements.
 
 Terms live in a dict mapping exponent keys (see flavors.BracketFlavor)
-to raw field values; zero coefficients are never stored.
+to raw field values; zero coefficients are never stored.  One product
+kernel (ordered_mul) serves both sides, and one sweep (sweep, sum_terms)
+finishes every sum of terms.
 """
 
 from __future__ import annotations
 
 import math
+from operator import add as _add, mul as _mul
 
 from .errors import (
     ExpansionBoundExceeded,
@@ -28,6 +31,34 @@ def term_sort_key(flavor: BracketFlavor, key: tuple):
     return (sum(key[: flavor.main_count]), key)
 
 
+def sweep(field: Field, terms: dict) -> dict:
+    """The nonzero entries of a dict of summed raw values: the one way the
+    core finishes a sum of terms.
+
+    Over F_p the sums may be unreduced ints, taken with the plain
+    operators; each is reduced mod p here, once.  A zero Fraction is
+    falsy.  Extensions F_{p^k}, k > 1, sum with Field.add and compare
+    with zero.
+    """
+    if field.k > 1:
+        zero = field.zero()
+        return {key: c for key, c in terms.items() if c != zero}
+    p = field.char
+    if p:
+        return {key: r for key, c in terms.items() if (r := c % p)}
+    return {key: c for key, c in terms.items() if c}
+
+
+def sum_terms(field: Field, pairs) -> dict:
+    """Sum (key, raw) pairs whose keys repeat, then sweep."""
+    add = _add if field.k == 1 else field.add
+    terms = {}
+    for key, c in pairs:
+        prev = terms.get(key)
+        terms[key] = c if prev is None else add(prev, c)
+    return sweep(field, terms)
+
+
 class SparseElement:
     """Base class: exact sparse linear combinations of exponent keys."""
 
@@ -36,10 +67,7 @@ class SparseElement:
     def __init__(self, field: Field, flavor: BracketFlavor, terms=None):
         self.field = field
         self.flavor = flavor
-        if terms is None:
-            self.terms = {}
-        else:
-            self.terms = {k: c for k, c in terms.items() if not field.is_zero(c)}
+        self.terms = {} if terms is None else sweep(field, terms)
 
     # -- constructors ------------------------------------------------------
 
@@ -74,13 +102,9 @@ class SparseElement:
     @classmethod
     def from_terms(cls, field, flavor, pairs):
         """Build from (key, raw) pairs, accumulating duplicates."""
-        terms = {}
-        for key, c in pairs:
-            if key in terms:
-                terms[key] = field.add(terms[key], c)
-            else:
-                terms[key] = c
-        return cls(field, flavor, terms)
+        out = cls(field, flavor)
+        out.terms = sum_terms(field, pairs)
+        return out
 
     # -- bookkeeping ---------------------------------------------------------
 
@@ -216,14 +240,7 @@ class SparseElement:
     def map_coefficients(self, fn, field: Field | None = None):
         """Apply fn to every raw coefficient, optionally changing field."""
         target = field or self.field
-        out = type(self)(target, self.flavor)
-        terms = {}
-        for k, c in self.terms.items():
-            v = fn(c)
-            if not target.is_zero(v):
-                terms[k] = v
-        out.terms = terms
-        return out
+        return type(self)(target, self.flavor, {k: fn(c) for k, c in self.terms.items()})
 
     def shift_h(self, e: int):
         """Multiply by h^e (negative exponents are Laurent)."""
@@ -257,22 +274,17 @@ class SparseElement:
         field = self.field
         value = field.one() if value_raw is None else value_raw
         h_slot = self.flavor.h_slot
-        out_cls = type(self)
-        out = out_cls(field, target_flavor)
-        terms = {}
-        for key, c in self.terms.items():
-            e = key[h_slot]
-            if e < 0:
-                raise NegativeHExponent(f"term with h^{e} cannot be specialized")
-            new_key = key[:h_slot] + key[h_slot + 1 :]
-            v = field.mul(c, field.pow_int(value, e)) if e else c
-            if new_key in terms:
-                v = field.add(terms[new_key], v)
-            if field.is_zero(v):
-                terms.pop(new_key, None)
-            else:
-                terms[new_key] = v
-        out.terms = terms
+
+        def specialized():
+            for key, c in self.terms.items():
+                e = key[h_slot]
+                if e < 0:
+                    raise NegativeHExponent(f"term with h^{e} cannot be specialized")
+                v = field.mul(c, field.pow_int(value, e)) if e else c
+                yield key[:h_slot] + key[h_slot + 1 :], v
+
+        out = type(self)(field, target_flavor)
+        out.terms = sum_terms(field, specialized())
         return out
 
     # -- display ----------------------------------------------------------------
@@ -288,3 +300,158 @@ class SparseElement:
 
     def __str__(self):
         return self.to_text()
+
+
+# -- the product kernel ---------------------------------------------------------
+
+
+def _contraction_weights(field, b_exp, c_exp, sign):
+    """Nonzero k! C(b,k) C(c,k) sign^k in the field, as (k, weight) by descending k.
+
+    In characteristic p every k >= p is dropped (k! vanishes), and so is
+    every k whose binomials vanish by Lucas's theorem.
+    """
+    top = min(b_exp, c_exp)
+    if field.char:
+        top = min(top, field.char - 1)
+    entry = [(0, field.one())]
+    w = 1
+    for k in range(1, top + 1):
+        w = sign * w * (b_exp - k + 1) * (c_exp - k + 1) // k
+        wk = field.from_int(w)
+        if not field.is_zero(wk):
+            entry.append((k, wk))
+    entry.reverse()
+    return tuple(entry)
+
+
+def _minus(exps, slot, k):
+    return exps[:slot] + (exps[slot] - k,) + exps[slot + 1 :]
+
+
+class _WeightTable(dict):
+    """(b, c, sign) -> _contraction_weights, filled on first use."""
+
+    __slots__ = ("field",)
+
+    def __init__(self, field):
+        self.field = field
+
+    def __missing__(self, key):
+        entry = self[key] = _contraction_weights(self.field, *key)
+        return entry
+
+
+def ordered_mul(a, b, pairs, maxdeg, grading):
+    """a * b in normal order, with the terms of weighted degree above maxdeg
+    dropped unless maxdeg is None.
+
+    Every flavor orders its main generators g_1 < .. < g_N and stores the
+    basis monomials g_1^e_1 .. g_N^e_N.  The bracket of two generators is
+    central, so the product of two normal-ordered monomials is one
+    contraction (Wick) formula: for each pair g_j > g_i with
+    [g_j, g_i] = s z (z a monomial in the central slots, s = +-1), a left
+    factor g_j^b meets a right factor g_i^c as
+
+        g_j^b . g_i^c = sum_k k! C(b,k) C(c,k) (s z)^k g_i^(c-k) g_j^(b-k),
+
+    and the pairs apply one after another.  WeylElt passes the flavor's
+    pairs (BracketFlavor.contractions):
+
+        flavor      pairs (j, i)          z           s
+        standard    (d_i, x_i)            1           +1
+        haug        (d_i, x_i)            h           +1
+        skew        (xi_j, xi_i), i < j   h k_ij      -1
+
+    Poly passes no pairs, which leaves the commutative product.
+
+    Each call builds one table keyed by (b, c, s): an entry holds the
+    weights k! C(b,k) C(c,k) s^k already reduced into the coefficient
+    field, by descending k, with the weights that are zero in the field
+    left out.  In characteristic p that drops every contraction of order
+    k >= p, since k! vanishes, and the orders below p whose binomials
+    vanish by Lucas's theorem.  A term pair that no pair contracts goes
+    straight to the sum; any other starts from its summed key and is
+    extended one pair at a time through the table.  With more than one
+    skew pair a slot is in several pairs, so each leaf carries the
+    exponents its earlier contractions left free.
+
+    Over Q and over a prime field F_p the raw values take the plain
+    operators instead of Field; over F_p the sums are then unreduced ints,
+    reduced once by sweep.  Extensions F_{p^k}, k > 1, keep Field.mul and
+    Field.add.  The right factor's weights are computed once.
+    """
+    flavor, field = a.flavor, a.field
+    add, mul = (_add, _mul) if field.k == 1 else (field.add, field.mul)
+    # Skew pairs share slots once there is more than one of them; then each
+    # leaf tracks the exponents its contractions left free.  Otherwise they
+    # are those of k1 and k2.
+    shared = flavor.has_k and len(pairs) > 1
+    truncated = maxdeg is not None
+    # Pair n is bit 1 << n of a mask: a left term sets the bits of the pairs
+    # whose g_j it holds, a right term those whose g_i it holds, and a term
+    # pair is contracted by the pairs in both masks.
+    bits = [(1 << n, *pair) for n, pair in enumerate(pairs)]
+    right = [
+        (
+            k2,
+            c2,
+            grading.weight(flavor, k2) if truncated else 0,
+            sum(bit for bit, _, i, _, _ in bits if k2[i]),
+        )
+        for k2, c2 in b.terms.items()
+    ]
+    table = _WeightTable(field)
+    terms = {}
+    for k1, c1 in a.terms.items():
+        room = maxdeg - grading.weight(flavor, k1) if truncated else 0
+        if room < 0:
+            continue
+        left = 0
+        for bit, j, _, _, _ in bits:
+            if k1[j]:
+                left |= bit
+        for k2, c2, w2, held in right:
+            if w2 > room:
+                continue
+            hits = left & held
+            if not hits:
+                key = tuple(map(_add, k1, k2))
+                prev = terms.get(key)
+                c = mul(c1, c2)
+                terms[key] = c if prev is None else add(prev, c)
+                continue
+            # A leaf is (key, coefficient, free exponents of k1, of k2).
+            leaves = [(list(map(_add, k1, k2)), mul(c1, c2), k1, k2)]
+            # Contract g_j of the left factor against g_i of the right one.
+            for bit, j, i, central, sign in bits:
+                if not hits & bit:
+                    continue
+                # Unshared, one entry serves every leaf.
+                entry = None if shared else table[k1[j], k2[i], sign]
+                grown = []
+                for leaf in leaves:
+                    key, c, free1, free2 = leaf
+                    for k, w in entry or table[free1[j], free2[i], sign]:
+                        if not k:
+                            grown.append(leaf)
+                            continue
+                        key_k = key.copy()
+                        key_k[j] -= k
+                        key_k[i] -= k
+                        for slot in central:
+                            key_k[slot] += k
+                        if shared:
+                            grown.append(
+                                (key_k, mul(c, w), _minus(free1, j, k), _minus(free2, i, k))
+                            )
+                        else:
+                            grown.append((key_k, mul(c, w), free1, free2))
+                leaves = grown
+            for key, c, _, _ in leaves:
+                key = tuple(key)
+                prev = terms.get(key)
+                terms[key] = c if prev is None else add(prev, c)
+    out = type(a)(field, flavor)
+    out.terms = sweep(field, terms)
+    return out

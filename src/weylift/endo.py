@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from operator import mul as _mul
 
-from .elements import SparseElement
+from .elements import SparseElement, sum_terms
 from .errors import (
     DimensionMismatch,
     FieldMismatch,
@@ -106,19 +106,12 @@ class Endo:
         g = flavor.main_count
         if len(matrix) != g or any(len(row) != g for row in matrix):
             raise WrongArity(f"matrix must be {g} x {g}")
-        images = []
-        for row in matrix:
-            images.append(
-                ecls.from_terms(
-                    field,
-                    flavor,
-                    [
-                        (flavor.gen_key(j, 1), row[j])
-                        for j in range(g)
-                        if not field.is_zero(row[j])
-                    ],
-                )
+        images = [
+            ecls.from_terms(
+                field, flavor, [(flavor.gen_key(j, 1), v) for j, v in enumerate(row)]
             )
+            for row in matrix
+        ]
         return cls(side, flavor, field, images)
 
     def element_cls(self):
@@ -186,45 +179,48 @@ class Endo:
                 cache[k] = acc
             return cache[e]
 
-        out = cls.zero(field, flavor)
-        one = cls.one(field, flavor)
-        for key, coeff in elem.terms.items():
-            exps = []
-            for i in range(g):
-                if key[i]:
-                    exps.append((i, key[i]))
-            h_e = flavor.h_exponent(key) if flavor.has_h else 0
-            if h_e > 0:
-                exps.append((g, h_e))
-            k_es = flavor.k_exponents(key) if flavor.has_k else ()
-            k_base = g + (1 if flavor.has_h else 0)
-            for idx, e in enumerate(k_es):
-                if e:
-                    exps.append((k_base + idx, e))
-            if maxdeg is not None:
-                floor = sum(heights[i] * e for i, e in exps)
+        # One dict sums every part, so the growing sum is never copied.
+        def parts():
+            for key, coeff in elem.terms.items():
+                exps = []
+                for i in range(g):
+                    if key[i]:
+                        exps.append((i, key[i]))
+                h_e = flavor.h_exponent(key) if flavor.has_h else 0
+                if h_e > 0:
+                    exps.append((g, h_e))
+                k_es = flavor.k_exponents(key) if flavor.has_k else ()
+                k_base = g + (1 if flavor.has_h else 0)
+                for idx, e in enumerate(k_es):
+                    if e:
+                        exps.append((k_base + idx, e))
+                if maxdeg is not None:
+                    floor = sum(heights[i] * e for i, e in exps)
+                    if h_e < 0:
+                        floor += gr.h * h_e
+                    if floor > maxdeg:
+                        continue
+                part = cls.constant(field, flavor, coeff)
+                fixed = [0] * flavor.key_len
                 if h_e < 0:
-                    floor += gr.h * h_e
-                if floor > maxdeg:
-                    continue
-            part = cls.constant(field, flavor, coeff)
-            fixed = [0] * flavor.key_len
-            if h_e < 0:
-                lam = _monomial_scale(self.h_image, flavor.h_key(1))
-                fixed[flavor.h_slot] = h_e
-                part = part.scale(field.pow_int(lam, h_e))
-            t_e = flavor.t_exponent(key)
-            if t_e:
-                fixed[flavor.t_slot] = t_e
-            if any(fixed):
-                shift = cls(field, flavor)
-                shift.terms = {tuple(fixed): field.one()}
-                part = part * shift
-            for idx, e in exps:
-                part = mul(part, power(idx, e))
-                if part.is_zero:
-                    break
-            out = out + part
+                    lam = _monomial_scale(self.h_image, flavor.h_key(1))
+                    fixed[flavor.h_slot] = h_e
+                    part = part.scale(field.pow_int(lam, h_e))
+                t_e = flavor.t_exponent(key)
+                if t_e:
+                    fixed[flavor.t_slot] = t_e
+                if any(fixed):
+                    shift = cls(field, flavor)
+                    shift.terms = {tuple(fixed): field.one()}
+                    part = part * shift
+                for idx, e in exps:
+                    part = mul(part, power(idx, e))
+                    if part.is_zero:
+                        break
+                yield from part.terms.items()
+
+        out = cls(field, flavor)
+        out.terms = sum_terms(field, parts())
         if maxdeg is not None:
             out = out.truncate(maxdeg, gr)
         return out
@@ -435,15 +431,9 @@ def truncated_inverse(endo, n, grading=None):
         cls = endo.element_cls()
         k_images = [
             cls.from_terms(
-                field,
-                flavor,
-                [
-                    (flavor.k_key(*pairs[col], 1), kinv[row][col])
-                    for col in range(len(pairs))
-                    if not field.is_zero(kinv[row][col])
-                ],
+                field, flavor, [(flavor.k_key(*pair, 1), v) for pair, v in zip(pairs, row)]
             )
-            for row in range(len(pairs))
+            for row in kinv
         ]
     psi = Endo(endo.side, flavor, field, psi.images, h_image, k_images)
     linv_endo = Endo(endo.side, flavor, field, Endo.linear(

@@ -176,8 +176,10 @@ class _Parser:
         if kind == "INT":
             num = int(value)
             if self.peek()[0] == "/":
-                self.take()
+                slash = self.take()[2]
                 den = int(self.take("INT")[1])
+                if self.field.is_zero(self.field.from_int(den)):
+                    raise ExprSyntaxError(f"denominator {den} is zero in the field", slash)
                 if self.field.kind == "Q":
                     return self.cls.constant(
                         self.field, self.flavor, Fraction(num, den)

@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-from operator import add as _add
-
-from .elements import SparseElement
+from .elements import SparseElement, ordered_mul
 from .errors import IndexOutOfRange, PositiveCharacteristic, WeyliftError
 from .flavors import STANDARD, BracketFlavor, Grading
 
@@ -18,7 +16,7 @@ class Poly(SparseElement):
         if isinstance(other, int):
             return self.scale(self.field.from_int(other))
         self._check_compatible(other)
-        return _commutative_mul(self, other, None, None)
+        return ordered_mul(self, other, (), None, None)
 
     __rmul__ = __mul__
 
@@ -26,7 +24,7 @@ class Poly(SparseElement):
         """Product with terms of weighted degree above maxdeg dropped."""
         self._check_compatible(other)
         g = grading or Grading.default_for(self.flavor)
-        return _commutative_mul(self, other, maxdeg, g)
+        return ordered_mul(self, other, (), maxdeg, g)
 
     def partial(self, i: int) -> "Poly":
         """Formal partial derivative in the i-th main generator."""
@@ -34,46 +32,13 @@ class Poly(SparseElement):
         if not 0 <= i < flavor.main_count:
             raise IndexOutOfRange(f"no main generator {i}")
         field = self.field
-        terms = {}
         # e -> e - 1 in one slot is injective, so no two terms meet.
-        for key, c in self.terms.items():
-            e = key[i]
-            if e == 0:
-                continue
-            v = field.mul(c, field.from_int(e))
-            if not field.is_zero(v):
-                terms[key[:i] + (e - 1,) + key[i + 1 :]] = v
-        out = Poly(field, flavor)
-        out.terms = terms
-        return out
-
-
-def _commutative_mul(a: Poly, b: Poly, maxdeg, grading):
-    """a * b, with the terms of weighted degree above maxdeg dropped unless
-    maxdeg is None; the right factor's weights are computed once."""
-    flavor, field = a.flavor, a.field
-    add, mul = field.add, field.mul
-    truncated = maxdeg is not None
-    right = [
-        (k2, c2, grading.weight(flavor, k2) if truncated else 0)
-        for k2, c2 in b.terms.items()
-    ]
-    terms = {}
-    for k1, c1 in a.terms.items():
-        room = maxdeg - grading.weight(flavor, k1) if truncated else 0
-        if room < 0:
-            continue
-        for k2, c2, w2 in right:
-            if w2 > room:
-                continue
-            key = tuple(map(_add, k1, k2))
-            prev = terms.get(key)
-            c = mul(c1, c2)
-            terms[key] = c if prev is None else add(prev, c)
-    out = Poly(field, flavor)
-    is_zero = field.is_zero
-    out.terms = {key: c for key, c in terms.items() if not is_zero(c)}
-    return out
+        terms = {
+            key[:i] + (e - 1,) + key[i + 1 :]: field.mul(c, field.from_int(e))
+            for key, c in self.terms.items()
+            if (e := key[i])
+        }
+        return Poly(field, flavor, terms)
 
 
 def _central_element(cls, flavor, field, central, sign):

@@ -357,6 +357,9 @@ def lift(sigma, n, primes=()):
 
     certificate["primes"] = {}
     pgrading = Grading.default_for(flavor)
+    # Reduction mod p commutes with evaluating a p-integral word, so the
+    # evaluations over Q serve every prime.
+    ev_q = None
     for p in primes:
         fp = Field("Fp", p)
         entry = {}
@@ -364,35 +367,13 @@ def lift(sigma, n, primes=()):
             entry["status"] = "inapplicable_not_p_integral"
             certificate["primes"][str(p)] = entry
             continue
+        if ev_q is None:
+            ev_q = evaluate(wword, "P", flavor, field, maxdeg=n - 1, grading=pgrading)
         sigma_p = sigma.map_coefficients(fp.from_fraction, fp)
-        ev_p = evaluate(wword, "P", flavor, fp, maxdeg=n - 1, grading=pgrading)
-        target_p = Endo(
-            "P",
-            flavor,
-            fp,
-            [img.truncate(n - 1, pgrading) for img in sigma_p.images],
-            allow_free_term=True,
-        )
+        ev_p = [img.map_coefficients(fp.from_fraction, fp) for img in ev_q.images]
+        target_p = [img.truncate(n - 1, pgrading) for img in sigma_p.images]
         entry["reduction_consistency"] = "pass" if ev_p == target_p else "fail"
-        try:
-            lifted_p = evaluate(wword, "W", flavor, fp)
-            center = phi_p(lifted_p)
-            renamed = Endo(
-                "P",
-                flavor,
-                fp,
-                [_reflavor(img, flavor) for img in center.images],
-                allow_free_term=True,
-            )
-            if renamed == sigma_p:
-                entry["status"] = "exact"
-            else:
-                expected = _center_along_word(wword, flavor, fp)
-                entry["status"] = (
-                    "fixture_match" if center == expected else "mismatch"
-                )
-        except ExpansionBoundExceeded:
-            entry["status"] = "skipped_expansion_budget"
+        entry["status"] = _prime_status(exact, sigma_p, wword, flavor, fp)
         certificate["primes"][str(p)] = entry
     certificate["pass"] = (
         certificate["stabilization"] != "fail"
@@ -405,6 +386,20 @@ def lift(sigma, n, primes=()):
         )
     )
     return (exact if exact is not None else trunc_n), certificate
+
+
+def _prime_status(exact, sigma_p, wword, flavor, fp):
+    """Compare phi_p of the exact lift, reduced mod p, with sigma mod p."""
+    if exact is None:
+        return "skipped_expansion_budget"
+    try:
+        center = phi_p(exact, fp)
+        if [_reflavor(img, flavor) for img in center.images] == sigma_p.images:
+            return "exact"
+        expected = _center_along_word(wword, flavor, fp)
+    except ExpansionBoundExceeded:
+        return "skipped_expansion_budget"
+    return "fixture_match" if center == expected else "mismatch"
 
 
 def _reflavor(img, flavor):

@@ -167,6 +167,28 @@ def oracle_binary_power(elem, e):
     return acc
 
 
+def oracle_commutative_mul(a, b, maxdeg=None, grading=None):
+    """Commutative product term pair by term pair, through Field.mul and
+    Field.add, with the terms of weighted degree above maxdeg dropped
+    unless maxdeg is None.
+
+    Every sum is reduced as it is taken, so it shares neither the product
+    kernel nor its deferred reduction.
+    """
+    flavor, field = a.flavor, a.field
+    terms = {}
+    for k1, c1 in a.terms.items():
+        for k2, c2 in b.terms.items():
+            key = tuple(x + y for x, y in zip(k1, k2))
+            if maxdeg is not None and grading.weight(flavor, key) > maxdeg:
+                continue
+            c = field.mul(c1, c2)
+            terms[key] = field.add(terms[key], c) if key in terms else c
+    out = Poly(field, flavor)
+    out.terms = {k: c for k, c in terms.items() if not field.is_zero(c)}
+    return out
+
+
 # ------------------------------------------------------------ sympy bridge
 
 def sympy_symbols(flavor, side="P"):

@@ -77,6 +77,10 @@ def test_usage_errors(tmp_path):
         ["lift", "--in", "{shear}", "--order", "4", "--primes", "3,4"],
         ["phi-p", "--in", "{weyl}", "--prime", "4"],
         ["phi-p", "--in", "{weyl}", "--prime", "1"],
+        ["bracket", "--", "1/0", "x1"],
+        ["bracket", "--field", "7", "--", "1/7", "x1"],
+        ["check", "--in", "{zero_den_endo}"],
+        ["invert", "--in", "{zero_den_word}"],
     ],
     ids=lambda argv: " ".join(argv),
 )
@@ -88,7 +92,16 @@ def test_bad_input_is_usage_error(tmp_path, argv):
         "broken": str(broken),
         "shear": shear_file(tmp_path),
         "weyl": weyl_file(tmp_path),
+        "zero_den_endo": str(tmp_path / "zero_den_endo.json"),
+        "zero_den_word": str(tmp_path / "zero_den_word.json"),
     }
+    doc = endo_to_json(Endo("P", FL1, QQ, [pelt("x1"), pelt("p1")]))
+    doc["images"][0] = "x1 + 1/0*x1^2"
+    dump_json(doc, paths["zero_den_endo"])
+    word = {"kind": "symplectic", "n": 1, "gens": [
+        {"kind": "xshift", "index": 0, "poly": {"2": "1/0"}},
+    ]}
+    dump_json(word, paths["zero_den_word"])
     rep, code = run_command([arg.format(**paths) for arg in argv])
     assert code == 1
     assert set(rep) == {"schema", "error"}

@@ -6,7 +6,14 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from oracles import poly_to_sympy, random_poly, sympy_jacobian, sympy_poisson, sympy_symbols
+from oracles import (
+    oracle_commutative_mul,
+    poly_to_sympy,
+    random_poly,
+    sympy_jacobian,
+    sympy_poisson,
+    sympy_symbols,
+)
 from weylift import (
     BracketFlavor,
     Field,
@@ -17,7 +24,7 @@ from weylift import (
     poisson_bracket,
 )
 from weylift.errors import FlavorMismatch
-from weylift.flavors import HAUG, SKEW, STANDARD
+from weylift.flavors import HAUG, SKEW, STANDARD, Grading
 
 FLAVORS = [
     BracketFlavor(STANDARD, 1),
@@ -140,6 +147,27 @@ def test_finite_field_arithmetic():
     five_x = x + x + x + x + x
     assert five_x.is_zero
     assert (x * x * x * x * x).num_terms() == 1
+
+
+@pytest.mark.parametrize(
+    "field",
+    [QQ, Field("Fp", 2), Field("Fp", 3), Field("Fp", 7), Field("Fp", 3, 2, modulus=(1, 0, 1))],
+    ids=repr,
+)
+def test_product_matches_term_pair_oracle(field):
+    # Over F_p the kernel sums unreduced ints and reduces once at the end;
+    # the oracle reduces every sum as it goes.
+    rng = random.Random(700 + field.order)
+    for fl in (BracketFlavor(STANDARD, 2), BracketFlavor(HAUG, 2), BracketFlavor(SKEW, 2)):
+        gr = Grading.default_for(fl)
+        for _ in range(10):
+            a = random_poly(rng, field, fl, max_terms=6, max_deg=4)
+            b = random_poly(rng, field, fl, max_terms=6, max_deg=4)
+            assert a * b == oracle_commutative_mul(a, b)
+            for maxdeg in (2, 4, 6):
+                assert a.mul_truncated(b, maxdeg, gr) == oracle_commutative_mul(
+                    a, b, maxdeg, gr
+                )
 
 
 def test_parse_print_round_trip_random():

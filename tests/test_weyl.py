@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from oracles import oracle_binary_power, oracle_mul, oracle_power, random_poly
-from weylift import BracketFlavor, Field, QQ
+from weylift import BracketFlavor, Field, Poly, QQ
 from weylift.errors import (
     ExpansionBoundExceeded,
     InvalidExponent,
@@ -266,15 +266,18 @@ def _assert_reduced(elem):
                          ids=repr)
 def test_product_coefficients_are_reduced(field):
     rng = random.Random(500 + field.char)
-    for fl in (BracketFlavor(STANDARD, 2), BracketFlavor(HAUG, 2), BracketFlavor(SKEW, 2)):
-        gr = None if fl.kind == STANDARD else Grading.default_for(fl)
-        for _ in range(10):
-            a = random_poly(rng, field, fl, cls=WeylElt, max_deg=4)
-            b = random_poly(rng, field, fl, cls=WeylElt, max_deg=4)
-            _assert_reduced(a * b)
-            if gr is not None:
-                for maxdeg in (2, 4, 8):
-                    _assert_reduced(a.mul_truncated(b, maxdeg, gr))
+    for cls in (WeylElt, Poly):
+        for fl in (BracketFlavor(STANDARD, 2), BracketFlavor(HAUG, 2), BracketFlavor(SKEW, 2)):
+            # Truncated Weyl products need a grading the reordering keeps.
+            plain = cls is WeylElt and fl.kind == STANDARD
+            gr = None if plain else Grading.default_for(fl)
+            for _ in range(10):
+                a = random_poly(rng, field, fl, cls=cls, max_deg=4)
+                b = random_poly(rng, field, fl, cls=cls, max_deg=4)
+                _assert_reduced(a * b)
+                if gr is not None:
+                    for maxdeg in (2, 4, 8):
+                        _assert_reduced(a.mul_truncated(b, maxdeg, gr))
 
 
 def test_product_drops_sums_that_vanish_mod_p():
