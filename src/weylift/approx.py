@@ -8,14 +8,18 @@ homogeneous potential via the Euler formula, splits the potential into
 powers of linear forms, and cancels each power with a conjugated
 single-coordinate shift.  Every corrector word evaluates exactly to
 the unit shift of its potential, so each stage pushes the residual one
-degree higher.
+degree higher.  The residual moves past each corrector by the Taylor
+series of the undo shift along its constant direction (undo_shift), not
+by composing the shift into every monomial.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import factorial, gcd, prod
 
+from .elements import sum_terms
 from .endo import Endo, check_symplecto, jacobian_is_unit
 from .errors import (
     DeviationNotHamiltonian,
@@ -125,11 +129,9 @@ class WaringTerm:
             and self.degree == other.degree
         )
 
-    def potential(self, field, flavor):
-        cached = self._expanded
-        if cached is not None and cached.field == field and cached.flavor == flavor:
-            return cached
-        form = Poly.from_terms(
+    def form(self, field, flavor):
+        """The linear form covector . generators."""
+        return Poly.from_terms(
             field,
             flavor,
             [
@@ -138,6 +140,12 @@ class WaringTerm:
                 if v
             ],
         )
+
+    def potential(self, field, flavor):
+        cached = self._expanded
+        if cached is not None and cached.field == field and cached.flavor == flavor:
+            return cached
+        form = self.form(field, flavor)
         self._expanded = (form ** self.degree).scale(field.from_fraction(self.lam))
         return self._expanded
 
@@ -358,6 +366,68 @@ def corrector(term, flavor, field=QQ, check=True):
     return gens
 
 
+def _derivative_along(elem, v):
+    """d_v elem = sum_j v_j d_j elem for (j, v_j) pairs, summed in one dict."""
+    out = Poly(elem.field, elem.flavor)
+    out.terms = sum_terms(
+        elem.field,
+        (
+            (key[:j] + (e - 1,) + key[j + 1 :], c * (e * w))
+            for key, c in elem.terms.items()
+            for j, w in v
+            if (e := key[j])
+        ),
+    )
+    return out
+
+
+def undo_shift(residual, term, maxdeg, grading):
+    """The residual after the shift by minus the term's potential, to maxdeg.
+
+    The corrector of lam L^d, L = c . g, evaluates to the shift by that
+    potential; the shift by minus it, g -> g + s L^(d-1) v with s = -lam d
+    and v_j = omega(c(j), j) c_c(j), undoes it.  X_h kills L, so L stays
+    put along the move and each image is its Taylor series along v:
+
+        R_j(g + s L^(d-1) v) = sum_m (s L^(d-1))^m / m! d_v^m R_j,
+
+    exact and finite over characteristic 0.  This equals
+    hamiltonian_shift_endo(-potential).compose(residual, maxdeg, grading)
+    and skips substituting the shift into every monomial.  The factors
+    F_m = (s L^(d-1))^m / m! are shared by all images and stop at the
+    first one that truncates to zero.
+    """
+    flavor, field = residual.flavor, residual.field
+    v = []
+    for j in range(flavor.main_count):
+        a = flavor.conjugate_index(j)
+        if term.covector[a]:
+            v.append((j, flavor.omega(a, j) * term.covector[a]))
+    d = term.degree
+    step = (term.form(field, flavor) ** (d - 1)).truncate(maxdeg, grading)
+    step = step.scale(field.from_fraction(-term.lam * d))
+    factors = []
+    factor = step
+    while not factor.is_zero:
+        factors.append(factor)
+        factor = factor.mul_truncated(step, maxdeg, grading).scale(
+            field.inv(field.from_int(len(factors) + 1))
+        )
+    images = []
+    for img in residual.images:
+        parts = [img.terms.items()]
+        deriv = img
+        for factor in factors:
+            deriv = _derivative_along(deriv, v)
+            if deriv.is_zero:
+                break
+            parts.append(factor.mul_truncated(deriv, maxdeg, grading).terms.items())
+        out = Poly(field, flavor)
+        out.terms = sum_terms(field, chain.from_iterable(parts))
+        images.append(out)
+    return Endo("P", flavor, field, images, allow_free_term=True)
+
+
 def approximate(endo, n_target, tie_break="lex"):
     """Tame word agreeing with the endo below degree n_target.
 
@@ -407,10 +477,7 @@ def approximate(endo, n_target, tie_break="lex"):
         report["stages"][k] = len(terms)
         for term in terms:
             word_gens.extend(corrector(term, flavor, field))
-            # The corrector evaluates to the shift by the term's potential;
-            # the shift by minus it undoes it, since X_h kills c . g.
-            undo = hamiltonian_shift_endo(-term.potential(field, flavor))
-            residual = undo.compose(residual, maxdeg, gr)
+            residual = undo_shift(residual, term, maxdeg, gr)
         left = [
             (img - Poly.generator(field, flavor, i)).height(gr)
             for i, img in enumerate(residual.images)

@@ -59,6 +59,21 @@ def _finite_field(text, accepted="a prime"):
         raise UsageError(f"expected {accepted}, got {text!r}: {exc}") from exc
 
 
+def _int_at_least(floor):
+    """argparse type for an int flag no smaller than floor."""
+
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < floor:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {floor}, got {value}")
+        return value
+
+    return parse
+
+
 def _parse_field(text):
     if text in (None, "Q", "q"):
         return Field("Q")
@@ -133,8 +148,6 @@ def _cmd_invert(args):
 
 def _cmd_approximate(args):
     doc, endo = _load(args.endo, endo_from_json)
-    if args.order is None:
-        raise UsageError("--order is required")
     word, report = approximate(endo, args.order, tie_break=args.tie_break)
     payload = word_to_json(word)
     _maybe_out(args, payload)
@@ -168,8 +181,8 @@ def _cmd_phi_p(args):
 
 def _cmd_lift(args):
     doc, endo = _load(args.endo, endo_from_json)
-    if args.order is None:
-        raise UsageError("--order is required")
+    if args.order < 2:
+        raise UsageError(f"lift needs --order 2 or more, got {args.order}")
     primes = _parse_primes(args.primes) if args.primes else ()
     lifted, certificate = lift(endo, args.order, primes)
     payload = endo_to_json(lifted)
@@ -181,8 +194,6 @@ def _cmd_lift(args):
 
 def _cmd_singscan(args):
     doc, endo = _load(args.endo, endo_from_json)
-    if args.order is None:
-        raise UsageError("--order is required")
     if args.samples and args.seed is None:
         raise UsageError("--seed is required when sampling random curves")
     verdict = hn_scan(endo, args.order, args.samples, args.seed or 0)
@@ -268,12 +279,12 @@ def build_parser():
 
     p = add("invert", _cmd_invert, help="invert a word exactly or an endo truncated")
     p.add_argument("--endo", "--in", dest="endo", required=True)
-    p.add_argument("--order", type=int)
+    p.add_argument("--order", type=_int_at_least(1))
     p.add_argument("--out")
 
     p = add("approximate", _cmd_approximate, help="staged tame approximation")
     p.add_argument("--endo", "--in", dest="endo", required=True)
-    p.add_argument("--order", type=int, required=True)
+    p.add_argument("--order", type=_int_at_least(1), required=True)
     p.add_argument("--tie-break", choices=("lex", "alt"), default="lex")
     p.add_argument("--out")
 
@@ -284,27 +295,27 @@ def build_parser():
 
     p = add("lift", _cmd_lift, help="ordered-side lift with certificate")
     p.add_argument("--endo", "--in", dest="endo", required=True)
-    p.add_argument("--order", type=int, required=True)
+    p.add_argument("--order", type=_int_at_least(1), required=True)
     p.add_argument("--primes")
     p.add_argument("--out")
 
     p = add("singscan", _cmd_singscan, help="pole scan under diagonal curves")
     p.add_argument("--endo", "--in", dest="endo", required=True)
-    p.add_argument("--order", type=int, required=True)
-    p.add_argument("--samples", type=int, default=0)
+    p.add_argument("--order", type=_int_at_least(1), required=True)
+    p.add_argument("--samples", type=_int_at_least(0), default=0)
     p.add_argument("--seed", type=int)
 
     p = add("bracket", _cmd_bracket, help="bracket or commutator of expressions")
     p.add_argument("exprs", nargs=2, metavar="EXPR")
     p.add_argument("--side", choices=("P", "W"), default="P")
     p.add_argument("--flavor", choices=("standard", "haug", "skew"), default="standard")
-    p.add_argument("--n", type=int, default=1)
+    p.add_argument("--n", type=_int_at_least(1), default=1)
     p.add_argument("--field", default="Q", help="Q or a prime p for F_p")
 
     p = add("corpus", _cmd_corpus, help="reproducible random word corpus")
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--count", type=int, default=8)
-    p.add_argument("--n", type=int, default=1)
+    p.add_argument("--count", type=_int_at_least(0), default=8)
+    p.add_argument("--n", type=_int_at_least(1), default=1)
     p.add_argument("--length", type=int, default=3)
     p.add_argument("--maxdeg", type=int, default=2)
     p.add_argument("--out")

@@ -61,13 +61,20 @@ def endo_from_json(doc):
 
 
 class _Texts(dict):
-    """value -> str(value), filled on first use: one document then holds
-    one string per distinct value instead of one per entry."""
+    """value -> str(value), and a matrix row -> the tuple of its texts,
+    filled on first use: one document then holds one string per distinct
+    value and one row per distinct row instead of one per entry.  Shared
+    rows are tuples, so no caller can change one through another letter;
+    they encode as JSON arrays like lists."""
 
     __slots__ = ()
 
     def __missing__(self, value):
-        text = self[value] = str(value)
+        if isinstance(value, tuple):
+            text = tuple(self[v] for v in value)
+        else:
+            text = str(value)
+        self[value] = text
         return text
 
 
@@ -75,7 +82,7 @@ def _gen_to_json(gen, texts):
     if gen.kind in (SP, LIN):
         return {
             "kind": gen.kind,
-            "matrix": [[texts[v] for v in row] for row in gen.data],
+            "matrix": [texts[tuple(row)] for row in gen.data],
         }
     index, poly = gen.data
     if gen.kind == SHIFT:

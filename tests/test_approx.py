@@ -29,6 +29,7 @@ from weylift.approx import (
     stage_prefix,
     symplectic_completion,
     transpose,
+    undo_shift,
     waring_decompose,
 )
 from weylift.errors import (
@@ -310,6 +311,39 @@ def test_shift_by_minus_potential_undoes_the_shift():
             assert there != ident
             assert back.compose(there) == ident, term
             assert there.compose(back) == ident, term
+
+
+def test_undo_shift_matches_compose():
+    # Oracle: substitute the shift by minus the potential into every
+    # monomial.  With deg L^(d-1) = d - 1, the series term m survives the
+    # truncation when m (d - 1) <= maxdeg, so d = 3 reaches m = 3 at
+    # maxdeg 6 and 7, and d = 4 reaches m = 2 at maxdeg 6 and 7.
+    rng = random.Random(23)
+    for flavor in (FL1, FL2):
+        gr = Grading.default_for(flavor)
+        for d in (3, 4, 5):
+            for maxdeg in range(3, 8):
+                for _ in range(2):
+                    images = [
+                        Poly.generator(QQ, flavor, i)
+                        + sum(
+                            (random_homogeneous(rng, flavor, k)
+                             for k in range(2, maxdeg + 1)),
+                            Poly.zero(QQ, flavor),
+                        )
+                        for i in range(flavor.main_count)
+                    ]
+                    residual = Endo("P", flavor, QQ, images)
+                    covector = [0] * flavor.main_count
+                    while not any(covector):
+                        covector = [rng.randint(-2, 2) for _ in covector]
+                    lam = Fraction(rng.choice((-3, -1, 1, 2)), rng.randint(1, 4))
+                    term = WaringTerm(lam, covector, d)
+                    undo = hamiltonian_shift_endo(-term.potential(QQ, flavor))
+                    want = undo.compose(residual, maxdeg, gr)
+                    assert undo_shift(residual, term, maxdeg, gr) == want, (
+                        term, maxdeg, residual,
+                    )
 
 
 def test_stage_prefix_is_the_lower_order_word():

@@ -81,6 +81,15 @@ def test_usage_errors(tmp_path):
         ["bracket", "--field", "7", "--", "1/7", "x1"],
         ["check", "--in", "{zero_den_endo}"],
         ["invert", "--in", "{zero_den_word}"],
+        ["bracket", "x1", "p1", "--n", "0"],
+        ["corpus", "--seed", "1", "--n", "0"],
+        ["corpus", "--seed", "1", "--count", "-1"],
+        ["approximate", "--in", "{shear}", "--order", "-2"],
+        ["invert", "--in", "{shear}", "--order", "-1"],
+        ["singscan", "--in", "{shear}", "--order", "-1"],
+        ["singscan", "--in", "{shear}", "--order", "2", "--samples", "-3", "--seed", "1"],
+        ["lift", "--in", "{shear}", "--order", "1"],
+        ["lift", "--in", "{shear}", "--order", "x"],
     ],
     ids=lambda argv: " ".join(argv),
 )
@@ -316,6 +325,9 @@ _PINNED = [
     (["approximate", "--in", "{linear2}", "--order", "4", "--tie-break", "alt"], "9b1d1265b1b5c085b57aaaaf0ea5e83448557c9130699c584db549a856b3df0c"),
     (["approximate", "--in", "{mixed}", "--order", "4"], "ab532e6c1cd7f93740969a69b880b8985d7f9dae347c4763f907ccb68e640368"),
     (["approximate", "--in", "{mixed}", "--order", "4", "--tie-break", "alt"], "256f0993368934a92fa558ed7b49c7afd32e3648e201019bbb3daefecf359b4c"),
+    # Order 6 reaches the second-order term of the residual's undo shift.
+    (["approximate", "--in", "{mixed}", "--order", "6"], "e36e9a103b60ebdebeacafa42b46cf9be7e09921974200052779ec931ed8531e"),
+    (["approximate", "--in", "{mixed}", "--order", "6", "--tie-break", "alt"], "8f27c41527c2506f7b592a4cb97491ccfa6551a87e8f3521e25dbc7b2dc98c9f"),
     (["lift", "--in", "{composite}", "--order", "5", "--primes", "3,5,7"], "574e5e31184753930c4e89c17d611aed9bc5f1a4288f7c96764e9010accbc4cb"),
     (["phi-p", "--in", "{weyl}", "--prime", "3"], "6b8ef1b4d1308a094d670a830520c2b8f4d8aaece8e9b7dd44f4a46dabd0eff4"),
     (["phi-p", "--in", "{weyl}", "--prime", "5"], "b3e69a3f98751405096e2b650de29b6e562e0355c1ef93a817a1c06233d715b2"),
