@@ -33,7 +33,7 @@ from .errors import (
 from .fields import QQ
 from .flavors import STANDARD, Grading
 from .poly import Poly
-from .tame import SP, XSHIFT, ElementaryGen, TameWord, gen_endo
+from .tame import SP, XSHIFT, ElementaryGen, TameWord, evaluate, gen_endo
 from .linalg import (
     identity_matrix,
     is_symplectic,
@@ -357,11 +357,9 @@ def corrector(term, flavor, field=QQ, check=True):
     inv_a = gen_a.inverse()
     gens = [inv_a, shift, gen_a]
     if check:
-        acc = gen_endo(gens[2], "P", flavor, field)
-        acc = gen_endo(gens[1], "P", flavor, field).compose(acc)
-        acc = gen_endo(gens[0], "P", flavor, field).compose(acc)
+        got = evaluate(TameWord("symplectic", n, gens), "P", flavor, field)
         expected = hamiltonian_shift_endo(term.potential(field, flavor))
-        if acc != expected:
+        if got != expected:
             raise WeyliftError("corrector word failed its exactness check")
     return gens
 

@@ -316,8 +316,8 @@ def build_parser():
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--count", type=_int_at_least(0), default=8)
     p.add_argument("--n", type=_int_at_least(1), default=1)
-    p.add_argument("--length", type=int, default=3)
-    p.add_argument("--maxdeg", type=int, default=2)
+    p.add_argument("--length", type=_int_at_least(0), default=3)
+    p.add_argument("--maxdeg", type=_int_at_least(2), default=2)
     p.add_argument("--out")
 
     return parser

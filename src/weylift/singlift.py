@@ -40,7 +40,7 @@ from .errors import (
 from .fields import Field
 from .flavors import HAUG, STANDARD, BracketFlavor, Grading
 from .poly import Poly, poisson_bracket
-from .tame import LIN, SP, evaluate, gen_endo, transport
+from .tame import LIN, SP, TameWord, evaluate, gen_endo, transport
 from .weyl import weyl_commutator, weyl_structure
 
 STABILIZATION_MARGIN = 2
@@ -304,10 +304,16 @@ def lift(sigma, n, primes=()):
     word_alt, _ = approximate(sigma, n, tie_break="alt")
     wword = transport(word)
 
-    trunc_n = evaluate(wword, "W", hflavor, field, maxdeg=n, grading=hgrading)
-    trunc_alt = evaluate(
-        transport(word_alt), "W", hflavor, field, maxdeg=n, grading=hgrading
-    )
+    def truncated(gens, start=None):
+        return evaluate(
+            TameWord(wword.kind, wword.n, gens),
+            "W",
+            hflavor,
+            field,
+            maxdeg=n,
+            grading=hgrading,
+            start=start,
+        )
 
     certificate = {
         "order": n,
@@ -317,28 +323,28 @@ def lift(sigma, n, primes=()):
     }
 
     if n >= 3:
-        word_prev = stage_prefix(word, report, n - 1)
-        trunc_prev = evaluate(
-            transport(word_prev), "W", hflavor, field, maxdeg=n, grading=hgrading
-        )
-        stab_ok = all(
-            (a - b).truncate(stable_height, hgrading).is_zero
-            for a, b in zip(trunc_n.images, trunc_prev.images)
-        )
-        certificate["stabilization"] = "pass" if stab_ok else "fail"
-        if not stab_ok:
+        # The order n-1 word is a prefix: its evaluation continues into
+        # the order-n one.
+        cut = len(stage_prefix(word, report, n - 1))
+        trunc_prev = truncated(wword.gens[:cut])
+        trunc_n = truncated(wword.gens[cut:], start=trunc_prev)
+        witness = _first_difference(trunc_n, trunc_prev, stable_height, hgrading)
+        certificate["stabilization"] = "pass" if witness is None else "fail"
+        if witness is not None:
             raise StabilizationFailure(
                 f"lifted coefficients at heights up to {stable_height} changed "
-                f"between orders {n - 1} and {n}"
+                f"between orders {n - 1} and {n}: image {witness['image']} "
+                f"first differs at height {witness['height']}"
             )
     else:
+        trunc_n = truncated(wword.gens)
         certificate["stabilization"] = "trivial"
 
-    canon_ok = all(
-        (a - b).truncate(n - 1, hgrading).is_zero
-        for a, b in zip(trunc_n.images, trunc_alt.images)
-    )
-    certificate["canonicity"] = "pass" if canon_ok else "fail"
+    trunc_alt = truncated(word_alt.gens)
+    witness = _first_difference(trunc_n, trunc_alt, n - 1, hgrading)
+    certificate["canonicity"] = "pass" if witness is None else "fail"
+    if witness is not None:
+        certificate["canonicity_witness"] = witness
 
     exact = None
     try:
@@ -386,6 +392,16 @@ def lift(sigma, n, primes=()):
         )
     )
     return (exact if exact is not None else trunc_n), certificate
+
+
+def _first_difference(a, b, height, grading):
+    """{"image": i, "height": h} for the first main image i where a and b
+    differ at graded heights up to height, h the lowest such; else None."""
+    for i, (x, y) in enumerate(zip(a.images, b.images)):
+        diff = (x - y).truncate(height, grading)
+        if not diff.is_zero:
+            return {"image": i, "height": diff.height(grading)}
+    return None
 
 
 def _prime_status(exact, sigma_p, wword, flavor, fp):

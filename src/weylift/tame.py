@@ -1,7 +1,11 @@
 """Tame words: finite sequences of elementary generators.
 
 A word multiplies left to right, with the rightmost generator acting
-first, so evaluate([g1, g2]) sends f to g1(g2(f)).  Symplectic words mix
+first, so evaluate([g1, g2]) sends f to g1(g2(f)).  evaluate walks the
+letters left to right on the list of generator images: the images of
+start . g1 . .. . gi are those of start . g1 . .. . g(i-1) with the
+letter gi substituted into them, so an evaluation of a prefix of a word
+continues into the whole word.  Symplectic words mix
 integral symplectic matrices with single-coordinate shifts by a
 polynomial in the conjugate variable; such shifts preserve the bracket
 exactly and also define endomorphisms of the ordered algebra, so one
@@ -17,9 +21,13 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from operator import mul as _mul
 
+from .elements import sum_terms
 from .endo import Endo, element_class
 from .errors import (
+    FieldMismatch,
+    FlavorMismatch,
     IndexOutOfRange,
     NotSymplectic,
     SideMismatch,
@@ -27,7 +35,7 @@ from .errors import (
     WrongArity,
 )
 from .fields import QQ
-from .flavors import STANDARD, BracketFlavor
+from .flavors import STANDARD, BracketFlavor, Grading
 from .linalg import mat_inv, mat_mul, omega_matrix_raw, symplectic_inverse
 
 SP = "sp"
@@ -197,18 +205,124 @@ def gen_endo(gen, side, flavor, field):
     return Endo(side, flavor, field, images)
 
 
-def evaluate(word, side, flavor, field, maxdeg=None, grading=None):
-    """Compose the word's generators, rightmost first."""
+def evaluate(word, side, flavor, field, maxdeg=None, grading=None, start=None):
+    """The endo start . g1 . .. . gk of the word [g1, .., gk], truncated
+    above graded degree maxdeg when one is given.
+
+    start defaults to the identity; a start on the same side, flavor and
+    field continues its images, so evaluate(word[i:], start=evaluate(
+    word[:i])) equals evaluate(word) at every cut i.  The letters are
+    read left to right on the images of start . g1 . .. . g(i-1):
+
+    - an sp or lin letter replaces them with linear combinations of
+      themselves, with no products;
+    - an xshift or pshift letter adds f(image of the conjugate slot) to
+      one image, by deg f - 1 products; the other images are shared;
+    - a gl shift letter adds its monomials in the current images.
+
+    Every letter fixes h and the k symbols, so their images are those of
+    start.  Truncation by graded degree is a ring map on images without
+    a constant term, so truncating every product gives the truncation of
+    the exact endo.
+    """
     if flavor.pairs != word.n:
         raise WrongArity(f"word has {word.n} pairs, flavor has {flavor.pairs}")
     if not flavor.paired:
         raise SideMismatch("tame words act on paired flavors")
     if word.kind == "gl" and side != "P":
         raise SideMismatch("general-linear words act on the commutative side only")
-    acc = Endo.identity(side, flavor, field)
-    for gen in reversed(word.gens):
-        acc = gen_endo(gen, side, flavor, field).compose(acc, maxdeg, grading)
-    return acc
+    if start is None:
+        start = Endo.identity(side, flavor, field)
+    elif start.side != side:
+        raise SideMismatch("start acts on the other side")
+    elif start.flavor != flavor:
+        raise FlavorMismatch("start flavor differs from the evaluation flavor")
+    elif start.field != field:
+        raise FieldMismatch("start field differs from the evaluation field")
+    cls = element_class(side)
+    images = start.all_images()
+    if maxdeg is None:
+        mul = cls.__mul__
+    else:
+        gr = grading or Grading.default_for(flavor)
+        images = [img.truncate(maxdeg, gr) for img in images]
+
+        def mul(a, b):
+            return a.mul_truncated(b, maxdeg, gr)
+
+    g = flavor.main_count
+    images, extra = images[:g], images[g:]
+    # Over Q and F_p raw values take the plain operators; sum_terms reduces.
+    scale = _mul if field.k == 1 else field.mul
+
+    def combine(parts, base=None):
+        """base plus the sum of raw coefficient times element over parts."""
+
+        def pairs():
+            if base is not None:
+                yield from base.terms.items()
+            for r, elem in parts:
+                for key, c in elem.terms.items():
+                    yield key, scale(c, r)
+
+        out = cls(field, flavor)
+        out.terms = sum_terms(field, pairs())
+        return out
+
+    def univariate(poly, base):
+        """(raw coefficient, base^e) for the terms c y^e of poly."""
+        parts = []
+        elem = base
+        for e in range(1, max(poly, default=0) + 1):
+            if e > 1:
+                elem = mul(elem, base)
+                if elem.is_zero:
+                    break
+            if e in poly:
+                parts.append((field.from_fraction(poly[e]), elem))
+        return parts
+
+    def monomials(poly):
+        """(raw coefficient, product of image powers) for each monomial."""
+        powers = [[None, img] for img in images]
+        parts = []
+        for exps, c in poly.items():
+            elem = None
+            for slot, e in enumerate(exps):
+                if not e:
+                    continue
+                cache = powers[slot]
+                while len(cache) <= e:
+                    cache.append(mul(cache[-1], images[slot]))
+                elem = cache[e] if elem is None else mul(elem, cache[e])
+            parts.append((field.from_fraction(c), elem))
+        return parts
+
+    for gen in word.gens:
+        if gen.kind in (SP, LIN):
+            rows = [[field.from_fraction(v) for v in row] for row in gen.data]
+            images = [
+                combine([(r, img) for r, img in zip(row, images) if not field.is_zero(r)])
+                for row in rows
+            ]
+            continue
+        index, poly = gen.data
+        if gen.kind == SHIFT:
+            target, parts = index, monomials(poly)
+        else:
+            target = index if gen.kind == XSHIFT else flavor.conjugate_index(index)
+            parts = univariate(poly, images[flavor.conjugate_index(target)])
+        images = list(images)
+        images[target] = combine(parts, images[target])
+    return Endo(
+        side,
+        flavor,
+        field,
+        images,
+        extra[0] if flavor.has_h else None,
+        extra[flavor.k_start - g :] if flavor.has_k else None,
+        allow_free_term=True,
+    )
 
 
 def _random_sl2(rng, steps=3):

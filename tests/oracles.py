@@ -3,14 +3,16 @@
 The normal-ordering oracle works on raw generator words with the
 one-step rewrite rules only, so it shares no code with the closed-form
 reordering in the package.  The commutative oracles go through sympy.
+The word oracle composes one endo per letter, rightmost first.
 """
 
 from fractions import Fraction
 
 import sympy
 
-from weylift import BracketFlavor, Poly, QQ, WeylElt
+from weylift import BracketFlavor, Endo, Poly, QQ, WeylElt
 from weylift.flavors import HAUG, SKEW, STANDARD
+from weylift.tame import gen_endo
 
 
 # ---------------------------------------------------------- word rewriting
@@ -234,6 +236,17 @@ def sympy_jacobian(images, syms):
         g, g, lambda i, j: sympy.diff(poly_to_sympy(images[i], syms), syms[j])
     )
     return sympy.expand(mat.det())
+
+
+# ------------------------------------------------------------- tame words
+
+def oracle_evaluate(word, side, flavor, field, maxdeg=None, grading=None):
+    """g1 . .. . gk by composing gen_endo(g) after the accumulated endo,
+    from the rightmost letter to the leftmost."""
+    acc = Endo.identity(side, flavor, field)
+    for gen in reversed(word.gens):
+        acc = gen_endo(gen, side, flavor, field).compose(acc, maxdeg, grading)
+    return acc
 
 
 # -------------------------------------------------------- random elements

@@ -41,6 +41,7 @@ from weylift.errors import (
     ZeroCovector,
 )
 from weylift.flavors import Grading
+from weylift.linalg import mat_mul
 from weylift.tame import evaluate, gen_endo, random_tame
 
 FL1 = BracketFlavor("standard", 1)
@@ -209,6 +210,26 @@ def test_corrector_equals_hamiltonian_flow():
     acc = gen_endo(gens[1], "P", FL2, QQ).compose(acc)
     acc = gen_endo(gens[0], "P", FL2, QQ).compose(acc)
     assert acc == hamiltonian_shift_endo(term.potential(QQ, FL2))
+
+
+@pytest.mark.parametrize("flavor, covector", ((FL1, (1, 2)), (FL2, (1, 2, 0, 3))))
+def test_corrector_check_rejects_a_wrong_word(monkeypatch, flavor, covector):
+    import weylift.approx
+
+    term = WaringTerm(Fraction(2, 5), covector, 3)
+    corrector(term, flavor)
+    real = weylift.approx.symplectic_completion
+    omega = omega_matrix_raw(QQ, flavor)
+
+    def other(field, cov, fl):
+        # Symplectic still, but it no longer carries the covector onto p1.
+        out = mat_mul(field, real(field, cov, fl), omega)
+        assert is_symplectic(field, transpose(out), omega)
+        return out
+
+    monkeypatch.setattr(weylift.approx, "symplectic_completion", other)
+    with pytest.raises(WeyliftError, match="failed its exactness check"):
+        corrector(term, flavor)
 
 
 def test_corrector_rejects_low_degree():

@@ -84,6 +84,9 @@ def test_usage_errors(tmp_path):
         ["bracket", "x1", "p1", "--n", "0"],
         ["corpus", "--seed", "1", "--n", "0"],
         ["corpus", "--seed", "1", "--count", "-1"],
+        ["corpus", "--seed", "1", "--length", "-1"],
+        ["corpus", "--seed", "1", "--maxdeg", "-3"],
+        ["corpus", "--seed", "1", "--maxdeg", "0"],
         ["approximate", "--in", "{shear}", "--order", "-2"],
         ["invert", "--in", "{shear}", "--order", "-1"],
         ["singscan", "--in", "{shear}", "--order", "-1"],

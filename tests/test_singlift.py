@@ -15,7 +15,12 @@ from weylift import (
     parse_element,
 )
 from weylift.endo import diagonal_conjugate, dilation_conjugate
-from weylift.errors import DimensionMismatch, InsufficientK, WeyliftError
+from weylift.errors import (
+    DimensionMismatch,
+    InsufficientK,
+    StabilizationFailure,
+    WeyliftError,
+)
 from weylift.flavors import Grading
 from weylift.singlift import (
     DiagonalCurve,
@@ -193,6 +198,41 @@ def test_lift_low_order_stabilization_trivial():
     _, cert = lift(shear(), 2)
     assert cert["stabilization"] == "trivial"
     assert cert["pass"]
+
+
+def test_stabilization_failure_names_image_and_height(monkeypatch):
+    import weylift.singlift
+
+    # A prefix without the stage-2 corrector leaves p1^2 out of image 0.
+    monkeypatch.setattr(
+        weylift.singlift,
+        "stage_prefix",
+        lambda word, report, n: TameWord(word.kind, word.n, ()),
+    )
+    with pytest.raises(StabilizationFailure, match="image 0 first differs at height 2"):
+        lift(shear(), 4)
+
+
+def test_canonicity_failure_names_image_and_height(monkeypatch):
+    import weylift.singlift
+
+    _, cert = lift(shear(), 4)
+    assert "canonicity_witness" not in cert
+    real = weylift.singlift.approximate
+
+    def skewed(sigma, n, tie_break="lex"):
+        word, report = real(sigma, n, tie_break)
+        if tie_break == "alt":
+            # x1 -> x1 + p1^2 acting first adds p1^2 to image 0.
+            extra = ElementaryGen("xshift", (0, {2: 1}))
+            word = TameWord(word.kind, word.n, [*word.gens, extra])
+        return word, report
+
+    monkeypatch.setattr(weylift.singlift, "approximate", skewed)
+    _, cert = lift(shear(), 4)
+    assert cert["canonicity"] == "fail"
+    assert cert["canonicity_witness"] == {"image": 0, "height": 2}
+    assert not cert["pass"]
 
 
 def test_lifted_commutation_check_reports_violations():

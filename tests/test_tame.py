@@ -5,14 +5,19 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import oracle_evaluate
 from weylift import (
     BracketFlavor,
+    Endo,
+    Field,
     QQ,
     check_symplecto,
     check_weyl_endo,
     jacobian_is_unit,
 )
 from weylift.errors import (
+    FieldMismatch,
+    FlavorMismatch,
     IndexOutOfRange,
     NotSymplectic,
     SideMismatch,
@@ -20,6 +25,7 @@ from weylift.errors import (
     WeyliftError,
     WrongArity,
 )
+from weylift.flavors import Grading
 from weylift.serialize import word_from_json, word_to_json
 from weylift.tame import (
     ElementaryGen,
@@ -34,6 +40,67 @@ from weylift.tame import (
 
 FL1 = BracketFlavor("standard", 1)
 FL2 = BracketFlavor("standard", 2)
+FIELDS = (QQ, Field("Fp", 5), Field("Fp", 7))
+HAUG_GRADING = Grading(1, 2, 0)
+
+
+def _truncations(side, flavor):
+    """(maxdeg, grading) pairs evaluate takes on this side and flavor:
+    exact, then maxdeg 3..6 under the default and the haug gradings.
+    Truncated products on the ordered side need the haug flavor."""
+    out = [(None, None)]
+    if side == "P" or flavor.kind == "haug":
+        for maxdeg in (3, 4, 5, 6):
+            for grading in (Grading.default_for(flavor), HAUG_GRADING):
+                out.append((maxdeg, grading))
+    return out
+
+
+@pytest.mark.parametrize("n", (1, 2))
+@pytest.mark.parametrize(
+    "kind, side", (("symplectic", "P"), ("symplectic", "W"), ("gl", "P"))
+)
+@pytest.mark.parametrize("flavor_kind", ("standard", "haug"))
+def test_evaluate_matches_right_to_left_oracle(n, kind, side, flavor_kind):
+    flavor = BracketFlavor(flavor_kind, n)
+    for seed in range(3):
+        word = random_tame(n, 4, 3, seed=seed, kind=kind)
+        for field in FIELDS:
+            for maxdeg, grading in _truncations(side, flavor):
+                got = evaluate(word, side, flavor, field, maxdeg, grading)
+                assert got == oracle_evaluate(word, side, flavor, field, maxdeg, grading)
+
+
+@pytest.mark.parametrize(
+    "n, kind, side", ((1, "symplectic", "W"), (2, "symplectic", "P"), (2, "gl", "P"))
+)
+def test_evaluation_continues_from_a_prefix(n, kind, side):
+    flavor = BracketFlavor("haug", n)
+    word = random_tame(n, 5, 2, seed=11, kind=kind)
+    for maxdeg, grading in ((None, None), (4, HAUG_GRADING)):
+        whole = evaluate(word, side, flavor, QQ, maxdeg, grading)
+        for cut in range(len(word) + 1):
+            prefix = TameWord(kind, n, word.gens[:cut])
+            suffix = TameWord(kind, n, word.gens[cut:])
+            start = evaluate(prefix, side, flavor, QQ, maxdeg, grading)
+            assert evaluate(suffix, side, flavor, QQ, maxdeg, grading, start=start) == whole
+
+
+def test_empty_word_is_the_identity():
+    for side, flavor in (("P", FL2), ("W", BracketFlavor("haug", 1))):
+        empty = TameWord("symplectic", flavor.pairs, [])
+        assert evaluate(empty, side, flavor, QQ) == Endo.identity(side, flavor, QQ)
+
+
+def test_start_must_match_side_flavor_and_field():
+    word = random_tame(1, 2, 2, seed=1)
+    for start, error in (
+        (Endo.identity("W", FL1, QQ), SideMismatch),
+        (Endo.identity("P", BracketFlavor("haug", 1), QQ), FlavorMismatch),
+        (Endo.identity("P", FL1, Field("Fp", 5)), FieldMismatch),
+    ):
+        with pytest.raises(error):
+            evaluate(word, "P", FL1, QQ, start=start)
 
 
 def test_two_letter_fixture():
@@ -158,8 +225,6 @@ def test_weyl_side_evaluation_preserves_commutators():
 
 
 def test_truncated_evaluation_matches_truncation():
-    from weylift.flavors import Grading
-
     word = random_tame(1, 4, 3, seed=9)
     exact = evaluate(word, "P", FL1, QQ)
     gr = Grading.default_for(FL1)
