@@ -26,25 +26,22 @@ from .charp import (
 from .elements import SparseElement
 from .endo import (
     Endo,
+    bracket_violations,
     check_symplecto,
-    check_weyl_endo,
     dilation_conjugate,
-    endo_distance,
     endo_rank,
-    in_hn,
     jacobian_is_unit,
     truncated_inverse,
 )
 from .errors import WeyliftError
 from .fields import Field, QQ
-from .flavors import BracketFlavor, Grading, HAUG, SKEW, STANDARD
+from .flavors import BracketFlavor, HAUG, SKEW, STANDARD
 from .grammar import element_to_text, parse_element
 from .poly import Poly, jacobian, poisson_bracket
 from .singlift import (
     DiagonalCurve,
     ScanVerdict,
     conjugate_by_curve,
-    curve_order,
     extend_to_aux,
     hn_scan,
     lift,
@@ -82,7 +79,6 @@ __all__ = [
     "ElementaryGen",
     "Endo",
     "Field",
-    "Grading",
     "HAUG",
     "Poly",
     "QQ",
@@ -95,18 +91,16 @@ __all__ = [
     "WeylElt",
     "WeyliftError",
     "approximate",
+    "bracket_violations",
     "center_bracket",
     "center_coordinates",
     "central_pth_root",
     "check_symplecto",
-    "check_weyl_endo",
     "conjugate_by_curve",
     "corrector",
-    "curve_order",
     "deviation_hamiltonian",
     "dilation_conjugate",
     "element_to_text",
-    "endo_distance",
     "endo_rank",
     "evaluate",
     "extend_to_aux",
@@ -115,7 +109,6 @@ __all__ = [
     "gen_endo",
     "hamiltonian_shift_endo",
     "hn_scan",
-    "in_hn",
     "invert_word",
     "is_central",
     "jacobian",

@@ -20,7 +20,7 @@ from itertools import chain
 from math import factorial, gcd, prod
 
 from .elements import sum_terms
-from .endo import Endo, check_symplecto, jacobian_is_unit
+from .endo import Endo, check_symplecto, endo_rank, jacobian_is_unit
 from .errors import (
     DeviationNotHamiltonian,
     NotSymplectic,
@@ -31,7 +31,7 @@ from .errors import (
     ZeroCovector,
 )
 from .fields import QQ
-from .flavors import STANDARD, Grading
+from .flavors import STANDARD
 from .poly import Poly
 from .tame import SP, XSHIFT, ElementaryGen, TameWord, evaluate, gen_endo
 from .linalg import (
@@ -379,7 +379,7 @@ def _derivative_along(elem, v):
     return out
 
 
-def undo_shift(residual, term, maxdeg, grading):
+def undo_shift(residual, term, maxdeg):
     """The residual after the shift by minus the term's potential, to maxdeg.
 
     The corrector of lam L^d, L = c . g, evaluates to the shift by that
@@ -390,7 +390,7 @@ def undo_shift(residual, term, maxdeg, grading):
         R_j(g + s L^(d-1) v) = sum_m (s L^(d-1))^m / m! d_v^m R_j,
 
     exact and finite over characteristic 0.  This equals
-    hamiltonian_shift_endo(-potential).compose(residual, maxdeg, grading)
+    hamiltonian_shift_endo(-potential).compose(residual, maxdeg)
     and skips substituting the shift into every monomial.  The factors
     F_m = (s L^(d-1))^m / m! are shared by all images and stop at the
     first one that truncates to zero.
@@ -402,13 +402,13 @@ def undo_shift(residual, term, maxdeg, grading):
         if term.covector[a]:
             v.append((j, flavor.omega(a, j) * term.covector[a]))
     d = term.degree
-    step = (term.form(field, flavor) ** (d - 1)).truncate(maxdeg, grading)
+    step = (term.form(field, flavor) ** (d - 1)).truncate(maxdeg)
     step = step.scale(field.from_fraction(-term.lam * d))
     factors = []
     factor = step
     while not factor.is_zero:
         factors.append(factor)
-        factor = factor.mul_truncated(step, maxdeg, grading).scale(
+        factor = factor.mul_truncated(step, maxdeg).scale(
             field.inv(field.from_int(len(factors) + 1))
         )
     images = []
@@ -419,7 +419,7 @@ def undo_shift(residual, term, maxdeg, grading):
             deriv = _derivative_along(deriv, v)
             if deriv.is_zero:
                 break
-            parts.append(factor.mul_truncated(deriv, maxdeg, grading).terms.items())
+            parts.append(factor.mul_truncated(deriv, maxdeg).terms.items())
         out = Poly(field, flavor)
         out.terms = sum_terms(field, chain.from_iterable(parts))
         images.append(out)
@@ -441,14 +441,13 @@ def approximate(endo, n_target, tie_break="lex"):
         raise WeyliftError("approximation expects the plain paired flavor")
     check_symplecto(endo)
     jacobian_is_unit(endo)
-    gr = Grading.default_for(flavor)
     maxdeg = n_target - 1
     word_gens = []
     residual = Endo(
         "P",
         flavor,
         field,
-        [img.truncate(maxdeg, gr) for img in endo.images],
+        [img.truncate(maxdeg) for img in endo.images],
     )
     lin = endo.linear_part()
     ident = identity_matrix(field, flavor.main_count)
@@ -460,11 +459,11 @@ def approximate(endo, n_target, tie_break="lex"):
         gen_lin = ElementaryGen(SP, lin_fracs)
         word_gens.append(gen_lin)
         inv_endo = gen_endo(gen_lin.inverse(), "P", flavor, field)
-        residual = inv_endo.compose(residual, maxdeg, gr)
+        residual = inv_endo.compose(residual, maxdeg)
     report = {"stages": {}, "tie_break": tie_break}
     for k in range(2, n_target):
         devs = [
-            (img - Poly.generator(field, flavor, i)).homogeneous_part(k, gr)
+            (img - Poly.generator(field, flavor, i)).homogeneous_part(k)
             for i, img in enumerate(residual.images)
         ]
         if all(d.is_zero for d in devs):
@@ -475,17 +474,11 @@ def approximate(endo, n_target, tie_break="lex"):
         report["stages"][k] = len(terms)
         for term in terms:
             word_gens.extend(corrector(term, flavor, field))
-            residual = undo_shift(residual, term, maxdeg, gr)
-        left = [
-            (img - Poly.generator(field, flavor, i)).height(gr)
-            for i, img in enumerate(residual.images)
-        ]
-        if min(left) <= k:
-            raise StageStall(f"stage {k} left a degree {min(left)} deviation")
-    final = min(
-        (img - Poly.generator(field, flavor, i)).height(gr)
-        for i, img in enumerate(residual.images)
-    )
+            residual = undo_shift(residual, term, maxdeg)
+        left = endo_rank(residual)
+        if left <= k:
+            raise StageStall(f"stage {k} left a degree {left} deviation")
+    final = endo_rank(residual)
     report["residual_height"] = None if final == float("inf") else final
     return TameWord("symplectic", flavor.pairs, word_gens), report
 

@@ -20,7 +20,7 @@ from .errors import (
     SideMismatch,
 )
 from .fields import Field
-from .flavors import BracketFlavor, Grading
+from .flavors import BracketFlavor
 
 #: Default cap on intermediate term counts in repeated products.
 EXPANSION_BOUND = 200_000
@@ -204,35 +204,33 @@ class SparseElement:
 
     # -- degree and height ------------------------------------------------------
 
-    def degree(self, grading: Grading | None = None):
-        """Maximal weighted degree; -inf for the zero element."""
+    def degree(self):
+        """Maximal graded degree (BracketFlavor.weight); -inf for the zero element."""
         if not self.terms:
             return -math.inf
-        g = grading or Grading.default_for(self.flavor)
-        return max(g.weight(self.flavor, k) for k in self.terms)
+        return max(map(self.flavor.weight, self.terms))
 
-    def height(self, grading: Grading | None = None):
-        """Minimal weighted degree; +inf for the zero element."""
+    def height(self):
+        """Minimal graded degree; +inf for the zero element."""
         if not self.terms:
             return math.inf
-        g = grading or Grading.default_for(self.flavor)
-        return min(g.weight(self.flavor, k) for k in self.terms)
+        return min(map(self.flavor.weight, self.terms))
 
-    def homogeneous_part(self, d: int, grading: Grading | None = None):
-        g = grading or Grading.default_for(self.flavor)
+    def homogeneous_part(self, d: int):
+        weight = self.flavor.weight
         out = type(self)(self.field, self.flavor)
-        out.terms = {
-            k: c for k, c in self.terms.items() if g.weight(self.flavor, k) == d
-        }
+        out.terms = {k: c for k, c in self.terms.items() if weight(k) == d}
         return out
 
-    def truncate(self, maxdeg: int, grading: Grading | None = None):
-        """Drop every term of weighted degree above maxdeg."""
-        g = grading or Grading.default_for(self.flavor)
+    def truncate(self, maxdeg: int, grading=None):
+        """Drop every term of graded degree above maxdeg.
+
+        The second parameter is ignored: it is kept for callers that pass
+        flavors.Grading.default_for(flavor), which names the same weights.
+        """
+        weight = self.flavor.weight
         out = type(self)(self.field, self.flavor)
-        out.terms = {
-            k: c for k, c in self.terms.items() if g.weight(self.flavor, k) <= maxdeg
-        }
+        out.terms = {k: c for k, c in self.terms.items() if weight(k) <= maxdeg}
         return out
 
     # -- coefficient and slot surgery ----------------------------------------------
@@ -342,8 +340,8 @@ class _WeightTable(dict):
         return entry
 
 
-def ordered_mul(a, b, pairs, maxdeg, grading):
-    """a * b in normal order, with the terms of weighted degree above maxdeg
+def ordered_mul(a, b, pairs, maxdeg):
+    """a * b in normal order, with the terms of graded degree above maxdeg
     dropped unless maxdeg is None.
 
     Every flavor orders its main generators g_1 < .. < g_N and stores the
@@ -388,6 +386,7 @@ def ordered_mul(a, b, pairs, maxdeg, grading):
     # are those of k1 and k2.
     shared = flavor.has_k and len(pairs) > 1
     truncated = maxdeg is not None
+    weight = flavor.weight
     # Pair n is bit 1 << n of a mask: a left term sets the bits of the pairs
     # whose g_j it holds, a right term those whose g_i it holds, and a term
     # pair is contracted by the pairs in both masks.
@@ -396,7 +395,7 @@ def ordered_mul(a, b, pairs, maxdeg, grading):
         (
             k2,
             c2,
-            grading.weight(flavor, k2) if truncated else 0,
+            weight(k2) if truncated else 0,
             sum(bit for bit, _, i, _, _ in bits if k2[i]),
         )
         for k2, c2 in b.terms.items()
@@ -404,7 +403,7 @@ def ordered_mul(a, b, pairs, maxdeg, grading):
     table = _WeightTable(field)
     terms = {}
     for k1, c1 in a.terms.items():
-        room = maxdeg - grading.weight(flavor, k1) if truncated else 0
+        room = maxdeg - weight(k1) if truncated else 0
         if room < 0:
             continue
         left = 0

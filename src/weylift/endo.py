@@ -2,9 +2,11 @@
 
 An endo stores one image per main generator plus images for the central
 symbols h and k_ij when the flavor has them.  The t symbol is always
-fixed.  Composition and application support graded truncation, which is
-sound commutatively and, on the normal-ordered side, for the gradings
-the reordering corrections preserve (see weyl.mul_truncated).
+fixed.  Composition and application truncate by the flavor's graded
+degree when asked: sound commutatively and, on the normal-ordered side,
+for the haug and skew flavors, whose reordering keeps the degree (see
+weyl.mul_truncated).  bracket_violations is the one bracket-preservation
+check for both sides: the Poisson bracket on P, the commutator on W.
 """
 
 from __future__ import annotations
@@ -25,10 +27,9 @@ from .errors import (
     WeyliftError,
     WrongArity,
 )
-from .flavors import Grading
 from .linalg import mat_inv
 from .poly import Poly, jacobian, poisson_bracket, structure_element
-from .weyl import WeylElt, weyl_commutator, weyl_structure
+from .weyl import WeylElt, weyl_commutator
 
 _SIDES = ("P", "W")
 
@@ -142,7 +143,7 @@ class Endo:
         imgs = ", ".join(str(i) for i in self.images)
         return f"Endo({self.side}; {imgs})"
 
-    def apply(self, elem, maxdeg=None, grading=None):
+    def apply(self, elem, maxdeg=None):
         """Substitute generator images into elem, optionally truncated."""
         if not isinstance(elem, SparseElement):
             raise SideMismatch("apply expects an algebra element")
@@ -157,16 +158,15 @@ class Endo:
             )
         flavor, field = self.flavor, self.field
         g = flavor.main_count
-        gr = grading or Grading.default_for(flavor)
 
         def mul(a, b):
             if maxdeg is None:
                 return a * b
-            return a.mul_truncated(b, maxdeg, gr)
+            return a.mul_truncated(b, maxdeg)
 
         bases = self.all_images()
         caches = [{1: base} for base in bases]
-        heights = [base.height(gr) for base in bases]
+        heights = [base.height() for base in bases]
 
         def power(idx, e):
             cache = caches[idx]
@@ -197,7 +197,7 @@ class Endo:
                 if maxdeg is not None:
                     floor = sum(heights[i] * e for i, e in exps)
                     if h_e < 0:
-                        floor += gr.h * h_e
+                        floor += flavor.weights[flavor.h_slot] * h_e
                     if floor > maxdeg:
                         continue
                 part = cls.constant(field, flavor, coeff)
@@ -222,10 +222,10 @@ class Endo:
         out = cls(field, flavor)
         out.terms = sum_terms(field, parts())
         if maxdeg is not None:
-            out = out.truncate(maxdeg, gr)
+            out = out.truncate(maxdeg)
         return out
 
-    def compose(self, other, maxdeg=None, grading=None):
+    def compose(self, other, maxdeg=None):
         """self after other: (self.compose(other))(g) = self(other(g))."""
         if self.side != other.side:
             raise SideMismatch("cannot compose endos of different sides")
@@ -233,14 +233,14 @@ class Endo:
             raise FlavorMismatch("cannot compose endos of different flavors")
         if self.field != other.field:
             raise FieldMismatch("cannot compose endos over different fields")
-        images = [self.apply(im, maxdeg, grading) for im in other.images]
+        images = [self.apply(im, maxdeg) for im in other.images]
         h_image = (
-            self.apply(other.h_image, maxdeg, grading)
+            self.apply(other.h_image, maxdeg)
             if other.h_image is not None
             else None
         )
         k_images = (
-            [self.apply(im, maxdeg, grading) for im in other.k_images]
+            [self.apply(im, maxdeg) for im in other.k_images]
             if other.k_images is not None
             else None
         )
@@ -330,44 +330,44 @@ def _monomial_scale(elem, key):
     return elem.terms[key]
 
 
-def check_symplecto(endo, raise_on_fail=True):
-    """Bracket preservation {phi g_i, phi g_j} = phi({g_i, g_j})."""
+def bracket_violations(endo, maxdeg=None):
+    """(i, j, lhs - rhs) for each pair i < j of main generators whose
+    bracket the endo does not preserve: lhs = [phi g_i, phi g_j], rhs =
+    phi([g_i, g_j]), with the Poisson bracket on P and the commutator on
+    W.  With maxdeg both sides are compared below graded degree maxdeg
+    (truncated products on W).
+    """
+    flavor, field, images = endo.flavor, endo.field, endo.images
+    if endo.side == "P":
+        def bracket(a, b):
+            out = poisson_bracket(a, b)
+            return out if maxdeg is None else out.truncate(maxdeg)
+    elif maxdeg is None:
+        bracket = weyl_commutator
+    else:
+        def bracket(a, b):
+            return a.mul_truncated(b, maxdeg) - b.mul_truncated(a, maxdeg)
+    cls = endo.element_cls()
+    out = []
+    for i in range(flavor.main_count):
+        for j in range(i + 1, flavor.main_count):
+            rhs = endo.apply(structure_element(flavor, field, i, j, cls), maxdeg)
+            diff = bracket(images[i], images[j]) - rhs
+            if not diff.is_zero:
+                out.append((i, j, diff))
+    return out
+
+
+def check_symplecto(endo):
+    """Raise NotSymplectic unless the endo preserves the Poisson bracket."""
     if endo.side != "P":
         raise SideMismatch("symplecto check applies to the commutative side")
-    flavor, field = endo.flavor, endo.field
-    g = flavor.main_count
-    for i in range(g):
-        for j in range(i + 1, g):
-            lhs = poisson_bracket(endo.images[i], endo.images[j])
-            rhs = endo.apply(structure_element(flavor, field, i, j))
-            if lhs != rhs:
-                if raise_on_fail:
-                    raise NotSymplectic(
-                        f"bracket of images {i}, {j} differs from the image "
-                        "of the bracket"
-                    )
-                return False
-    return True
-
-
-def check_weyl_endo(endo, raise_on_fail=True):
-    """Commutator preservation [phi g_i, phi g_j] = phi([g_i, g_j])."""
-    if endo.side != "W":
-        raise SideMismatch("commutator check applies to the ordered side")
-    flavor, field = endo.flavor, endo.field
-    g = flavor.main_count
-    for i in range(g):
-        for j in range(i + 1, g):
-            lhs = weyl_commutator(endo.images[i], endo.images[j])
-            rhs = endo.apply(weyl_structure(flavor, field, i, j))
-            if lhs != rhs:
-                if raise_on_fail:
-                    raise NotSymplectic(
-                        f"commutator of images {i}, {j} differs from the image "
-                        "of the commutator"
-                    )
-                return False
-    return True
+    violations = bracket_violations(endo)
+    if violations:
+        i, j, _ = violations[0]
+        raise NotSymplectic(
+            f"bracket of images {i}, {j} differs from the image of the bracket"
+        )
 
 
 def jacobian_is_unit(endo):
@@ -378,29 +378,13 @@ def jacobian_is_unit(endo):
     return det.constant_term()
 
 
-def endo_rank(endo, grading=None):
+def endo_rank(endo):
     """Least graded degree where the endo deviates from the identity."""
-    gr = grading or Grading.default_for(endo.flavor)
-    heights = [d.height(gr) for d in endo.deviations()]
+    heights = [d.height() for d in endo.deviations()]
     return min(heights) if heights else math.inf
 
 
-def in_hn(endo, n, grading=None):
-    return endo_rank(endo, grading) >= n
-
-
-def endo_distance(a, b, grading=None):
-    """exp(-Ht(a - b)) over all generator images."""
-    if a.flavor != b.flavor or a.side != b.side:
-        raise FlavorMismatch("distance needs endos of one flavor and side")
-    gr = grading or Grading.default_for(a.flavor)
-    ht = math.inf
-    for x, y in zip(a.all_images(), b.all_images()):
-        ht = min(ht, (x - y).height(gr))
-    return math.exp(-ht) if ht != math.inf else 0.0
-
-
-def truncated_inverse(endo, n, grading=None):
+def truncated_inverse(endo, n):
     """Endo psi with compose(endo, psi) = Id modulo degrees above n.
 
     Successive substitution: start from the inverse of the linear part,
@@ -408,9 +392,7 @@ def truncated_inverse(endo, n, grading=None):
     the opposite composition before returning.
     """
     flavor, field = endo.flavor, endo.field
-    gr = grading or Grading.default_for(flavor)
     linv = mat_inv(field, endo.linear_part())
-    psi = Endo.linear(endo.side, flavor, field, linv)
     h_image = None
     if endo.h_image is not None:
         lam = _monomial_scale(endo.h_image, flavor.h_key(1))
@@ -435,23 +417,23 @@ def truncated_inverse(endo, n, grading=None):
             )
             for row in kinv
         ]
-    psi = Endo(endo.side, flavor, field, psi.images, h_image, k_images)
     linv_endo = Endo(endo.side, flavor, field, Endo.linear(
         endo.side, flavor, field, linv).images, h_image, k_images)
+    psi = linv_endo
     last = -1
     for _ in range(n + 2):
-        err = endo.compose(psi, maxdeg=n, grading=gr)
+        err = endo.compose(psi, maxdeg=n)
         devs = [
             img - endo.element_cls().generator(field, flavor, i)
             for i, img in enumerate(err.images)
         ]
-        ht = min((d.height(gr) for d in devs), default=math.inf)
+        ht = min((d.height() for d in devs), default=math.inf)
         if ht > n:
             break
         if ht <= last:
             raise StageStall(f"no progress past height {ht}")
         last = ht
-        corrections = [linv_endo.apply(d, maxdeg=n, grading=gr) for d in devs]
+        corrections = [linv_endo.apply(d, maxdeg=n) for d in devs]
         psi = Endo(
             endo.side,
             flavor,
@@ -462,10 +444,10 @@ def truncated_inverse(endo, n, grading=None):
         )
     else:
         raise StageStall("truncated inverse did not converge")
-    back = psi.compose(endo, maxdeg=n, grading=gr)
+    back = psi.compose(endo, maxdeg=n)
     ident = Endo.identity(endo.side, flavor, field)
     for img, gen in zip(back.images, ident.images):
-        if not (img - gen).truncate(n, gr).is_zero:
+        if not (img - gen).truncate(n).is_zero:
             raise StageStall("one-sided inverse only; endo is not invertible")
     return psi
 
@@ -511,14 +493,13 @@ def diagonal_conjugate(endo, slot, weights):
     )
 
 
-def dilation_conjugate(endo, e, grading=None):
-    """Conjugate by the grading dilation g -> t^(e w(g)) g, w the grading
-    weight of the main generators and of h (see diagonal_conjugate).
+def dilation_conjugate(endo, e):
+    """Conjugate by the dilation g -> t^(e w(g)) g, w the flavor's weight
+    of each main generator and of h (see diagonal_conjugate).
 
-    With the default grading the graded degree-m part of each main image
-    picks up t^((m-1)e); a multiple of h is left as it is.
+    The graded degree-m part of each main image picks up t^((m-1)e); a
+    multiple of h is left as it is.
     """
     flavor = endo.flavor
-    gr = grading or Grading.default_for(flavor)
-    weights = [e * gr.main] * flavor.main_count + [e * gr.h] * flavor.has_h
+    weights = [e * w for w in flavor.weights[: flavor.k_start]]
     return diagonal_conjugate(endo, flavor.t_slot, weights)

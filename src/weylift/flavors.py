@@ -1,6 +1,7 @@
 """Bracket flavors and the graded exponent-key layout.
 
-A flavor fixes the generator set and the structure constants:
+A flavor fixes the generator set, the structure constants and the
+weights of the graded degree:
 
 * "standard"  - 2m generators x_1..x_m, p_1..p_m with {p_i, x_j} = delta_ij
 * "haug"      - the same generators plus a central h, {p_i, x_j} = h delta_ij
@@ -15,9 +16,16 @@ tuple: main generators first, then h (if present), then the k symbols in
 (i, j) lexicographic order, and a trailing exponent for the deformation
 parameter t.  The h and t slots may be negative (Laurent directions);
 main and k exponents are always nonnegative.
+
+The weights (BracketFlavor.weights) are one per key slot: every main
+generator weighs 1, h weighs 2 on haug (so {p_i, x_j} = h delta_ij is
+homogeneous) and 0 on skew, each k symbol 2 (so {xi_i, xi_j} = h k_ij
+is), and t 0.  Degree, height, truncation and rank all use them.
 """
 
 from __future__ import annotations
+
+from operator import mul as _mul
 
 from .errors import IndexOutOfRange, WeyliftError
 
@@ -32,7 +40,7 @@ class BracketFlavor:
         "kind", "n", "aux", "names",
         "pairs", "main_count", "has_h", "has_k",
         "k_pairs", "_k_pos", "h_slot", "k_start", "t_slot", "key_len",
-        "contractions",
+        "contractions", "weights",
     )
 
     def __init__(self, kind: str, n: int, aux: bool = False, names=None):
@@ -57,6 +65,13 @@ class BracketFlavor:
         self.k_start = g + (1 if self.has_h else 0)
         self.t_slot = self.k_start + len(self.k_pairs)
         self.key_len = self.t_slot + 1
+        # One weight per key slot: main generators, h, the k symbols, t.
+        self.weights = (
+            (1,) * g
+            + (2 if kind == HAUG else 0,) * self.has_h
+            + (2,) * len(self.k_pairs)
+            + (0,)
+        )
         # (j, i, central slots, sign) for each g_j after g_i in the normal
         # order that does not commute with it: [g_j, g_i] = sign * the
         # product of the central slots.
@@ -123,6 +138,10 @@ class BracketFlavor:
         key = [0] * self.key_len
         key[self.t_slot] = e
         return tuple(key)
+
+    def weight(self, key: tuple) -> int:
+        """Graded degree of a monomial key."""
+        return sum(map(_mul, self.weights, key))
 
     def main_exponents(self, key: tuple) -> tuple:
         return key[: self.main_count]
@@ -227,43 +246,11 @@ class BracketFlavor:
 
 
 class Grading:
-    """Weights used by degree, height, rank, and truncation.
-
-    Main generators always weigh ``main``; h and k weigh 0 or 2 depending
-    on the flavor.  The t slot never contributes.
+    """Kept for the benchmark's output check (perfbench/workloads.py) only,
+    which passes Grading.default_for(flavor) as truncate's second argument.
+    The weights are the flavor's own (BracketFlavor.weights).
     """
 
-    __slots__ = ("main", "h", "k")
-
-    def __init__(self, main: int = 1, h: int = 0, k: int = 0):
-        self.main = main
-        self.h = h
-        self.k = k
-
     @staticmethod
-    def default_for(flavor: BracketFlavor) -> "Grading":
-        if flavor.kind == HAUG:
-            return Grading(1, 2, 0)
-        if flavor.kind == SKEW:
-            return Grading(1, 0, 2)
-        return Grading(1, 0, 0)
-
-    def weight(self, flavor: BracketFlavor, key: tuple) -> int:
-        w = self.main * sum(key[: flavor.main_count])
-        if flavor.has_h and self.h:
-            w += self.h * key[flavor.h_slot]
-        if flavor.has_k and self.k:
-            w += self.k * sum(key[flavor.k_start : flavor.k_start + len(flavor.k_pairs)])
-        return w
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Grading)
-            and (self.main, self.h, self.k) == (other.main, other.h, other.k)
-        )
-
-    def __hash__(self):
-        return hash((self.main, self.h, self.k))
-
-    def __repr__(self):
-        return f"Grading(main={self.main}, h={self.h}, k={self.k})"
+    def default_for(flavor: BracketFlavor) -> tuple:
+        return flavor.weights

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from .elements import SparseElement, ordered_mul
 from .errors import IndexOutOfRange, PositiveCharacteristic, WeyliftError
-from .flavors import STANDARD, BracketFlavor, Grading
+from .flavors import STANDARD, BracketFlavor
 
 
 class Poly(SparseElement):
@@ -16,15 +16,14 @@ class Poly(SparseElement):
         if isinstance(other, int):
             return self.scale(self.field.from_int(other))
         self._check_compatible(other)
-        return ordered_mul(self, other, (), None, None)
+        return ordered_mul(self, other, (), None)
 
     __rmul__ = __mul__
 
-    def mul_truncated(self, other, maxdeg, grading=None):
-        """Product with terms of weighted degree above maxdeg dropped."""
+    def mul_truncated(self, other, maxdeg):
+        """Product with terms of graded degree above maxdeg dropped."""
         self._check_compatible(other)
-        g = grading or Grading.default_for(self.flavor)
-        return ordered_mul(self, other, (), maxdeg, g)
+        return ordered_mul(self, other, (), maxdeg)
 
     def partial(self, i: int) -> "Poly":
         """Formal partial derivative in the i-th main generator."""

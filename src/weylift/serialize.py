@@ -13,11 +13,9 @@ import json
 from fractions import Fraction
 
 from .endo import Endo, element_class
-from .errors import WeyliftError
 from .fields import Field
 from .flavors import BracketFlavor
 from .grammar import element_to_text, parse_element
-from .singlift import DiagonalCurve
 from .tame import SHIFT, SP, LIN, ElementaryGen, TameWord
 
 SCHEMA = "weylift/1"
@@ -120,10 +118,6 @@ def word_from_json(doc):
     return TameWord(doc["kind"], doc["n"], [_gen_from_json(g) for g in doc["gens"]])
 
 
-def curve_from_json(doc):
-    return DiagonalCurve(doc["weights"])
-
-
 def load_json(path):
     with open(path) as fh:
         return json.load(fh)
@@ -133,14 +127,3 @@ def dump_json(doc, path):
     with open(path, "w") as fh:
         json.dump(doc, fh, sort_keys=True, indent=2)
         fh.write("\n")
-
-
-def object_from_json(doc):
-    """Dispatch on document shape: endo, word, or curve."""
-    if "images" in doc:
-        return endo_from_json(doc)
-    if "gens" in doc:
-        return word_from_json(doc)
-    if "weights" in doc:
-        return curve_from_json(doc)
-    raise WeyliftError("document is not an endo, word, or curve")

@@ -24,6 +24,7 @@ from .approx import approximate, stage_prefix
 from .charp import phi_p
 from .endo import (
     Endo,
+    bracket_violations,
     check_symplecto,
     diagonal_conjugate,
     jacobian_is_unit,
@@ -38,10 +39,9 @@ from .errors import (
     WeyliftError,
 )
 from .fields import Field
-from .flavors import HAUG, STANDARD, BracketFlavor, Grading
+from .flavors import HAUG, STANDARD, BracketFlavor
 from .poly import Poly, poisson_bracket
 from .tame import LIN, SP, TameWord, evaluate, gen_endo, transport
-from .weyl import weyl_commutator, weyl_structure
 
 STABILIZATION_MARGIN = 2
 
@@ -70,10 +70,6 @@ class DiagonalCurve:
 
     def __hash__(self):
         return hash(self.weights)
-
-
-def curve_order(curve):
-    return curve.order()
 
 
 def conjugate_by_curve(endo, curve):
@@ -240,31 +236,10 @@ def _word_is_p_integral(word, p):
 
 
 def lifted_commutation_check(images, flavor):
-    """Compare every pairwise commutator with the structure constants."""
-    violations = []
-    field = images[0].field
-    for i in range(len(images)):
-        for j in range(i + 1, len(images)):
-            got = weyl_commutator(images[i], images[j])
-            want = weyl_structure(flavor, field, i, j)
-            if got != want:
-                violations.append((i, j, got - want))
+    """The commutator table of ordered images (endo.bracket_violations)."""
+    endo = Endo("W", flavor, images[0].field, images, allow_free_term=True)
+    violations = bracket_violations(endo)
     return {"ok": not violations, "violations": violations}
-
-
-def _truncated_commutation_ok(endo, maxdeg, grading):
-    """Commutator table of a graded truncation, checked below maxdeg."""
-    flavor, field = endo.flavor, endo.field
-    g = flavor.main_count
-    for i in range(g):
-        for j in range(i + 1, g):
-            lhs = endo.images[i].mul_truncated(
-                endo.images[j], maxdeg, grading
-            ) - endo.images[j].mul_truncated(endo.images[i], maxdeg, grading)
-            rhs = endo.apply(weyl_structure(flavor, field, i, j), maxdeg, grading)
-            if lhs != rhs:
-                return False
-    return True
 
 
 def lift(sigma, n, primes=()):
@@ -296,7 +271,6 @@ def lift(sigma, n, primes=()):
                     "lift expects identity linear part; peel it with a tame word"
                 )
     hflavor = BracketFlavor(HAUG, flavor.pairs)
-    hgrading = Grading.default_for(hflavor)
     deg_sigma = max(img.degree() for img in sigma.images)
     stable_height = max(1, min(n - 2, 2 * deg_sigma + STABILIZATION_MARGIN))
 
@@ -311,7 +285,6 @@ def lift(sigma, n, primes=()):
             hflavor,
             field,
             maxdeg=n,
-            grading=hgrading,
             start=start,
         )
 
@@ -328,7 +301,7 @@ def lift(sigma, n, primes=()):
         cut = len(stage_prefix(word, report, n - 1))
         trunc_prev = truncated(wword.gens[:cut])
         trunc_n = truncated(wword.gens[cut:], start=trunc_prev)
-        witness = _first_difference(trunc_n, trunc_prev, stable_height, hgrading)
+        witness = _first_difference(trunc_n, trunc_prev, stable_height)
         certificate["stabilization"] = "pass" if witness is None else "fail"
         if witness is not None:
             raise StabilizationFailure(
@@ -341,7 +314,7 @@ def lift(sigma, n, primes=()):
         certificate["stabilization"] = "trivial"
 
     trunc_alt = truncated(word_alt.gens)
-    witness = _first_difference(trunc_n, trunc_alt, n - 1, hgrading)
+    witness = _first_difference(trunc_n, trunc_alt, n - 1)
     certificate["canonicity"] = "pass" if witness is None else "fail"
     if witness is not None:
         certificate["canonicity_witness"] = witness
@@ -358,11 +331,10 @@ def lift(sigma, n, primes=()):
         certificate["commutation"] = "pass" if comm["ok"] else "fail"
         certificate["commutation_violations"] = len(comm["violations"])
     else:
-        ok = _truncated_commutation_ok(trunc_n, n, hgrading)
+        ok = not bracket_violations(trunc_n, n)
         certificate["commutation"] = "pass" if ok else "fail"
 
     certificate["primes"] = {}
-    pgrading = Grading.default_for(flavor)
     # Reduction mod p commutes with evaluating a p-integral word, so the
     # evaluations over Q serve every prime.
     ev_q = None
@@ -374,10 +346,10 @@ def lift(sigma, n, primes=()):
             certificate["primes"][str(p)] = entry
             continue
         if ev_q is None:
-            ev_q = evaluate(wword, "P", flavor, field, maxdeg=n - 1, grading=pgrading)
+            ev_q = evaluate(wword, "P", flavor, field, maxdeg=n - 1)
         sigma_p = sigma.map_coefficients(fp.from_fraction, fp)
         ev_p = [img.map_coefficients(fp.from_fraction, fp) for img in ev_q.images]
-        target_p = [img.truncate(n - 1, pgrading) for img in sigma_p.images]
+        target_p = [img.truncate(n - 1) for img in sigma_p.images]
         entry["reduction_consistency"] = "pass" if ev_p == target_p else "fail"
         entry["status"] = _prime_status(exact, sigma_p, wword, flavor, fp)
         certificate["primes"][str(p)] = entry
@@ -394,13 +366,13 @@ def lift(sigma, n, primes=()):
     return (exact if exact is not None else trunc_n), certificate
 
 
-def _first_difference(a, b, height, grading):
+def _first_difference(a, b, height):
     """{"image": i, "height": h} for the first main image i where a and b
     differ at graded heights up to height, h the lowest such; else None."""
     for i, (x, y) in enumerate(zip(a.images, b.images)):
-        diff = (x - y).truncate(height, grading)
+        diff = (x - y).truncate(height)
         if not diff.is_zero:
-            return {"image": i, "height": diff.height(grading)}
+            return {"image": i, "height": diff.height()}
     return None
 
 
@@ -499,16 +471,3 @@ def twist_conjugate(phi, psi, phi_inv=None, order=None):
                 "negative powers of h survive; raise the twist exponent k"
             )
     return out
-
-
-def h_weight_conjugate(endo, exponents):
-    """Conjugate by the diagonal h-rescaling g_i -> h^(e_i) g_i.
-
-    The monomial rule matches conjugate_by_curve with h in place of t,
-    k_ab weighing e_a + e_b, so images may pick up negative h powers;
-    useful for building h-Laurent subjects for the twist.
-    """
-    flavor = endo.flavor
-    if not flavor.has_h:
-        raise WeyliftError("h rescaling needs an h symbol")
-    return diagonal_conjugate(endo, flavor.h_slot, (*exponents, 0))

@@ -35,7 +35,7 @@ from .errors import (
     WrongArity,
 )
 from .fields import QQ
-from .flavors import STANDARD, BracketFlavor, Grading
+from .flavors import STANDARD, BracketFlavor
 from .linalg import mat_inv, mat_mul, omega_matrix_raw, symplectic_inverse
 
 SP = "sp"
@@ -205,7 +205,7 @@ def gen_endo(gen, side, flavor, field):
     return Endo(side, flavor, field, images)
 
 
-def evaluate(word, side, flavor, field, maxdeg=None, grading=None, start=None):
+def evaluate(word, side, flavor, field, maxdeg=None, start=None):
     """The endo start . g1 . .. . gk of the word [g1, .., gk], truncated
     above graded degree maxdeg when one is given.
 
@@ -244,11 +244,10 @@ def evaluate(word, side, flavor, field, maxdeg=None, grading=None, start=None):
     if maxdeg is None:
         mul = cls.__mul__
     else:
-        gr = grading or Grading.default_for(flavor)
-        images = [img.truncate(maxdeg, gr) for img in images]
+        images = [img.truncate(maxdeg) for img in images]
 
         def mul(a, b):
-            return a.mul_truncated(b, maxdeg, gr)
+            return a.mul_truncated(b, maxdeg)
 
     g = flavor.main_count
     images, extra = images[:g], images[g:]

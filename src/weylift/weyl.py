@@ -18,8 +18,8 @@ from .errors import (
     PositiveCharacteristic,
     WeyliftError,
 )
-from .flavors import HAUG, SKEW, Grading
-from .poly import Poly, structure_element
+from .flavors import STANDARD
+from .poly import Poly
 
 
 class WeylElt(SparseElement):
@@ -31,32 +31,24 @@ class WeylElt(SparseElement):
         if isinstance(other, int):
             return self.scale(self.field.from_int(other))
         self._check_compatible(other)
-        return ordered_mul(self, other, self.flavor.contractions, None, None)
+        return ordered_mul(self, other, self.flavor.contractions, None)
 
     def __rmul__(self, other):
         if isinstance(other, int):
             return self.scale(self.field.from_int(other))
         return NotImplemented
 
-    def mul_truncated(self, other, maxdeg, grading=None):
-        """Graded-truncated product; needs a weight the reordering preserves."""
+    def mul_truncated(self, other, maxdeg):
+        """Graded-truncated product.  On haug and skew every bracket is
+        homogeneous in the flavor's weights, so reordering keeps the graded
+        degree; the standard flavor's [d_i, x_i] = 1 lowers it by 2 and is
+        refused."""
         self._check_compatible(other)
-        g = grading or Grading.default_for(self.flavor)
-        _require_graded(self.flavor, g)
-        return ordered_mul(self, other, self.flavor.contractions, maxdeg, g)
-
-
-def _require_graded(flavor, grading):
-    if flavor.kind == HAUG:
-        ok = grading.h == 2 * grading.main
-    elif flavor.kind == SKEW:
-        ok = grading.h == 0 and grading.k == 2 * grading.main
-    else:
-        ok = False
-    if not ok:
-        raise WeyliftError(
-            "truncated Weyl products need the reordering-invariant grading"
-        )
+        if self.flavor.kind == STANDARD:
+            raise WeyliftError(
+                "truncated Weyl products need the reordering-invariant grading"
+            )
+        return ordered_mul(self, other, self.flavor.contractions, maxdeg)
 
 
 def weyl_commutator(a: WeylElt, b: WeylElt) -> WeylElt:
@@ -127,8 +119,3 @@ def from_center_coordinates(c: Poly, flavor, p=None, cls=WeylElt) -> WeylElt:
         tuple(e * p for e in key[:g]) + key[g:]: coeff for key, coeff in c.terms.items()
     }
     return out
-
-
-def weyl_structure(flavor, field, i, j) -> WeylElt:
-    """[g_i, g_j] as a normal-ordered element."""
-    return structure_element(flavor, field, i, j, cls=WeylElt)

@@ -169,9 +169,9 @@ def oracle_binary_power(elem, e):
     return acc
 
 
-def oracle_commutative_mul(a, b, maxdeg=None, grading=None):
+def oracle_commutative_mul(a, b, maxdeg=None):
     """Commutative product term pair by term pair, through Field.mul and
-    Field.add, with the terms of weighted degree above maxdeg dropped
+    Field.add, with the terms of graded degree above maxdeg dropped
     unless maxdeg is None.
 
     Every sum is reduced as it is taken, so it shares neither the product
@@ -182,7 +182,7 @@ def oracle_commutative_mul(a, b, maxdeg=None, grading=None):
     for k1, c1 in a.terms.items():
         for k2, c2 in b.terms.items():
             key = tuple(x + y for x, y in zip(k1, k2))
-            if maxdeg is not None and grading.weight(flavor, key) > maxdeg:
+            if maxdeg is not None and flavor.weight(key) > maxdeg:
                 continue
             c = field.mul(c1, c2)
             terms[key] = field.add(terms[key], c) if key in terms else c
@@ -240,12 +240,12 @@ def sympy_jacobian(images, syms):
 
 # ------------------------------------------------------------- tame words
 
-def oracle_evaluate(word, side, flavor, field, maxdeg=None, grading=None):
+def oracle_evaluate(word, side, flavor, field, maxdeg=None):
     """g1 . .. . gk by composing gen_endo(g) after the accumulated endo,
     from the rightmost letter to the leftmost."""
     acc = Endo.identity(side, flavor, field)
     for gen in reversed(word.gens):
-        acc = gen_endo(gen, side, flavor, field).compose(acc, maxdeg, grading)
+        acc = gen_endo(gen, side, flavor, field).compose(acc, maxdeg)
     return acc
 
 

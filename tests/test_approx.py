@@ -40,7 +40,6 @@ from weylift.errors import (
     WeyliftError,
     ZeroCovector,
 )
-from weylift.flavors import Grading
 from weylift.linalg import mat_mul
 from weylift.tame import evaluate, gen_endo, random_tame
 
@@ -100,7 +99,6 @@ def test_deviation_not_hamiltonian():
 
 def test_hamiltonian_round_trip_random():
     rng = random.Random(17)
-    gr = Grading.default_for(FL2)
     for degree in (2, 3, 4):
         for _ in range(6):
             h = random_homogeneous(rng, FL2, degree + 1)
@@ -250,10 +248,9 @@ def test_approximate_handles_linear_part():
     check_symplecto(rot)
     word, report = approximate(rot, 4)
     assert word.gens[0].kind == "sp"
-    gr = Grading.default_for(FL1)
-    got = evaluate(word, "P", FL1, QQ, maxdeg=3, grading=gr)
+    got = evaluate(word, "P", FL1, QQ, maxdeg=3)
     for a, b in zip(got.images, rot.images):
-        assert a == b.truncate(3, gr)
+        assert a == b.truncate(3)
 
 
 def test_approximate_random_words():
@@ -262,10 +259,9 @@ def test_approximate_random_words():
         target = evaluate(word, "P", FL2, QQ)
         for tie_break in ("lex", "alt"):
             approx_word, report = approximate(target, 4, tie_break=tie_break)
-            gr = Grading.default_for(FL2)
-            got = evaluate(approx_word, "P", FL2, QQ, maxdeg=3, grading=gr)
+            got = evaluate(approx_word, "P", FL2, QQ, maxdeg=3)
             for a, b in zip(got.images, target.images):
-                assert a == b.truncate(3, gr)
+                assert a == b.truncate(3)
             if report["residual_height"] is not None:
                 assert report["residual_height"] >= 4
 
@@ -275,14 +271,13 @@ def test_heavy_word_fits_the_basis_bound():
     # at most C(6, 3) + C(7, 4) = 55 correctors of 3 letters, plus the
     # linear letter.
     target = evaluate(random_tame(2, 4, 2, seed=5), "P", FL2, QQ)
-    gr = Grading.default_for(FL2)
     for tie_break in ("lex", "alt"):
         word, report = approximate(target, 4, tie_break=tie_break)
         assert report["stages"][2] <= comb(6, 3) and report["stages"][3] <= comb(7, 4)
         assert len(word) <= 166
-        got = evaluate(word, "P", FL2, QQ, maxdeg=3, grading=gr)
+        got = evaluate(word, "P", FL2, QQ, maxdeg=3)
         for a, b in zip(got.images, target.images):
-            assert a == b.truncate(3, gr)
+            assert a == b.truncate(3)
 
 
 def test_approximate_raises_rank_of_residual():
@@ -341,7 +336,6 @@ def test_undo_shift_matches_compose():
     # maxdeg 6 and 7, and d = 4 reaches m = 2 at maxdeg 6 and 7.
     rng = random.Random(23)
     for flavor in (FL1, FL2):
-        gr = Grading.default_for(flavor)
         for d in (3, 4, 5):
             for maxdeg in range(3, 8):
                 for _ in range(2):
@@ -361,8 +355,8 @@ def test_undo_shift_matches_compose():
                     lam = Fraction(rng.choice((-3, -1, 1, 2)), rng.randint(1, 4))
                     term = WaringTerm(lam, covector, d)
                     undo = hamiltonian_shift_endo(-term.potential(QQ, flavor))
-                    want = undo.compose(residual, maxdeg, gr)
-                    assert undo_shift(residual, term, maxdeg, gr) == want, (
+                    want = undo.compose(residual, maxdeg)
+                    assert undo_shift(residual, term, maxdeg) == want, (
                         term, maxdeg, residual,
                     )
 

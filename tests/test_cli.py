@@ -9,7 +9,7 @@ import pytest
 
 from weylift import BracketFlavor, Endo, QQ, parse_element
 from weylift.cli import main, run_command
-from weylift.serialize import dump_json, endo_to_json, load_json, object_from_json
+from weylift.serialize import dump_json, endo_from_json, endo_to_json, load_json
 from weylift.tame import ElementaryGen, TameWord, evaluate, random_tame
 
 FL1 = BracketFlavor("standard", 1)
@@ -148,7 +148,7 @@ def test_compose(tmp_path):
     out = tmp_path / "out.json"
     rep, code = run_command(["compose", a, str(b), "--out", str(out)])
     assert code == 0
-    combined = object_from_json(load_json(str(out)))
+    combined = endo_from_json(load_json(str(out)))
     lhs = Endo("P", FL1, QQ, [pelt("x1 + p1^2"), pelt("p1")])
     rhs = Endo("P", FL1, QQ, [pelt("x1"), pelt("p1 + x1^2")])
     assert combined.images == lhs.compose(rhs).images
@@ -332,6 +332,8 @@ _PINNED = [
     (["approximate", "--in", "{mixed}", "--order", "6"], "e36e9a103b60ebdebeacafa42b46cf9be7e09921974200052779ec931ed8531e"),
     (["approximate", "--in", "{mixed}", "--order", "6", "--tie-break", "alt"], "8f27c41527c2506f7b592a4cb97491ccfa6551a87e8f3521e25dbc7b2dc98c9f"),
     (["lift", "--in", "{composite}", "--order", "5", "--primes", "3,5,7"], "574e5e31184753930c4e89c17d611aed9bc5f1a4288f7c96764e9010accbc4cb"),
+    (["check", "--in", "{shear}"], "672bb016eacdb4041360afcafe6ab0e8c00cb2bf38f266ed6124f3e694e1785e"),
+    (["check", "--in", "{weyl}"], "3b0e001fcca1b96b8f1948b259ef8970e454856cf0b717c09fb44fcbac7a4afd"),
     (["phi-p", "--in", "{weyl}", "--prime", "3"], "6b8ef1b4d1308a094d670a830520c2b8f4d8aaece8e9b7dd44f4a46dabd0eff4"),
     (["phi-p", "--in", "{weyl}", "--prime", "5"], "b3e69a3f98751405096e2b650de29b6e562e0355c1ef93a817a1c06233d715b2"),
     (["singscan", "--in", "{shear}", "--order", "3"], "76543f19daacba5a49aaf2fd902beab39d32d24c8ff38c843661578136fe6c4c"),

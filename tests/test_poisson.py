@@ -123,14 +123,24 @@ def test_jacobian_of_shear_is_one():
 def test_truncated_mul_is_truncation_of_mul():
     flavor = BracketFlavor(STANDARD, 2)
     rng = random.Random(3)
-    from weylift import Grading
-
-    gr = Grading.default_for(flavor)
     for _ in range(20):
         f = random_poly(rng, QQ, flavor)
         g = random_poly(rng, QQ, flavor)
         for maxdeg in (1, 2, 3):
-            assert f.mul_truncated(g, maxdeg, gr) == (f * g).truncate(maxdeg, gr)
+            assert f.mul_truncated(g, maxdeg) == (f * g).truncate(maxdeg)
+
+
+def test_flavor_weights():
+    # Slots: main generators, h, the k symbols, t.
+    assert BracketFlavor(STANDARD, 1).weights == (1, 1, 0)
+    assert BracketFlavor(HAUG, 1).weights == (1, 1, 2, 0)
+    assert BracketFlavor(SKEW, 1).weights == (1, 1, 0, 2, 0)
+    hfl = BracketFlavor(HAUG, 1)
+    elem = parse_element("x1^2*p1*h + p1^2 + h^2", QQ, hfl, "P")
+    assert (elem.degree(), elem.height()) == (5, 2)
+    assert str(elem.homogeneous_part(4)) == "h^2"
+    # perfbench/workloads.py passes Grading.default_for(flavor) to truncate.
+    assert elem.truncate(4, Grading.default_for(hfl)) == elem.truncate(4)
 
 
 def test_flavor_mismatch_rejected():
@@ -159,15 +169,12 @@ def test_product_matches_term_pair_oracle(field):
     # the oracle reduces every sum as it goes.
     rng = random.Random(700 + field.order)
     for fl in (BracketFlavor(STANDARD, 2), BracketFlavor(HAUG, 2), BracketFlavor(SKEW, 2)):
-        gr = Grading.default_for(fl)
         for _ in range(10):
             a = random_poly(rng, field, fl, max_terms=6, max_deg=4)
             b = random_poly(rng, field, fl, max_terms=6, max_deg=4)
             assert a * b == oracle_commutative_mul(a, b)
             for maxdeg in (2, 4, 6):
-                assert a.mul_truncated(b, maxdeg, gr) == oracle_commutative_mul(
-                    a, b, maxdeg, gr
-                )
+                assert a.mul_truncated(b, maxdeg) == oracle_commutative_mul(a, b, maxdeg)
 
 
 def test_parse_print_round_trip_random():
