@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -166,10 +167,7 @@ def _cmd_phi_p(args):
     payload = endo_to_json(center)
     _maybe_out(args, payload)
     ok = not bracket_violations(center)
-    result = {
-        "endo": payload,
-        "images": [element_to_text(img, "P") for img in center.images],
-    }
+    result = {"endo": payload, "images": list(payload["images"])}
     return {"endo": doc, "prime": args.prime}, result, {"symplecto": ok}, ok
 
 
@@ -350,8 +348,14 @@ def run_command(argv):
 
 def main(argv=None):
     report, code = run_command(sys.argv[1:] if argv is None else argv)
-    json.dump(report, sys.stdout, sort_keys=True, indent=2)
-    sys.stdout.write("\n")
+    try:
+        json.dump(report, sys.stdout, sort_keys=True, indent=2)
+        sys.stdout.write("\n")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed early.  Point stdout at devnull so that the
+        # interpreter's final flush cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 

@@ -59,6 +59,18 @@ def sum_terms(field: Field, pairs) -> dict:
     return sweep(field, terms)
 
 
+def guard_expansion(elt, limit=None):
+    """elt itself, or ExpansionBoundExceeded when it has more than limit
+    terms (EXPANSION_BOUND by default)."""
+    if limit is None:
+        limit = EXPANSION_BOUND
+    if len(elt.terms) > limit:
+        raise ExpansionBoundExceeded(
+            f"intermediate expansion hit {len(elt.terms)} terms (bound {limit})"
+        )
+    return elt
+
+
 class SparseElement:
     """Base class: exact sparse linear combinations of exponent keys."""
 
@@ -192,14 +204,9 @@ class SparseElement:
         """
         if not isinstance(e, int) or e < 0:
             raise InvalidExponent(f"exponent must be an int >= 0, got {e!r}")
-        limit = EXPANSION_BOUND if bound is None else bound
         acc = type(self).one(self.field, self.flavor)
         for _ in range(e):
-            acc = acc * self
-            if len(acc.terms) > limit:
-                raise ExpansionBoundExceeded(
-                    f"intermediate expansion hit {len(acc.terms)} terms (bound {limit})"
-                )
+            acc = guard_expansion(acc * self, bound)
         return acc
 
     # -- degree and height ------------------------------------------------------

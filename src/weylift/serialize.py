@@ -8,7 +8,6 @@ encoding (sorted keys, tight separators) so equal objects hash equal.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from fractions import Fraction
 
@@ -18,6 +17,16 @@ from .flavors import BracketFlavor
 from .grammar import element_to_text, parse_element
 from .tame import SHIFT, SP, LIN, ElementaryGen, TameWord
 
+# The interpreter's built-in SHA-256, taken the way random.py takes SHA-512:
+# hashlib would load OpenSSL, some MB of resident memory, for one digest.
+try:
+    from _sha2 import sha256
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
+
 SCHEMA = "weylift/1"
 
 
@@ -26,7 +35,7 @@ def canonical_json(doc) -> str:
 
 
 def digest(doc) -> str:
-    return hashlib.sha256(canonical_json(doc).encode()).hexdigest()
+    return sha256(canonical_json(doc).encode()).hexdigest()
 
 
 def endo_to_json(endo):

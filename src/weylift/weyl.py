@@ -4,14 +4,22 @@ Products go through elements.ordered_mul with the flavor's contraction
 pairs.  Powers multiply by the base again and again rather than square:
 the right factor stays the short input, so each contraction order is
 capped by its degree, and a p-th power does fewer term products in all
-than by repeated squaring (Fateman, Stud. Appl. Math. 53, 1974).  Over
-F_p the p-th powers of the paired generators are central; this module
-also reads central elements in their p-th power coordinates.
+than by repeated squaring (Fateman, Stud. Appl. Math. 53, 1974).
+
+Over F_p, p-th powers take a closed form where Jacobson's formula
+(a + b)^p = a^p + b^p + sum_i s_i(a, b) collapses (Jacobson, Lie
+Algebras, 1962, ch. V): split a = l + F into its terms of main degree 1
+and the rest.  When F lies in a commutative algebra that ad(l) keeps,
+every s_i but one vanishes, and a^p is the sum of the p-th powers of the
+terms of a plus ad(l)^(p-1)(F).  This costs p - 1 products by l instead
+of p dense products, and covers every image of a shift or linear letter.
+The p-th powers of the paired generators are central; this module also
+reads central elements in their p-th power coordinates.
 """
 
 from __future__ import annotations
 
-from .elements import SparseElement, ordered_mul
+from .elements import SparseElement, guard_expansion, ordered_mul, sum_terms
 from .errors import (
     NotCentral,
     NotInPthPowerForm,
@@ -55,15 +63,51 @@ def weyl_commutator(a: WeylElt, b: WeylElt) -> WeylElt:
     return a * b - b * a
 
 
-def pth_power(a: WeylElt, bound: int | None = None) -> WeylElt:
-    """a^p in the residue characteristic, guarded by a term-count bound.
+def pth_power(a: WeylElt) -> WeylElt:
+    """a^p in the residue characteristic p, guarded by EXPANSION_BOUND.
 
-    Computed by bounded_power: p products with a on the right.
+    For p >= 3, let l be the terms of a of main degree 1, F the rest, and
+    S the main slots that occur in F.  When no contraction pair has both
+    of its slots in S, F lies in a commutative algebra that the central
+    slots extend and ad(l) keeps, so every nested commutator of Jacobson's
+    formula vanishes but ad(l)^(p-1)(F):
+
+        a^p = sum over the terms c m of a of c^p m^p + D^(p-1)(F),
+
+    with D(G) = G l - l G, which for odd p has the same (p-1)-th power as
+    ad(l).  Every other element, and p = 2, goes to bounded_power.
     """
     p = a.field.char
     if p == 0:
         raise PositiveCharacteristic("pth_power needs a finite field")
-    return bounded_power(a, p, bound)
+    closed = _jacobson_power(a, p) if p > 2 else None
+    return bounded_power(a, p) if closed is None else closed
+
+
+def _jacobson_power(a: WeylElt, p: int):
+    """The closed form of pth_power, or None outside its class."""
+    field, flavor = a.field, a.flavor
+    g = flavor.main_count
+    linear, rest = {}, {}
+    for key, c in a.terms.items():
+        (linear if sum(key[:g]) == 1 else rest)[key] = c
+    slots = {i for key in rest for i in range(g) if key[i]}
+    if any(j in slots and i in slots for j, i, _, _ in flavor.contractions):
+        return None
+    ell = WeylElt(field, flavor)
+    ell.terms = linear
+    acc = WeylElt(field, flavor)
+    acc.terms = rest
+    for _ in range(p - 1):
+        acc = acc * ell - ell * acc
+        if not acc.terms:
+            break
+    powers = [
+        (tuple(e * p for e in key), field.frobenius(c)) for key, c in a.terms.items()
+    ]
+    out = WeylElt(field, flavor)
+    out.terms = sum_terms(field, [*powers, *acc.terms.items()])
+    return guard_expansion(out)
 
 
 #: a^e with an optional term bound: the one guarded power routine.

@@ -3,13 +3,24 @@
 import copy
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import weylift
 from weylift import BracketFlavor, Endo, QQ, parse_element
 from weylift.cli import main, run_command
-from weylift.serialize import dump_json, endo_from_json, endo_to_json, load_json
+from weylift.serialize import (
+    canonical_json,
+    digest,
+    dump_json,
+    endo_from_json,
+    endo_to_json,
+    load_json,
+)
 from weylift.tame import ElementaryGen, TameWord, evaluate, random_tame
 
 FL1 = BracketFlavor("standard", 1)
@@ -259,6 +270,34 @@ def test_main_exit_and_stdout(tmp_path, capsys):
     assert code == 0
     parsed = json.loads(out)
     assert parsed["command"] == "check"
+
+
+def test_closed_stdout_ends_quietly(tmp_path):
+    # The reader is gone before the report is written: the command keeps
+    # its own exit code and stderr stays free of a traceback.
+    src = os.path.dirname(os.path.dirname(weylift.__file__))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "weylift.cli", "check", "--endo", shear_file(tmp_path)],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": src},
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 0
+    assert proc.stderr == b""
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [{}, [], {"b": [1, "2"], "a": {"z": None, "y": 1.5}}, {"endo": {"images": ["x1^2 + p1"]}}],
+)
+def test_digest_is_sha256_of_canonical_json(doc):
+    assert digest(doc) == hashlib.sha256(canonical_json(doc).encode()).hexdigest()
 
 
 def test_inputs_digest_stable(tmp_path):

@@ -243,6 +243,123 @@ def test_pth_power_matches_binary_power(p):
             assert pth_power(a) == oracle_binary_power(a, p)
 
 
+def in_class_elt(rng, field, flavor, top):
+    """Random l + F: l of main degree 1, F on main slots no two of which
+    contract, so F commutes with itself and pth_power takes its closed
+    form.  F holds g_s^(p-1) and l a partner of g_s, which makes
+    D^(p-1)(F) nonzero unless other terms cancel it; the other exponents
+    go up to top."""
+    g, p = flavor.main_count, field.char
+    order = rng.sample(range(g), g)
+    slots = {order[0]}
+    for s in order[1:]:
+        if rng.random() < 0.7 and not any(
+            {j, i} <= slots | {s} for j, i, _, _ in flavor.contractions
+        ):
+            slots.add(s)
+    partner = next(j + i - order[0] for j, i, _, _ in flavor.contractions
+                   if order[0] in (j, i))
+
+    def coeff():
+        c = field.from_coeffs([rng.randrange(field.p) for _ in range(field.k)])
+        return field.one() if field.is_zero(c) else c
+
+    def term(key):
+        if flavor.has_h and rng.random() < 0.3:
+            key[flavor.h_slot] = 1
+        return tuple(key), coeff()
+
+    linear = [[0] * flavor.key_len for _ in range(rng.randrange(1, 4))]
+    linear[0][partner] = 1
+    for key in linear[1:]:
+        key[rng.randrange(g)] = 1
+    rest = [[0] * flavor.key_len for _ in range(rng.randrange(1, 3))]
+    for key in rest:
+        for s in slots:
+            key[s] = rng.randrange(top + 1)
+    rest[0][order[0]] = p - 1
+    return WeylElt.from_terms(field, flavor, map(term, linear + rest))
+
+
+def _no_fallback(a, e):
+    raise AssertionError("the closed form fell back to bounded_power")
+
+
+def _powers_of_terms(a, power):
+    out = WeylElt.zero(a.field, a.flavor)
+    for key, c in a.terms.items():
+        out = out + power(WeylElt(a.field, a.flavor, {key: c}), a.field.char)
+    return out
+
+
+def test_pth_power_jacobson_fixture(monkeypatch):
+    # (x + d^2)^3 = x^3 + d^6 + ad(x)^2(d^2), and ad(x)^2(d^2) = 2 over F_3.
+    f3 = Field("Fp", 3)
+    fl = BracketFlavor(STANDARD, 1)
+    x, d = gens(f3, fl)
+    a = x + d * d
+    want = bounded_power(x, 3) + bounded_power(d, 6) + 2 * WeylElt.one(f3, fl)
+    assert oracle_power(a, 3) == want
+    monkeypatch.setattr("weylift.weyl.bounded_power", _no_fallback)
+    assert pth_power(a) == want
+
+
+@pytest.mark.parametrize("kind", [STANDARD, HAUG, SKEW])
+@pytest.mark.parametrize(
+    "field, oracle",
+    [(Field("Fp", 3), oracle_power), (Field("Fp", 5), oracle_power),
+     (Field("Fp", 7), oracle_power), (F9, oracle_power),
+     (Field("Fp", 11), oracle_binary_power), (Field("Fp", 13), oracle_binary_power)],
+    ids=lambda v: repr(v) if isinstance(v, Field) else "",
+)
+def test_pth_power_closed_form_matches_oracle(monkeypatch, field, oracle, kind):
+    # The closed form alone (the fallback is cut off) against the oracle,
+    # on elements where D^(p-1)(F) is nonzero as well as on ones where it
+    # vanishes.
+    p = field.char
+    rng = random.Random(700 + p * field.k)
+    cases = [(BracketFlavor(kind, 1), 3), (BracketFlavor(kind, 2), 2)]
+    if oracle is oracle_binary_power:
+        cases = cases[:1]
+    elements = [
+        in_class_elt(rng, field, fl, top) for fl, top in cases for _ in range(3)
+    ]
+    want = [oracle(a, p) for a in elements]
+    jacobson_terms = sum(w != _powers_of_terms(a, oracle) for a, w in zip(elements, want))
+    assert jacobson_terms > 0
+    monkeypatch.setattr("weylift.weyl.bounded_power", _no_fallback)
+    for a, w in zip(elements, want):
+        assert pth_power(a) == w, a
+
+
+def test_pth_power_outside_the_closed_form_matches_oracle():
+    # x d + ... has a contracting pair inside F, and p = 2 keeps the
+    # commutator term of Jacobson's formula: both go to bounded_power.
+    fl = BracketFlavor(STANDARD, 1)
+    for p in (2, 3, 5):
+        field = Field("Fp", p)
+        x, d = gens(field, fl)
+        for a in (x * d + x, x * d + d * d + x, bounded_power(x, 2) * d + d):
+            assert pth_power(a) == oracle_power(a, p)
+    hfl = BracketFlavor(HAUG, 2)
+    x1, x2, d1, d2 = gens(F9, hfl)
+    a = x1 * d1 * d2 + x2 + d1
+    assert pth_power(a) == oracle_power(a, 3)
+
+
+def test_pth_power_closed_form_is_bounded(monkeypatch):
+    import weylift.elements
+
+    f3 = Field("Fp", 3)
+    fl = BracketFlavor(STANDARD, 2)
+    x1, x2, d1, d2 = gens(f3, fl)
+    a = x1 + x2 + d1 + d2
+    monkeypatch.setattr(weylift.elements, "EXPANSION_BOUND", 3)
+    monkeypatch.setattr("weylift.weyl.bounded_power", _no_fallback)
+    with pytest.raises(ExpansionBoundExceeded):
+        pth_power(a)
+
+
 @pytest.mark.parametrize("e", [-1, -5, 1.0, 2.5, "3", None])
 def test_bounded_power_rejects_bad_exponent(e):
     fl = BracketFlavor(STANDARD, 1)
