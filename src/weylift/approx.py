@@ -340,7 +340,7 @@ def symplectic_completion(field, covector, flavor):
 CORRECTOR_LETTERS = 3
 
 
-def corrector(term, flavor, field=QQ, check=True):
+def corrector(term, flavor, field=QQ):
     """Word evaluating exactly to the unit shift of the term.
 
     The conjugating matrix moves the covector form onto the first
@@ -356,11 +356,9 @@ def corrector(term, flavor, field=QQ, check=True):
     gen_a = ElementaryGen(SP, a_fracs)
     inv_a = gen_a.inverse()
     gens = [inv_a, shift, gen_a]
-    if check:
-        got = evaluate(TameWord("symplectic", n, gens), "P", flavor, field)
-        expected = hamiltonian_shift_endo(term.potential(field, flavor))
-        if got != expected:
-            raise WeyliftError("corrector word failed its exactness check")
+    got = evaluate(TameWord("symplectic", n, gens), "P", flavor, field)
+    if got != hamiltonian_shift_endo(term.potential(field, flavor)):
+        raise WeyliftError("corrector word failed its exactness check")
     return gens
 
 

@@ -66,19 +66,17 @@ def restrict_to_center(endo):
     if flavor.kind not in (STANDARD, HAUG):
         raise WeyliftError("center restriction is defined for paired flavors")
     target = flavor.center_flavor()
-    images = []
+    slots = []
     for i, img in enumerate(endo.images):
         power = pth_power(img)
         if not is_central(power):
             raise InternalCentralityFailure(
                 f"p-th power of image {i} failed to be central"
             )
-        images.append(center_coordinates(power, check=False))
-    h_image = None
-    if flavor.has_h:
-        h_image = Poly(field, target)
-        h_image.terms = dict(endo.h_image.terms)
-    return Endo("P", target, field, images, h_image, allow_free_term=True)
+        slots.append(center_coordinates(power, check=False))
+    # The h image (haug only) carries over: the center flavor has the same key layout.
+    slots.extend(Poly(field, target, img.terms) for img in endo.slots[flavor.main_count :])
+    return Endo.from_slots("P", target, field, slots)
 
 
 def frobenius_twist(endo):

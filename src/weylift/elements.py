@@ -59,14 +59,13 @@ def sum_terms(field: Field, pairs) -> dict:
     return sweep(field, terms)
 
 
-def guard_expansion(elt, limit=None):
-    """elt itself, or ExpansionBoundExceeded when it has more than limit
-    terms (EXPANSION_BOUND by default)."""
-    if limit is None:
-        limit = EXPANSION_BOUND
-    if len(elt.terms) > limit:
+def guard_expansion(elt):
+    """elt itself, or ExpansionBoundExceeded when it has more than
+    EXPANSION_BOUND terms (read at call time)."""
+    if len(elt.terms) > EXPANSION_BOUND:
         raise ExpansionBoundExceeded(
-            f"intermediate expansion hit {len(elt.terms)} terms (bound {limit})"
+            f"intermediate expansion hit {len(elt.terms)} terms"
+            f" (bound {EXPANSION_BOUND})"
         )
     return elt
 
@@ -193,20 +192,19 @@ class SparseElement:
         out.terms = {k: field.mul(c, raw) for k, c in self.terms.items()}
         return out
 
-    def __pow__(self, e: int, bound: int | None = None):
+    def __pow__(self, e: int):
         """self^e by e multiplications with self on the right, each result guarded.
 
         The right factor stays the short input, which costs fewer term
         products than squaring the growing power.  Raises
         ExpansionBoundExceeded when an intermediate power has more than
-        `bound` terms (EXPANSION_BOUND by default), and InvalidExponent
-        unless e is an int >= 0.
+        EXPANSION_BOUND terms, and InvalidExponent unless e is an int >= 0.
         """
         if not isinstance(e, int) or e < 0:
             raise InvalidExponent(f"exponent must be an int >= 0, got {e!r}")
         acc = type(self).one(self.field, self.flavor)
         for _ in range(e):
-            acc = guard_expansion(acc * self, bound)
+            acc = guard_expansion(acc * self)
         return acc
 
     # -- degree and height ------------------------------------------------------

@@ -1,12 +1,14 @@
 """Endomorphisms given by generator images, on either side of the bracket.
 
-An endo stores one image per main generator plus images for the central
-symbols h and k_ij when the flavor has them.  The t symbol is always
-fixed.  Composition and application truncate by the flavor's graded
-degree when asked: sound commutatively and, on the normal-ordered side,
-for the haug and skew flavors, whose reordering keeps the degree (see
-weyl.mul_truncated).  bracket_violations is the one bracket-preservation
-check for both sides: the Poisson bracket on P, the commutator on W.
+An endo stores one list, Endo.slots: an image for every key slot before
+t, in key order, so the main generators, then h and then the k_ij when
+the flavor has them (the exponent-key layout of flavors.py).  The t
+symbol is always fixed.  Composition and application truncate by the
+flavor's graded degree when asked: sound commutatively and, on the
+normal-ordered side, for the haug and skew flavors, whose reordering
+keeps the degree (see weyl.mul_truncated).  bracket_violations is the
+one bracket-preservation check for both sides: the Poisson bracket on
+P, the commutator on W.
 """
 
 from __future__ import annotations
@@ -39,9 +41,13 @@ def element_class(side):
 
 
 class Endo:
-    """Flavor-preserving endomorphism, represented by generator images."""
+    """Flavor-preserving endomorphism, stored as one image per key slot
+    before t, in key order: the main generators, then h, then the k
+    symbols (the exponent-key layout of flavors.py).  images, h_image and
+    k_images are read-only views of that list.
+    """
 
-    __slots__ = ("side", "flavor", "field", "images", "h_image", "k_images")
+    __slots__ = ("side", "flavor", "field", "slots")
 
     def __init__(
         self,
@@ -53,42 +59,63 @@ class Endo:
         k_images=None,
         allow_free_term=False,
     ):
+        cls = element_class(side)
+        slots = list(images)
+        if len(slots) != flavor.main_count:
+            raise WrongArity(f"expected {flavor.main_count} images, got {len(slots)}")
+        if flavor.has_h:
+            slots.append(cls.h_power(field, flavor, 1) if h_image is None else h_image)
+        if flavor.has_k:
+            slots.extend(
+                [cls.k_symbol(field, flavor, i, j) for i, j in flavor.k_pairs]
+                if k_images is None
+                else k_images
+            )
+        self._fill(side, flavor, field, slots)
+        if not allow_free_term:
+            for i, img in enumerate(self.images):
+                if img.has_constant_term():
+                    raise WeyliftError(
+                        f"image of generator {i} has a constant term"
+                    )
+
+    @classmethod
+    def from_slots(cls, side, flavor, field, slots):
+        """The endo with these images, one per key slot before t, in key
+        order; an image may have a constant term."""
+        endo = cls.__new__(cls)
+        endo._fill(side, flavor, field, list(slots))
+        return endo
+
+    def _fill(self, side, flavor, field, slots):
         if side not in _SIDES:
             raise SideMismatch(f"side must be one of {_SIDES}")
+        if len(slots) != flavor.t_slot:
+            raise WrongArity(f"expected {flavor.t_slot} slot images, got {len(slots)}")
         cls = element_class(side)
-        images = list(images)
-        if len(images) != flavor.main_count:
-            raise WrongArity(
-                f"expected {flavor.main_count} images, got {len(images)}"
-            )
-        if h_image is None and flavor.has_h:
-            h_image = cls.h_power(field, flavor, 1)
-        if k_images is None and flavor.has_k:
-            k_images = [
-                cls.k_symbol(field, flavor, i, j) for i, j in flavor.k_pairs
-            ]
-        k_images = list(k_images) if k_images is not None else None
-        for img in images + ([h_image] if h_image is not None else []) + (
-            k_images or []
-        ):
+        for img in slots:
             if not isinstance(img, cls):
                 raise SideMismatch(f"image {img!r} is not a {cls.__name__}")
             if img.flavor != flavor:
                 raise FlavorMismatch("image flavor differs from endo flavor")
             if img.field != field:
                 raise FieldMismatch("image field differs from endo field")
-        if not allow_free_term:
-            for i, img in enumerate(images):
-                if img.has_constant_term():
-                    raise WeyliftError(
-                        f"image of generator {i} has a constant term"
-                    )
         self.side = side
         self.flavor = flavor
         self.field = field
-        self.images = images
-        self.h_image = h_image
-        self.k_images = k_images
+        self.slots = slots
+
+    @property
+    def images(self):
+        return self.slots[: self.flavor.main_count]
+
+    @property
+    def h_image(self):
+        return self.slots[self.flavor.h_slot] if self.flavor.has_h else None
+
+    @property
+    def k_images(self):
+        return self.slots[self.flavor.k_start :] if self.flavor.has_k else None
 
     @classmethod
     def identity(cls, side, flavor, field):
@@ -115,18 +142,6 @@ class Endo:
         ]
         return cls(side, flavor, field, images)
 
-    def element_cls(self):
-        return element_class(self.side)
-
-    def all_images(self):
-        """Main images, then h, then k, in slot order."""
-        out = list(self.images)
-        if self.h_image is not None:
-            out.append(self.h_image)
-        if self.k_images is not None:
-            out.extend(self.k_images)
-        return out
-
     def __eq__(self, other):
         if not isinstance(other, Endo):
             return NotImplemented
@@ -134,9 +149,7 @@ class Endo:
             self.side == other.side
             and self.flavor == other.flavor
             and self.field == other.field
-            and self.images == other.images
-            and self.h_image == other.h_image
-            and self.k_images == other.k_images
+            and self.slots == other.slots
         )
 
     def __repr__(self):
@@ -151,20 +164,20 @@ class Endo:
             raise FlavorMismatch("element flavor differs from endo flavor")
         if elem.field != self.field:
             raise FieldMismatch("element field differs from endo field")
-        cls = self.element_cls()
+        cls = element_class(self.side)
         if not isinstance(elem, cls):
             raise SideMismatch(
                 f"endo acts on {cls.__name__} elements, got {type(elem).__name__}"
             )
         flavor, field = self.flavor, self.field
-        g = flavor.main_count
+        t_slot = flavor.t_slot
 
         def mul(a, b):
             if maxdeg is None:
                 return a * b
             return a.mul_truncated(b, maxdeg)
 
-        bases = self.all_images()
+        bases = self.slots
         caches = [{1: base} for base in bases]
         heights = [base.height() for base in bases]
 
@@ -182,18 +195,9 @@ class Endo:
         # One dict sums every part, so the growing sum is never copied.
         def parts():
             for key, coeff in elem.terms.items():
-                exps = []
-                for i in range(g):
-                    if key[i]:
-                        exps.append((i, key[i]))
-                h_e = flavor.h_exponent(key) if flavor.has_h else 0
-                if h_e > 0:
-                    exps.append((g, h_e))
-                k_es = flavor.k_exponents(key) if flavor.has_k else ()
-                k_base = g + (1 if flavor.has_h else 0)
-                for idx, e in enumerate(k_es):
-                    if e:
-                        exps.append((k_base + idx, e))
+                # Only the h slot can be negative; h^-e is handled below.
+                exps = [(s, e) for s, e in enumerate(key[:t_slot]) if e > 0]
+                h_e = flavor.h_exponent(key)
                 if maxdeg is not None:
                     floor = sum(heights[i] * e for i, e in exps)
                     if h_e < 0:
@@ -233,41 +237,17 @@ class Endo:
             raise FlavorMismatch("cannot compose endos of different flavors")
         if self.field != other.field:
             raise FieldMismatch("cannot compose endos over different fields")
-        images = [self.apply(im, maxdeg) for im in other.images]
-        h_image = (
-            self.apply(other.h_image, maxdeg)
-            if other.h_image is not None
-            else None
-        )
-        k_images = (
-            [self.apply(im, maxdeg) for im in other.k_images]
-            if other.k_images is not None
-            else None
-        )
-        return Endo(
+        return Endo.from_slots(
             self.side,
             self.flavor,
             self.field,
-            images,
-            h_image,
-            k_images,
-            allow_free_term=True,
+            [self.apply(im, maxdeg) for im in other.slots],
         )
 
     def deviations(self):
         """phi(g) - g for every generator, including h and k symbols."""
-        cls = self.element_cls()
-        flavor, field = self.flavor, self.field
-        out = [
-            img - cls.generator(field, flavor, i)
-            for i, img in enumerate(self.images)
-        ]
-        if self.h_image is not None:
-            out.append(self.h_image - cls.h_power(field, flavor, 1))
-        if self.k_images is not None:
-            for (i, j), img in zip(flavor.k_pairs, self.k_images):
-                out.append(img - cls.k_symbol(field, flavor, i, j))
-        return out
+        ident = Endo.identity(self.side, self.flavor, self.field)
+        return [img - gen for img, gen in zip(self.slots, ident.slots)]
 
     def linear_part(self):
         """Matrix L with row i = degree-one main part of images[i]."""
@@ -280,38 +260,23 @@ class Endo:
 
     def map_coefficients(self, fn, field=None):
         tgt = field or self.field
-        images = [im.map_coefficients(fn, tgt) for im in self.images]
-        h_image = (
-            self.h_image.map_coefficients(fn, tgt)
-            if self.h_image is not None
-            else None
-        )
-        k_images = (
-            [im.map_coefficients(fn, tgt) for im in self.k_images]
-            if self.k_images is not None
-            else None
-        )
-        return Endo(
+        return Endo.from_slots(
             self.side,
             self.flavor,
             tgt,
-            images,
-            h_image,
-            k_images,
-            allow_free_term=True,
+            [im.map_coefficients(fn, tgt) for im in self.slots],
         )
 
     def specialize_h(self, value=None):
         """Set h to a nonzero scalar, landing in the h-free flavor."""
         target = self.flavor.without_h()
         images = [im.specialize_h(value) for im in self.images]
-        if self.h_image is not None:
-            lam = _monomial_scale(self.h_image, self.flavor.h_key(1))
-            v = value if value is not None else self.field.one()
-            if not self.field.is_zero(self.field.sub(self.field.mul(lam, v), v)):
-                raise WeyliftError(
-                    "h image scale is not 1; specialization is not well defined"
-                )
+        lam = _monomial_scale(self.h_image, self.flavor.h_key(1))
+        v = value if value is not None else self.field.one()
+        if not self.field.is_zero(self.field.sub(self.field.mul(lam, v), v)):
+            raise WeyliftError(
+                "h image scale is not 1; specialization is not well defined"
+            )
         return Endo(
             self.side,
             target,
@@ -347,7 +312,7 @@ def bracket_violations(endo, maxdeg=None):
     else:
         def bracket(a, b):
             return a.mul_truncated(b, maxdeg) - b.mul_truncated(a, maxdeg)
-    cls = endo.element_cls()
+    cls = element_class(endo.side)
     out = []
     for i in range(flavor.main_count):
         for j in range(i + 1, flavor.main_count):
@@ -392,14 +357,13 @@ def truncated_inverse(endo, n):
     the opposite composition before returning.
     """
     flavor, field = endo.flavor, endo.field
+    cls = element_class(endo.side)
     linv = mat_inv(field, endo.linear_part())
-    h_image = None
-    if endo.h_image is not None:
+    slots = Endo.linear(endo.side, flavor, field, linv).images
+    if flavor.has_h:
         lam = _monomial_scale(endo.h_image, flavor.h_key(1))
-        cls = endo.element_cls()
-        h_image = cls.h_power(field, flavor, 1).scale(field.inv(lam))
-    k_images = None
-    if endo.k_images is not None:
+        slots.append(cls.h_power(field, flavor, 1).scale(field.inv(lam)))
+    if flavor.has_k:
         pairs = flavor.k_pairs
         kmat = [
             [img.coeff(flavor.k_key(a, b, 1)) for (a, b) in pairs]
@@ -409,24 +373,19 @@ def truncated_inverse(endo, n):
             nonzero = sum(0 if field.is_zero(c) else 1 for c in kmat[row])
             if img.num_terms() != nonzero:
                 raise WeyliftError("k images must be linear in the k symbols")
-        kinv = mat_inv(field, kmat)
-        cls = endo.element_cls()
-        k_images = [
+        slots.extend(
             cls.from_terms(
                 field, flavor, [(flavor.k_key(*pair, 1), v) for pair, v in zip(pairs, row)]
             )
-            for row in kinv
-        ]
-    linv_endo = Endo(endo.side, flavor, field, Endo.linear(
-        endo.side, flavor, field, linv).images, h_image, k_images)
+            for row in mat_inv(field, kmat)
+        )
+    linv_endo = Endo.from_slots(endo.side, flavor, field, slots)
+    gens = Endo.identity(endo.side, flavor, field).images
     psi = linv_endo
     last = -1
     for _ in range(n + 2):
         err = endo.compose(psi, maxdeg=n)
-        devs = [
-            img - endo.element_cls().generator(field, flavor, i)
-            for i, img in enumerate(err.images)
-        ]
+        devs = [img - gen for img, gen in zip(err.images, gens)]
         ht = min((d.height() for d in devs), default=math.inf)
         if ht > n:
             break
@@ -445,8 +404,7 @@ def truncated_inverse(endo, n):
     else:
         raise StageStall("truncated inverse did not converge")
     back = psi.compose(endo, maxdeg=n)
-    ident = Endo.identity(endo.side, flavor, field)
-    for img, gen in zip(back.images, ident.images):
+    for img, gen in zip(back.images, gens):
         if not (img - gen).truncate(n).is_zero:
             raise StageStall("one-sided inverse only; endo is not invertible")
     return psi
@@ -471,8 +429,8 @@ def diagonal_conjugate(endo, slot, weights):
     if full[slot]:
         raise WeyliftError("the rescaling symbol itself must weigh 0")
 
-    images = []
-    for img, base in zip(endo.all_images(), full):
+    slots = []
+    for img, base in zip(endo.slots, full):
         out = type(img)(img.field, flavor)
         out.terms = {
             key[:slot]
@@ -480,17 +438,8 @@ def diagonal_conjugate(endo, slot, weights):
             + key[slot + 1 :]: c
             for key, c in img.terms.items()
         }
-        images.append(out)
-    g = flavor.main_count
-    return Endo(
-        endo.side,
-        flavor,
-        endo.field,
-        images[:g],
-        images[g] if flavor.has_h else None,
-        images[flavor.k_start :] if flavor.has_k else None,
-        allow_free_term=True,
-    )
+        slots.append(out)
+    return Endo.from_slots(endo.side, flavor, endo.field, slots)
 
 
 def dilation_conjugate(endo, e):

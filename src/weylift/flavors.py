@@ -134,11 +134,6 @@ class BracketFlavor:
             raise IndexOutOfRange(f"k index pair ({i}, {j}) must satisfy 0 <= i < j")
         return self.k_start + self._k_pos[(i, j)]
 
-    def t_key(self, e: int = 1) -> tuple:
-        key = [0] * self.key_len
-        key[self.t_slot] = e
-        return tuple(key)
-
     def weight(self, key: tuple) -> int:
         """Graded degree of a monomial key."""
         return sum(map(_mul, self.weights, key))

@@ -45,9 +45,9 @@ def endo_to_json(endo):
         "flavor": endo.flavor.to_json(),
         "images": [element_to_text(img, endo.side) for img in endo.images],
     }
-    if endo.h_image is not None:
+    if endo.flavor.has_h:
         doc["h_image"] = element_to_text(endo.h_image, endo.side)
-    if endo.k_images is not None:
+    if endo.flavor.has_k:
         doc["k_images"] = [element_to_text(img, endo.side) for img in endo.k_images]
     return doc
 

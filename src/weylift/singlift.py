@@ -27,6 +27,7 @@ from .endo import (
     bracket_violations,
     check_symplecto,
     diagonal_conjugate,
+    element_class,
     jacobian_is_unit,
     truncated_inverse,
 )
@@ -40,6 +41,7 @@ from .errors import (
 )
 from .fields import Field
 from .flavors import HAUG, STANDARD, BracketFlavor
+from .linalg import identity_matrix
 from .poly import Poly, poisson_bracket
 from .tame import LIN, SP, TameWord, evaluate, gen_endo, transport
 
@@ -84,7 +86,7 @@ def conjugate_by_curve(endo, curve):
 def pole_order(endo):
     """Largest pole at t = 0 across every image; 0 when regular."""
     worst = 0
-    for img in endo.all_images():
+    for img in endo.slots:
         worst = max(worst, -img.min_t_exponent())
     return worst
 
@@ -262,14 +264,10 @@ def lift(sigma, n, primes=()):
         raise WeyliftError("lift needs a target order of at least 2")
     check_symplecto(sigma)
     jacobian_is_unit(sigma)
-    lin = sigma.linear_part()
-    for i, row in enumerate(lin):
-        for j, v in enumerate(row):
-            want = field.one() if i == j else field.zero()
-            if not field.is_zero(field.sub(v, want)):
-                raise WeyliftError(
-                    "lift expects identity linear part; peel it with a tame word"
-                )
+    if sigma.linear_part() != identity_matrix(field, flavor.main_count):
+        raise WeyliftError(
+            "lift expects identity linear part; peel it with a tame word"
+        )
     hflavor = BracketFlavor(HAUG, flavor.pairs)
     deg_sigma = max(img.degree() for img in sigma.images)
     stable_height = max(1, min(n - 2, 2 * deg_sigma + STABILIZATION_MARGIN))
@@ -398,13 +396,10 @@ def _reflavor(img, flavor):
 
 
 def _center_along_word(wword, flavor, fp):
-    """Compose the center morphism generator by generator."""
-    acc = None
-    for gen in reversed(wword.gens):
-        ce = phi_p(gen_endo(gen, "W", flavor, fp))
-        acc = ce if acc is None else ce.compose(acc)
-    if acc is None:
-        acc = Endo.identity("P", flavor.center_flavor(), fp)
+    """Compose the center morphism generator by generator, in word order."""
+    acc = Endo.identity("P", flavor.center_flavor(), fp)
+    for gen in wword.gens:
+        acc = acc.compose(phi_p(gen_endo(gen, "W", flavor, fp)))
     return acc
 
 
@@ -437,7 +432,7 @@ def extend_to_aux(endo):
         raise WeyliftError("only paired flavors extend by the stable pair")
     target = flavor.extended()
     field = endo.field
-    cls = type(endo.images[0])
+    cls = element_class(endo.side)
     n = flavor.pairs
 
     def widen(img):
@@ -450,12 +445,11 @@ def extend_to_aux(endo):
         out.terms = terms
         return out
 
-    images = [widen(img) for img in endo.images]
+    slots = [widen(img) for img in endo.slots]
     u_img = cls.generator(field, target, n)
     v_img = cls.generator(field, target, 2 * n + 1)
-    images = images[:n] + [u_img] + images[n:] + [v_img]
-    h_image = widen(endo.h_image) if endo.h_image is not None else None
-    return Endo(endo.side, target, field, images, h_image, allow_free_term=True)
+    slots = [*slots[:n], u_img, *slots[n : 2 * n], v_img, *slots[2 * n :]]
+    return Endo.from_slots(endo.side, target, field, slots)
 
 
 def twist_conjugate(phi, psi, phi_inv=None, order=None):
@@ -465,7 +459,7 @@ def twist_conjugate(phi, psi, phi_inv=None, order=None):
             raise WeyliftError("supply phi_inv or a truncation order")
         phi_inv = truncated_inverse(phi, order)
     out = phi.compose(psi).compose(phi_inv)
-    for img in out.all_images():
+    for img in out.slots:
         if img.min_h_exponent() < 0:
             raise InsufficientK(
                 "negative powers of h survive; raise the twist exponent k"

@@ -240,7 +240,7 @@ def evaluate(word, side, flavor, field, maxdeg=None, start=None):
     elif start.field != field:
         raise FieldMismatch("start field differs from the evaluation field")
     cls = element_class(side)
-    images = start.all_images()
+    images = start.slots
     if maxdeg is None:
         mul = cls.__mul__
     else:
@@ -313,15 +313,7 @@ def evaluate(word, side, flavor, field, maxdeg=None, start=None):
             parts = univariate(poly, images[flavor.conjugate_index(target)])
         images = list(images)
         images[target] = combine(parts, images[target])
-    return Endo(
-        side,
-        flavor,
-        field,
-        images,
-        extra[0] if flavor.has_h else None,
-        extra[flavor.k_start - g :] if flavor.has_k else None,
-        allow_free_term=True,
-    )
+    return Endo.from_slots(side, flavor, field, images + extra)
 
 
 def _random_sl2(rng, steps=3):

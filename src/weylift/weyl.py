@@ -110,7 +110,7 @@ def _jacobson_power(a: WeylElt, p: int):
     return guard_expansion(out)
 
 
-#: a^e with an optional term bound: the one guarded power routine.
+#: a^e guarded by EXPANSION_BOUND: the one guarded power routine.
 bounded_power = SparseElement.__pow__
 
 

@@ -202,7 +202,7 @@ def test_symplectic_completion_rejects_zero():
 
 def test_corrector_equals_hamiltonian_flow():
     term = WaringTerm(Fraction(2, 5), (1, 2, 0, 3), 3)
-    gens = corrector(term, FL2, check=False)
+    gens = corrector(term, FL2)
     assert [g.kind for g in gens] == ["sp", "xshift", "sp"]
     acc = gen_endo(gens[2], "P", FL2, QQ)
     acc = gen_endo(gens[1], "P", FL2, QQ).compose(acc)

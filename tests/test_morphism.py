@@ -2,6 +2,7 @@
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -22,12 +23,14 @@ from weylift import (
 )
 from weylift.errors import (
     ExprSyntaxError,
+    NegativeHExponent,
     NonUnitJacobian,
     NotSymplectic,
     SideMismatch,
     UnknownGenerator,
     WrongArity,
 )
+from weylift.endo import element_class
 from weylift.serialize import endo_from_json, endo_to_json
 from weylift.weyl import WeylElt
 
@@ -204,3 +207,81 @@ def test_print_parse_round_trip_weyl_side():
             f = random_poly(rng, QQ, flavor, cls=WeylElt)
             text = element_to_text(f, "W")
             assert parse_element(text, QQ, flavor, "W", cls=WeylElt) == f
+
+
+HAUG1 = BracketFlavor("haug", 1)
+
+
+def test_negative_h_power_needs_a_monomial_h_image():
+    x, p = (element_class("P").generator(QQ, HAUG1, i) for i in range(2))
+    h = element_class("P").h_power(QQ, HAUG1, 1)
+    bent = Endo("P", HAUG1, QQ, [x, p], h + x * p)
+    with pytest.raises(NegativeHExponent):
+        bent.apply(x * element_class("P").h_power(QQ, HAUG1, -1))
+
+
+@pytest.mark.parametrize("side", ["P", "W"])
+def test_negative_h_power_under_a_scaled_h(side):
+    cls = element_class(side)
+    x, p = (cls.generator(QQ, HAUG1, i) for i in range(2))
+    two_h = cls.h_power(QQ, HAUG1, 1, coeff=Fraction(2))
+    scaled = Endo(side, HAUG1, QQ, [x, p], two_h)
+    h_inv = cls.h_power(QQ, HAUG1, -1)
+    assert scaled.apply(h_inv) == cls.h_power(QQ, HAUG1, -1, coeff=Fraction(1, 2))
+    assert scaled.apply(p * h_inv) == p * h_inv.scale(Fraction(1, 2))
+
+
+def test_specialize_h_rejects_a_negative_h_power():
+    x = element_class("P").generator(QQ, HAUG1, 0)
+    with pytest.raises(NegativeHExponent):
+        (x + element_class("P").h_power(QQ, HAUG1, -1)).specialize_h()
+
+
+SLOT_FLAVORS = (
+    FL1,
+    BracketFlavor("haug", 2),
+    BracketFlavor("skew", 1),
+    BracketFlavor("haug", 1, aux=True),
+    BracketFlavor("skew", 1, aux=True),
+)
+
+
+@pytest.mark.parametrize("side", ["P", "W"])
+@pytest.mark.parametrize("flavor", SLOT_FLAVORS, ids=repr)
+def test_slots_follow_the_key_layout(flavor, side):
+    ident = Endo.identity(side, flavor, QQ)
+    assert len(ident.slots) == flavor.t_slot
+    for s, img in enumerate(ident.slots):
+        key = [0] * flavor.key_len
+        key[s] = 1
+        assert img.terms == {tuple(key): QQ.one()}
+    rng = random.Random(flavor.key_len)
+    cls = element_class(side)
+    images = [
+        gen + random_poly(rng, QQ, flavor, cls=cls, max_terms=2, max_deg=2)
+        for gen in ident.images
+    ]
+    e = Endo(side, flavor, QQ, images, allow_free_term=True)
+    assert e.images == e.slots[: flavor.main_count]
+    assert e.h_image == (ident.slots[flavor.h_slot] if flavor.has_h else None)
+    assert e.k_images == (ident.slots[flavor.k_start :] if flavor.has_k else None)
+    assert Endo.from_slots(e.side, e.flavor, e.field, e.slots) == e
+
+
+@pytest.mark.parametrize("side", ["P", "W"])
+def test_compose_and_map_coefficients_keep_k_images(side):
+    flavor = BracketFlavor("skew", 1)
+    cls = element_class(side)
+
+    def scaled_k(c):
+        return [cls.k_symbol(QQ, flavor, i, j, coeff=Fraction(c)) for i, j in flavor.k_pairs]
+
+    xi1, xi2 = (cls.generator(QQ, flavor, i) for i in range(2))
+    a = Endo(side, flavor, QQ, [xi1, xi2], k_images=scaled_k(2))
+    b = Endo(side, flavor, QQ, [xi1 + xi2 * xi2, xi2], k_images=scaled_k(3))
+    assert a.compose(b).k_images == scaled_k(6)
+    assert b.compose(a).images == [xi1 + xi2 * xi2, xi2]
+    assert a.map_coefficients(lambda c: 5 * c).k_images == scaled_k(10)
+    f7 = Field("Fp", 7)
+    red = b.map_coefficients(f7.from_fraction, f7)
+    assert red.k_images == [img.map_coefficients(f7.from_fraction, f7) for img in scaled_k(3)]

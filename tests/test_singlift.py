@@ -374,7 +374,7 @@ def test_h_weight_conjugate_weighs_k_by_its_pair():
         parse_element("xi2", QQ, skew, "P"),
     ])
     out = diagonal_conjugate(phi, skew.h_slot, (2, 0, 0))
-    assert [str(img) for img in out.all_images()] == ["xi1 + xi2*k1_2", "xi2", "h", "k1_2"]
+    assert [str(img) for img in out.slots] == ["xi1 + xi2*k1_2", "xi2", "h", "k1_2"]
     assert out == _conjugated(phi, skew.h_slot, (2, 0, 0))
 
 

@@ -471,8 +471,11 @@ def test_truncated_product_skew():
             assert a.mul_truncated(b, maxdeg) == oracle_mul(a, b).truncate(maxdeg)
 
 
-def test_expansion_bound():
+def test_expansion_bound(monkeypatch):
+    import weylift.elements
+
     fl = BracketFlavor(STANDARD, 1)
     x, d = gens(QQ, fl)
+    monkeypatch.setattr(weylift.elements, "EXPANSION_BOUND", 10)
     with pytest.raises(ExpansionBoundExceeded):
-        bounded_power(x + d, 40, bound=10)
+        bounded_power(x + d, 40)
