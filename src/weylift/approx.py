@@ -38,8 +38,6 @@ from .linalg import (
     identity_matrix,
     is_symplectic,
     omega_matrix_raw,
-    signed_permutation,
-    symplectic_inverse,
     transpose,
 )
 
@@ -264,31 +262,28 @@ def symplectic_completion(field, covector, flavor):
 
     Builds a symplectic basis whose first momentum column is the
     covector, then returns the inverse transpose.  J is a signed
-    permutation (row i holds sign_i at column s_i), so the pairing
-    a^T J b is sum_i sign_i a_i b_(s_i), and the inverse of the basis
-    matrix is linalg.symplectic_inverse.
+    permutation (row i holds sign_i at column s_i, the conjugate slot),
+    so the pairing a^T J b is sum_i sign_i a_i b_(s_i), and the inverse
+    of the basis matrix B is -J B^T J.  The steps run on Python ints,
+    leaving them only where the scale divides inexactly.
     """
+    if field.char != 0:
+        raise PositiveCharacteristic("symplectic completion runs over characteristic 0")
     g = flavor.main_count
     n = flavor.pairs
-    j = omega_matrix_raw(field, flavor)
-    c = [field.from_int(v) for v in covector]
-    if all(field.is_zero(v) for v in c):
+    c = list(covector)
+    if not any(c):
         raise ZeroCovector("covector must be nonzero")
-    perm, plus = signed_permutation(field, j)
+    conj = [flavor.conjugate_index(i) for i in range(g)]
+    sign = [flavor.omega(i, s) for i, s in enumerate(conj)]
 
     def pairing(a, b):
-        s = field.zero()
-        for x, i, up in zip(a, perm, plus):
-            t = field.mul(x, b[i])
-            s = field.add(s, t) if up else field.sub(s, t)
-        return s
+        return sum(sg * x * b[s] for x, s, sg in zip(a, conj, sign))
 
     basis_v = [c]
     basis_u = []
     # Candidate pool: standard basis vectors.
-    pool = [
-        [field.from_int(int(r == s)) for r in range(g)] for s in range(g)
-    ]
+    pool = [[int(r == s) for r in range(g)] for s in range(g)]
 
     def project(z):
         # Strip the span of each completed pair: with <u, v> = -1 the
@@ -296,32 +291,19 @@ def symplectic_completion(field, covector, flavor):
         for u, v in zip(basis_u, basis_v):
             zv = pairing(z, v)
             zu = pairing(z, u)
-            z = [
-                field.add(a, field.sub(field.mul(zv, b), field.mul(zu, c)))
-                for a, b, c in zip(z, u, v)
-            ]
+            z = [a + zv * b - zu * c for a, b, c in zip(z, u, v)]
         return z
 
     while len(basis_v) < n or len(basis_u) < n:
         if len(basis_u) < len(basis_v):
             v = basis_v[len(basis_u)]
-            w = None
-            for cand in pool:
-                zc = project(cand)
-                if not field.is_zero(pairing(zc, v)):
-                    w = zc
-                    break
+            w = next((zc for zc in map(project, pool) if pairing(zc, v)), None)
             if w is None:
                 raise WeyliftError("failed to complete a symplectic basis")
-            scale = field.inv(field.neg(pairing(w, v)))
-            basis_u.append([field.mul(scale, a) for a in w])
+            q = -pairing(w, v)
+            basis_u.append([a // q if a % q == 0 else Fraction(a, q) for a in w])
         else:
-            z = None
-            for cand in pool:
-                zc = project(cand)
-                if any(not field.is_zero(a) for a in zc):
-                    z = zc
-                    break
+            z = next((zc for zc in map(project, pool) if any(zc)), None)
             if z is None:
                 raise WeyliftError("failed to extend a symplectic basis")
             basis_v.append(z)
@@ -330,10 +312,13 @@ def symplectic_completion(field, covector, flavor):
     cols = basis_u + basis_v
     for r in range(g):
         for s in range(r + 1, g):
-            if not field.is_zero(field.sub(pairing(cols[r], cols[s]), j[r][s])):
+            if pairing(cols[r], cols[s]) != flavor.omega(r, s):
                 raise WeyliftError("completion produced a non-symplectic basis")
-    b = transpose(cols)
-    return transpose(symplectic_inverse(field, b, j))
+    # (B^(-1))^T has entry (r, i) = sign_i sign_r B[s_r][s_i], B[x][y] = cols[y][x].
+    return [
+        [Fraction(sign[i] * sign[r] * cols[conj[i]][conj[r]]) for i in range(g)]
+        for r in range(g)
+    ]
 
 
 #: Letters in one corrector word: conjugate, shift, conjugate back.
@@ -351,9 +336,8 @@ def corrector(term, flavor, field=QQ):
     if d < 2:
         raise WeyliftError("corrector terms need degree at least 2")
     a = symplectic_completion(field, term.covector, flavor)
-    a_fracs = tuple(tuple(Fraction(v) for v in row) for row in a)
     shift = ElementaryGen(XSHIFT, (0, {d - 1: term.lam * d}))
-    gen_a = ElementaryGen(SP, a_fracs)
+    gen_a = ElementaryGen(SP, tuple(map(tuple, a)))
     inv_a = gen_a.inverse()
     gens = [inv_a, shift, gen_a]
     got = evaluate(TameWord("symplectic", n, gens), "P", flavor, field)

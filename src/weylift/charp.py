@@ -46,14 +46,9 @@ def reduce_endo_mod_p(endo, field):
     """Clear denominators prime to p; NotPIntegral when p divides one."""
     if field.char == 0:
         raise NotFiniteField("reduction target must have positive characteristic")
-    src = endo.field
-
-    def red(c):
-        return field.from_fraction(c if isinstance(c, Fraction) else Fraction(c))
-
-    if src.char != 0:
+    if endo.field.char != 0:
         raise PositiveCharacteristic("endo is already in positive characteristic")
-    return endo.map_coefficients(red, field)
+    return endo.map_coefficients(field.from_fraction, field)
 
 
 def restrict_to_center(endo):

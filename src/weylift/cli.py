@@ -44,6 +44,8 @@ class UsageError(Exception):
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
+        if "EXPR" in message:  # argparse reads a leading '-' as a flag
+            message += "; an expression that starts with '-' goes after '--': bracket -- -x1 d1"
         raise UsageError(message)
 
 

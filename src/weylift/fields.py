@@ -19,6 +19,7 @@ from .errors import (
 
 _MAX_PRIME = 2**31
 _MAX_EXT_DEGREE = 3
+_Q_ZERO, _Q_ONE = Fraction(0), Fraction(1)  # immutable, so shared
 
 
 def _is_prime(p: int) -> bool:
@@ -108,12 +109,12 @@ class Field:
 
     def zero(self):
         if self.kind == "Q":
-            return Fraction(0)
+            return _Q_ZERO
         return 0 if self.k == 1 else (0,) * self.k
 
     def one(self):
         if self.kind == "Q":
-            return Fraction(1)
+            return _Q_ONE
         return 1 if self.k == 1 else (1,) + (0,) * (self.k - 1)
 
     def from_int(self, n: int):
@@ -124,14 +125,16 @@ class Field:
         return (n % self.p,) + (0,) * (self.k - 1)
 
     def from_fraction(self, q) -> object:
-        q = Fraction(q)
+        """The raw value of an int or Fraction q, read off its numerator
+        and denominator; over F_{p^k} that is its reduction mod p."""
         if self.kind == "Q":
-            return q
-        if q.denominator % self.p == 0:
+            return q if isinstance(q, Fraction) else Fraction(q)
+        den = q.denominator
+        if den % self.p == 0:
             raise NotPIntegral(f"{q} has denominator divisible by {self.p}")
-        num = self.from_int(q.numerator)
-        den = self.from_int(q.denominator)
-        return self.div(num, den)
+        if self.k == 1:
+            return q.numerator * pow(den, -1, self.p) % self.p
+        return self.div(self.from_int(q.numerator), self.from_int(den))
 
     def from_coeffs(self, coeffs):
         """Raw value from a coefficient sequence over the power basis."""

@@ -69,10 +69,10 @@ def endo_from_json(doc):
 
 class _Texts(dict):
     """value -> str(value), and a matrix row -> the tuple of its texts,
-    filled on first use: one document then holds one string per distinct
-    value and one row per distinct row instead of one per entry.  Shared
-    rows are tuples, so no caller can change one through another letter;
-    they encode as JSON arrays like lists."""
+    filled on first use: one document then holds one string, row and
+    matrix (see matrix) per distinct one instead of one per entry.
+    Shared rows and matrices are tuples, so no caller can change one
+    through another letter; they encode as JSON arrays like lists."""
 
     __slots__ = ()
 
@@ -84,13 +84,15 @@ class _Texts(dict):
         self[value] = text
         return text
 
+    def matrix(self, rows):
+        # Filed under itself: no number or row of numbers equals a tuple of texts.
+        texts = tuple(map(self.__getitem__, rows))
+        return self.setdefault(texts, texts)
+
 
 def _gen_to_json(gen, texts):
     if gen.kind in (SP, LIN):
-        return {
-            "kind": gen.kind,
-            "matrix": [texts[tuple(row)] for row in gen.data],
-        }
+        return {"kind": gen.kind, "matrix": texts.matrix(gen.data)}
     index, poly = gen.data
     if gen.kind == SHIFT:
         body = {",".join(str(x) for x in e): texts[c] for e, c in poly.items()}

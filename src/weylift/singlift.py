@@ -18,7 +18,7 @@ corrector ordering, and the commutation table.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
+from itertools import chain
 
 from .approx import approximate, stage_prefix
 from .charp import phi_p
@@ -28,7 +28,6 @@ from .endo import (
     check_symplecto,
     diagonal_conjugate,
     element_class,
-    jacobian_is_unit,
     truncated_inverse,
 )
 from .errors import (
@@ -226,15 +225,11 @@ def hn_scan(endo, n, sample_curves=0, seed=0):
 
 
 def _word_is_p_integral(word, p):
-    for gen in word.gens:
-        if gen.kind in (SP, LIN):
-            vals = [v for row in gen.data for v in row]
-        else:
-            vals = list(gen.data[1].values())
-        for v in vals:
-            if Fraction(v).denominator % p == 0:
-                return False
-    return True
+    return not any(
+        v.denominator % p == 0
+        for gen in word.gens
+        for v in (chain(*gen.data) if gen.kind in (SP, LIN) else gen.data[1].values())
+    )
 
 
 def lifted_commutation_check(images, flavor):
@@ -262,18 +257,19 @@ def lift(sigma, n, primes=()):
         raise WeyliftError("lift expects the plain paired flavor")
     if n < 2:
         raise WeyliftError("lift needs a target order of at least 2")
-    check_symplecto(sigma)
-    jacobian_is_unit(sigma)
+    if sigma.side != "P":
+        raise SideMismatch("symplecto check applies to the commutative side")
+    # approximate runs check_symplecto and jacobian_is_unit on sigma.
+    word, report = approximate(sigma, n)
     if sigma.linear_part() != identity_matrix(field, flavor.main_count):
         raise WeyliftError(
             "lift expects identity linear part; peel it with a tame word"
         )
+    word_alt, _ = approximate(sigma, n, tie_break="alt")
     hflavor = BracketFlavor(HAUG, flavor.pairs)
     deg_sigma = max(img.degree() for img in sigma.images)
     stable_height = max(1, min(n - 2, 2 * deg_sigma + STABILIZATION_MARGIN))
 
-    word, report = approximate(sigma, n)
-    word_alt, _ = approximate(sigma, n, tie_break="alt")
     wword = transport(word)
 
     def truncated(gens, start=None):
@@ -299,7 +295,7 @@ def lift(sigma, n, primes=()):
         cut = len(stage_prefix(word, report, n - 1))
         trunc_prev = truncated(wword.gens[:cut])
         trunc_n = truncated(wword.gens[cut:], start=trunc_prev)
-        witness = _first_difference(trunc_n, trunc_prev, stable_height)
+        witness = _first_difference(trunc_n.images, trunc_prev.images, stable_height)
         certificate["stabilization"] = "pass" if witness is None else "fail"
         if witness is not None:
             raise StabilizationFailure(
@@ -312,7 +308,7 @@ def lift(sigma, n, primes=()):
         certificate["stabilization"] = "trivial"
 
     trunc_alt = truncated(word_alt.gens)
-    witness = _first_difference(trunc_n, trunc_alt, n - 1)
+    witness = _first_difference(trunc_n.images, trunc_alt.images, n - 1)
     certificate["canonicity"] = "pass" if witness is None else "fail"
     if witness is not None:
         certificate["canonicity_witness"] = witness
@@ -325,12 +321,13 @@ def lift(sigma, n, primes=()):
         certificate["representation"] = "truncated_haug"
 
     if exact is not None:
-        comm = lifted_commutation_check(exact.images, flavor)
-        certificate["commutation"] = "pass" if comm["ok"] else "fail"
-        certificate["commutation_violations"] = len(comm["violations"])
+        violations = lifted_commutation_check(exact.images, flavor)["violations"]
+        certificate["commutation_violations"] = len(violations)
     else:
-        ok = not bracket_violations(trunc_n, n)
-        certificate["commutation"] = "pass" if ok else "fail"
+        violations = bracket_violations(trunc_n, n)
+    certificate["commutation"] = "fail" if violations else "pass"
+    if violations:
+        certificate["commutation_witness"] = list(violations[0][:2])
 
     certificate["primes"] = {}
     # Reduction mod p commutes with evaluating a p-integral word, so the
@@ -348,8 +345,11 @@ def lift(sigma, n, primes=()):
         sigma_p = sigma.map_coefficients(fp.from_fraction, fp)
         ev_p = [img.map_coefficients(fp.from_fraction, fp) for img in ev_q.images]
         target_p = [img.truncate(n - 1) for img in sigma_p.images]
-        entry["reduction_consistency"] = "pass" if ev_p == target_p else "fail"
-        entry["status"] = _prime_status(exact, sigma_p, wword, flavor, fp)
+        consistent = ev_p == target_p
+        entry["reduction_consistency"] = "pass" if consistent else "fail"
+        if not consistent:
+            entry["reduction_witness"] = _first_difference(ev_p, target_p, n - 1)
+        entry.update(_prime_status(exact, sigma_p, wword, flavor, fp))
         certificate["primes"][str(p)] = entry
     certificate["pass"] = (
         certificate["stabilization"] != "fail"
@@ -365,9 +365,10 @@ def lift(sigma, n, primes=()):
 
 
 def _first_difference(a, b, height):
-    """{"image": i, "height": h} for the first main image i where a and b
-    differ at graded heights up to height, h the lowest such; else None."""
-    for i, (x, y) in enumerate(zip(a.images, b.images)):
+    """{"image": i, "height": h} for the first i where the image lists a
+    and b differ at graded heights up to height, h the lowest such; else
+    None."""
+    for i, (x, y) in enumerate(zip(a, b)):
         diff = (x - y).truncate(height)
         if not diff.is_zero:
             return {"image": i, "height": diff.height()}
@@ -375,17 +376,21 @@ def _first_difference(a, b, height):
 
 
 def _prime_status(exact, sigma_p, wword, flavor, fp):
-    """Compare phi_p of the exact lift, reduced mod p, with sigma mod p."""
+    """Compare phi_p of the exact lift, reduced mod p, with sigma mod p:
+    {"status": ...}, with the first differing image on a mismatch."""
     if exact is None:
-        return "skipped_expansion_budget"
+        return {"status": "skipped_expansion_budget"}
     try:
         center = phi_p(exact, fp)
         if [_reflavor(img, flavor) for img in center.images] == sigma_p.images:
-            return "exact"
+            return {"status": "exact"}
         expected = _center_along_word(wword, flavor, fp)
     except ExpansionBoundExceeded:
-        return "skipped_expansion_budget"
-    return "fixture_match" if center == expected else "mismatch"
+        return {"status": "skipped_expansion_budget"}
+    if center == expected:
+        return {"status": "fixture_match"}
+    image = next(i for i, (x, y) in enumerate(zip(center.slots, expected.slots)) if x != y)
+    return {"status": "mismatch", "mismatch_witness": {"image": image}}
 
 
 def _reflavor(img, flavor):

@@ -3,7 +3,10 @@
 The normal-ordering oracle works on raw generator words with the
 one-step rewrite rules only, so it shares no code with the closed-form
 reordering in the package.  The commutative oracles go through sympy.
-The word oracle composes one endo per letter, rightmost first.
+The word oracle composes one endo per letter, rightmost first.  The
+centrality oracle commutes with every generator, the completion oracle
+runs Gram-Schmidt through Field dispatch, and the scalar oracle reduces
+rationals through a Fraction round trip.
 """
 
 from fractions import Fraction
@@ -11,7 +14,14 @@ from fractions import Fraction
 import sympy
 
 from weylift import BracketFlavor, Endo, Poly, QQ, WeylElt
+from weylift.errors import NotPIntegral, WeyliftError, ZeroCovector
 from weylift.flavors import HAUG, SKEW, STANDARD
+from weylift.linalg import (
+    omega_matrix_raw,
+    signed_permutation,
+    symplectic_inverse,
+    transpose,
+)
 from weylift.tame import gen_endo
 
 
@@ -236,6 +246,93 @@ def sympy_jacobian(images, syms):
         g, g, lambda i, j: sympy.diff(poly_to_sympy(images[i], syms), syms[j])
     )
     return sympy.expand(mat.det())
+
+
+# ---------------------------------------------------------------- scalars
+
+def oracle_from_fraction(field, q):
+    """A rational as a raw field value, through a Fraction round trip and
+    Field.div."""
+    q = Fraction(q)
+    if field.kind == "Q":
+        return q
+    if q.denominator % field.p == 0:
+        raise NotPIntegral(f"{q} has denominator divisible by {field.p}")
+    return field.div(field.from_int(q.numerator), field.from_int(q.denominator))
+
+
+# ------------------------------------------------------------- centrality
+
+def oracle_is_central(a):
+    """True when a commutes with every main generator, by 2 * main_count
+    products."""
+    flavor = a.flavor
+    for i in range(flavor.main_count):
+        gen = WeylElt.generator(a.field, flavor, i)
+        if not (a * gen - gen * a).is_zero:
+            return False
+    return True
+
+
+# ---------------------------------------------------- symplectic completion
+
+def oracle_symplectic_completion(field, covector, flavor):
+    """Gram-Schmidt on raw field values through Field dispatch: the same
+    steps and candidate order as approx.symplectic_completion."""
+    g = flavor.main_count
+    n = flavor.pairs
+    j = omega_matrix_raw(field, flavor)
+    c = [field.from_int(v) for v in covector]
+    if all(field.is_zero(v) for v in c):
+        raise ZeroCovector("covector must be nonzero")
+    perm, plus = signed_permutation(field, j)
+
+    def pairing(a, b):
+        s = field.zero()
+        for x, i, up in zip(a, perm, plus):
+            t = field.mul(x, b[i])
+            s = field.add(s, t) if up else field.sub(s, t)
+        return s
+
+    basis_v = [c]
+    basis_u = []
+    pool = [[field.from_int(int(r == s)) for r in range(g)] for s in range(g)]
+
+    def project(z):
+        for u, v in zip(basis_u, basis_v):
+            zv = pairing(z, v)
+            zu = pairing(z, u)
+            z = [
+                field.add(a, field.sub(field.mul(zv, b), field.mul(zu, c)))
+                for a, b, c in zip(z, u, v)
+            ]
+        return z
+
+    while len(basis_v) < n or len(basis_u) < n:
+        if len(basis_u) < len(basis_v):
+            v = basis_v[len(basis_u)]
+            w = next(
+                (zc for zc in map(project, pool) if not field.is_zero(pairing(zc, v))),
+                None,
+            )
+            if w is None:
+                raise WeyliftError("failed to complete a symplectic basis")
+            scale = field.inv(field.neg(pairing(w, v)))
+            basis_u.append([field.mul(scale, a) for a in w])
+        else:
+            z = next(
+                (zc for zc in map(project, pool) if any(not field.is_zero(a) for a in zc)),
+                None,
+            )
+            if z is None:
+                raise WeyliftError("failed to extend a symplectic basis")
+            basis_v.append(z)
+    cols = basis_u + basis_v
+    for r in range(g):
+        for s in range(r + 1, g):
+            if not field.is_zero(field.sub(pairing(cols[r], cols[s]), j[r][s])):
+                raise WeyliftError("completion produced a non-symplectic basis")
+    return transpose(symplectic_inverse(field, transpose(cols), j))
 
 
 # ------------------------------------------------------------- tame words

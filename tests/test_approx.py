@@ -1,5 +1,6 @@
 """Tame approximation: Hamiltonians, Waring terms, correctors, the full loop."""
 
+import itertools
 import random
 from fractions import Fraction
 from math import comb
@@ -7,6 +8,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import oracle_symplectic_completion
 from weylift import (
     BracketFlavor,
     Endo,
@@ -198,6 +200,27 @@ def test_symplectic_completion_is_symplectic():
 def test_symplectic_completion_rejects_zero():
     with pytest.raises(ZeroCovector):
         symplectic_completion(QQ, (0, 0), FL1)
+
+
+@pytest.mark.parametrize("flavor", [FL1, FL2], ids=["n1", "n2"])
+def test_symplectic_completion_matches_field_dispatch_oracle(flavor):
+    count = 0
+    for cov in itertools.product(range(-3, 4), repeat=flavor.main_count):
+        if not any(cov):
+            continue
+        got = symplectic_completion(QQ, cov, flavor)
+        want = oracle_symplectic_completion(QQ, cov, flavor)
+        assert got == want, cov
+        assert [list(map(type, row)) for row in got] == [
+            list(map(type, row)) for row in want
+        ], cov
+        count += 1
+    assert count == 7**flavor.main_count - 1
+
+
+def test_symplectic_completion_refuses_positive_characteristic():
+    with pytest.raises(PositiveCharacteristic):
+        symplectic_completion(Field("Fp", 5), (1, 2), FL1)
 
 
 def test_corrector_equals_hamiltonian_flow():

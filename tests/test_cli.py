@@ -132,6 +132,16 @@ def test_bad_input_is_usage_error(tmp_path, argv):
     assert isinstance(rep["error"]["usage"], str)
 
 
+def test_leading_minus_expression_points_after_double_dash():
+    rep, code = run_command(["bracket", "--side", "W", "-x1", "d1"])
+    assert code == 1
+    assert "the following arguments are required: EXPR" in rep["error"]["usage"]
+    assert "goes after '--'" in rep["error"]["usage"]
+    rep, code = run_command(["bracket", "--side", "W", "--", "-x1", "d1"])
+    assert code == 0
+    assert rep["result"]["bracket"] == "1"
+
+
 def test_power_past_the_expansion_bound_is_usage_error(monkeypatch):
     import weylift.elements
 

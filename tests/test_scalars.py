@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from oracles import oracle_from_fraction
 from weylift import Field, QQ
 from weylift.errors import DivisionByZero, NotFiniteField, NotPIntegral
 
@@ -92,3 +93,36 @@ def test_format_raw():
     assert f.format_raw(one) == "1"
     assert f.format_raw(gen) == "a"
     assert f.format_raw(f.add(one, gen)) == "(a+1)"
+
+
+_EXTENSIONS = ((2, 2, (1, 1, 1)), (2, 3, (1, 1, 0, 1)), (3, 2, (1, 0, 1)))
+
+
+@pytest.mark.parametrize(
+    "field",
+    [Field("Fp", p) for p in (2, 3, 5, 7, 11, 13, 17)]
+    + [Field("Fp", p, k, mod) for p, k, mod in _EXTENSIONS],
+    ids=repr,
+)
+def test_from_fraction_matches_fraction_round_trip(field):
+    values = [*range(-40, 41), True, False]
+    values += [Fraction(a, b) for a in range(-12, 13) for b in range(1, 19)]
+    for q in values:
+        try:
+            want = oracle_from_fraction(field, q)
+        except NotPIntegral as exc:
+            with pytest.raises(NotPIntegral, match=str(exc)):
+                field.from_fraction(q)
+            continue
+        got = field.from_fraction(q)
+        assert got == want and type(got) is type(want)
+
+
+def test_from_fraction_over_q_keeps_fractions():
+    q = Fraction(-7, 3)
+    assert QQ.from_fraction(q) is q
+    for n in (-2, 0, 5):
+        got = QQ.from_fraction(n)
+        assert got == oracle_from_fraction(QQ, n) and type(got) is Fraction
+    assert QQ.zero() is QQ.zero() and QQ.zero() == Fraction(0)
+    assert QQ.one() is QQ.one() and QQ.one() == Fraction(1)

@@ -11,6 +11,7 @@ from weylift import (
     Poly,
     QQ,
     bracket_violations,
+    check_symplecto,
     endo_rank,
     parse_element,
 )
@@ -18,6 +19,9 @@ from weylift.endo import diagonal_conjugate, dilation_conjugate
 from weylift.errors import (
     DimensionMismatch,
     InsufficientK,
+    NonUnitJacobian,
+    NotSymplectic,
+    SideMismatch,
     StabilizationFailure,
     WeyliftError,
 )
@@ -229,6 +233,87 @@ def test_canonicity_failure_names_image_and_height(monkeypatch):
     _, cert = lift(shear(), 4)
     assert cert["canonicity"] == "fail"
     assert cert["canonicity_witness"] == {"image": 0, "height": 2}
+    assert not cert["pass"]
+
+
+def test_lift_checks_sigma_before_its_linear_part(monkeypatch):
+    import weylift.approx
+
+    bent = Endo("P", FL1, QQ, [pelt("x1 + x1^2"), pelt("p1")])
+    with pytest.raises(NotSymplectic) as want:
+        check_symplecto(bent)
+    with pytest.raises(NotSymplectic) as got:
+        lift(bent, 4)
+    assert str(got.value) == str(want.value)
+    with pytest.raises(SideMismatch, match="commutative side"):
+        lift(Endo.identity("W", FL1, QQ), 4)
+    # Symplectic maps have unit Jacobians, so only a disabled bracket
+    # check lets the Jacobian check speak.
+    monkeypatch.setattr(weylift.approx, "check_symplecto", lambda endo: None)
+    with pytest.raises(NonUnitJacobian):
+        lift(bent, 4)
+    monkeypatch.undo()
+    scaled = Endo("P", FL1, QQ, [pelt("2*x1 + p1^2"), pelt("1/2*p1")])
+    check_symplecto(scaled)
+    with pytest.raises(WeyliftError, match="identity linear part"):
+        lift(scaled, 4)
+
+
+def test_reduction_failure_names_image_and_height(monkeypatch):
+    import weylift.singlift
+
+    _, cert = lift(shear(), 4, primes=(5,))
+    assert "reduction_witness" not in cert["primes"]["5"]
+    real = weylift.singlift.evaluate
+
+    def off(word, side, flavor, field, maxdeg=None, start=None):
+        out = real(word, side, flavor, field, maxdeg=maxdeg, start=start)
+        if side == "P":
+            x_img, p_img = out.images
+            out = Endo("P", flavor, field, [x_img, p_img + pelt("x1^2")])
+        return out
+
+    monkeypatch.setattr(weylift.singlift, "evaluate", off)
+    _, cert = lift(shear(), 4, primes=(5,))
+    entry = cert["primes"]["5"]
+    assert entry["reduction_consistency"] == "fail"
+    assert entry["reduction_witness"] == {"image": 1, "height": 2}
+    assert not cert["pass"]
+
+
+def test_prime_mismatch_names_the_image(monkeypatch):
+    import weylift.singlift
+
+    _, cert = lift(shear(), 4, primes=(3,))
+    assert cert["primes"]["3"] == {"reduction_consistency": "pass", "status": "fixture_match"}
+    real = weylift.singlift._center_along_word
+
+    def off(wword, flavor, fp):
+        out = real(wword, flavor, fp)
+        z_img, w_img = out.images
+        images = [z_img, w_img.scale(fp.from_int(2))]
+        return Endo("P", out.flavor, fp, images, allow_free_term=True)
+
+    monkeypatch.setattr(weylift.singlift, "_center_along_word", off)
+    _, cert = lift(shear(), 4, primes=(3,))
+    entry = cert["primes"]["3"]
+    assert entry["status"] == "mismatch"
+    assert entry["mismatch_witness"] == {"image": 1}
+    assert not cert["pass"]
+
+
+def test_commutation_failure_names_the_pair(monkeypatch):
+    import weylift.singlift
+
+    _, cert = lift(shear(), 4)
+    assert "commutation_witness" not in cert
+    monkeypatch.setattr(
+        weylift.singlift, "bracket_violations", lambda endo, maxdeg=None: [(0, 1, None)]
+    )
+    _, cert = lift(shear(), 4)
+    assert cert["commutation"] == "fail"
+    assert cert["commutation_violations"] == 1
+    assert cert["commutation_witness"] == [0, 1]
     assert not cert["pass"]
 
 

@@ -1,5 +1,6 @@
 """Tame words: elementary generators, evaluation, inversion, transport."""
 
+import json
 import random
 from fractions import Fraction
 
@@ -24,8 +25,10 @@ from weylift.errors import (
     WeyliftError,
     WrongArity,
 )
-from weylift.serialize import word_from_json, word_to_json
+from weylift.serialize import canonical_json, word_from_json, word_to_json
 from weylift.tame import (
+    SP,
+    XSHIFT,
     ElementaryGen,
     TameWord,
     evaluate,
@@ -258,3 +261,15 @@ def test_word_json_round_trip():
         word = random_tame(n, 5, 3, seed=42, kind=kind)
         doc = word_to_json(word)
         assert word_from_json(doc) == word
+
+
+def test_word_json_shares_equal_matrices():
+    a = ElementaryGen(SP, [[1, Fraction(1, 2)], [0, 1]])
+    shift = ElementaryGen(XSHIFT, (0, {2: 3}))
+    word = TameWord("symplectic", 1, [a, shift, a.inverse(), a])
+    doc = word_to_json(word)
+    first, inverse, last = (g["matrix"] for g in doc["gens"] if g["kind"] == SP)
+    assert last is first and inverse is not first
+    assert first == (("1", "1/2"), ("0", "1"))
+    assert canonical_json(doc) == canonical_json(json.loads(json.dumps(doc)))
+    assert word_from_json(doc) == word

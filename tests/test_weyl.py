@@ -5,7 +5,13 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import oracle_binary_power, oracle_mul, oracle_power, random_poly
+from oracles import (
+    oracle_binary_power,
+    oracle_is_central,
+    oracle_mul,
+    oracle_power,
+    random_poly,
+)
 from weylift import BracketFlavor, Field, Poly, QQ
 from weylift.errors import (
     ExpansionBoundExceeded,
@@ -194,6 +200,74 @@ def test_is_central_over_q():
     assert not is_central(bounded_power(x, 5))
     hfl = BracketFlavor(HAUG, 1)
     assert is_central(WeylElt.h_power(QQ, hfl, 1))
+
+
+_F9 = Field("Fp", 3, 2, (1, 0, 1))
+
+
+def _centrality_cases(field, flavor, rng):
+    """Random elements, p-th powers, elements in p-th power coordinates and
+    near misses one term away from them."""
+    p = field.char
+    cases = []
+    for _ in range(12):
+        a = random_poly(rng, field, flavor, cls=WeylElt, max_terms=4, max_deg=3)
+        cases.append(a)
+        if p:
+            lin = random_poly(rng, field, flavor, cls=WeylElt, max_terms=3, max_deg=1)
+            cases += [pth_power(lin), bounded_power(a, p)]
+        # Main exponents scaled by p (by 0 over Q): central by construction.
+        c = WeylElt(field, flavor)
+        c.terms = {
+            tuple(e * p for e in key[: flavor.main_count]) + key[flavor.main_count :]: v
+            for key, v in a.terms.items()
+        }
+        cases += [c, c + a.truncate(1), c + WeylElt.generator(field, flavor, 0)]
+    return cases
+
+
+@pytest.mark.parametrize("kind", [STANDARD, HAUG])
+@pytest.mark.parametrize(
+    "field", [QQ, Field("Fp", 2), Field("Fp", 3), Field("Fp", 7), _F9], ids=repr
+)
+def test_is_central_matches_commutator_oracle(kind, field):
+    rng = random.Random(f"{kind}{field!r}")
+    seen = set()
+    for n in (1, 2):
+        flavor = BracketFlavor(kind, n)
+        for a in _centrality_cases(field, flavor, rng):
+            want = oracle_is_central(a)
+            assert is_central(a) == want
+            seen.add(want)
+    assert seen == {True, False}
+
+
+def test_is_central_near_misses_over_f3():
+    f3 = Field("Fp", 3)
+    fl = BracketFlavor(STANDARD, 1)
+    x, d = gens(f3, fl)
+    # (x d)^3 = x^3 d^3 + x d over F_3: one term short of central.
+    cube = bounded_power(x * d, 3)
+    assert not is_central(cube) and not oracle_is_central(cube)
+    assert is_central(cube - x * d) and oracle_is_central(cube - x * d)
+    assert is_central(pth_power(x + d)) and oracle_is_central(pth_power(x + d))
+
+
+def test_is_central_refuses_skew():
+    fl = BracketFlavor(SKEW, 2)
+    g = gens(QQ, fl)
+
+    def k(i, j):
+        return WeylElt(QQ, fl, {fl.k_key(i, j): Fraction(1)})
+
+    # The commutators of distinct terms cancel on skew flavors, so the
+    # exponents alone cannot decide: this commutes with g0, g1 and g2.
+    a = k(1, 2) * g[0] - k(0, 2) * g[1] + k(0, 1) * g[2]
+    assert all(weyl_commutator(a, gi).is_zero for gi in g[:3])
+    with pytest.raises(WeyliftError, match="paired flavors"):
+        is_central(a)
+    with pytest.raises(WeyliftError, match="paired flavors"):
+        is_central(WeylElt.one(QQ, fl))
 
 
 def test_pth_power_fixture():
