@@ -408,12 +408,8 @@ def undo_shift(residual, term, maxdeg):
     return Endo("P", flavor, field, images, allow_free_term=True)
 
 
-def approximate(endo, n_target, tie_break="lex"):
-    """Tame word agreeing with the endo below degree n_target.
-
-    Returns (word, report).  The report lists the number of corrector
-    terms per stage and the final residual height.
-    """
+def _start(endo, n_target):
+    """Validate the endo: (first letters, residual the stages start from)."""
     flavor, field = endo.flavor, endo.field
     if endo.side != "P":
         raise SideMismatch("approximation reads commutative images")
@@ -425,12 +421,7 @@ def approximate(endo, n_target, tie_break="lex"):
     jacobian_is_unit(endo)
     maxdeg = n_target - 1
     word_gens = []
-    residual = Endo(
-        "P",
-        flavor,
-        field,
-        [img.truncate(maxdeg) for img in endo.images],
-    )
+    residual = Endo("P", flavor, field, [img.truncate(maxdeg) for img in endo.images])
     lin = endo.linear_part()
     ident = identity_matrix(field, flavor.main_count)
     if lin != ident:
@@ -442,8 +433,14 @@ def approximate(endo, n_target, tie_break="lex"):
         word_gens.append(gen_lin)
         inv_endo = gen_endo(gen_lin.inverse(), "P", flavor, field)
         residual = inv_endo.compose(residual, maxdeg)
-    report = {"stages": {}, "tie_break": tie_break}
-    for k in range(2, n_target):
+    return word_gens, residual
+
+
+def _walk(word_gens, residual, first, n_target, tie_break, report, alt=None):
+    """Stages first .. n_target - 1: (word, report).  An empty alt list gets
+    the alt result, forked at the first stage whose alt split differs."""
+    flavor, field = residual.flavor, residual.field
+    for k in range(first, n_target):
         devs = [
             (img - Poly.generator(field, flavor, i)).homogeneous_part(k)
             for i, img in enumerate(residual.images)
@@ -453,16 +450,38 @@ def approximate(endo, n_target, tie_break="lex"):
             continue
         h = deviation_hamiltonian(devs, k)
         terms = waring_decompose(h, tie_break)
+        if alt == [] and waring_decompose(h, "alt") != terms:
+            fork = {"stages": dict(report["stages"]), "tie_break": "alt"}
+            alt.append(_walk(list(word_gens), residual, k, n_target, "alt", fork))
         report["stages"][k] = len(terms)
         for term in terms:
             word_gens.extend(corrector(term, flavor, field))
-            residual = undo_shift(residual, term, maxdeg)
+            residual = undo_shift(residual, term, n_target - 1)
         left = endo_rank(residual)
         if left <= k:
             raise StageStall(f"stage {k} left a degree {left} deviation")
     final = endo_rank(residual)
     report["residual_height"] = None if final == float("inf") else final
     return TameWord("symplectic", flavor.pairs, word_gens), report
+
+
+def approximate(endo, n_target, tie_break="lex"):
+    """Tame word agreeing with the endo below degree n_target.
+
+    Returns (word, report).  The report lists the number of corrector
+    terms per stage and the final residual height.
+    """
+    report = {"stages": {}, "tie_break": tie_break}
+    return _walk(*_start(endo, n_target), 2, n_target, tie_break, report)
+
+
+def approximate_both(endo, n_target):
+    """(approximate(endo, n_target), approximate(endo, n_target, "alt")) from
+    one validation and one lex walk: equal Waring terms give equal correctors
+    and residuals, so the alt stages fork off at the first differing split."""
+    alt, report = [], {"stages": {}, "tie_break": "lex"}
+    lex = _walk(*_start(endo, n_target), 2, n_target, "lex", report, alt)
+    return lex, alt[0] if alt else (lex[0], {**report, "tie_break": "alt"})
 
 
 def stage_prefix(word, report, n_target):

@@ -30,6 +30,7 @@ from .errors import (
 from .fields import QQ
 from .flavors import HAUG, STANDARD, BracketFlavor
 from .poly import Poly
+from .tame import SP, XSHIFT
 from .weyl import (
     WeylElt,
     center_coordinates,
@@ -96,6 +97,35 @@ def phi_p(endo, field=None):
     if endo.flavor.kind == HAUG:
         endo = endo.specialize_h()
     return frobenius_twist(restrict_to_center(endo))
+
+
+def phi_p_along_word(word, flavor, field):
+    """phi_p(evaluate(word, "W", flavor, field)) for a symplectic word on the
+    plain paired flavor, read letter by letter on the center images as
+    tame.evaluate reads generator images, with no p-th power.  A shift by
+    f(y) = sum c_e y^e adds f(w) - sum_j c_((j+1)p-1) w^j, by Jacobson's
+    (x + f(d))^p = x^p + f(d)^p + f^(p-1)(d) and (p-1)! = -1; an sp letter
+    keeps its rows a_i, plus at p = 2 the constant sum_k a_(i,k) a_(i,k+n)
+    from xd + dx = 1.  The inverse Frobenius fixes the prime-field data."""
+    p, n = field.char, word.n
+    target = flavor.center_flavor()
+    images = [Poly.generator(field, target, i) for i in range(2 * n)]
+    for gen in word.gens:
+        if gen.kind == SP:
+            images = [
+                sum((img.scale(field.from_fraction(a)) for a, img in zip(row, images) if a),
+                    Poly.constant(field, target, field.from_fraction(
+                        sum(row[k] * row[k + n] for k in range(n)) if p == 2 else 0)))
+                for row in gen.data
+            ]
+            continue
+        index, poly = gen.data
+        t = index if gen.kind == XSHIFT else index + n
+        base = images[target.conjugate_index(t)]
+        jacobson = [((e + 1) // p - 1, -c) for e, c in poly.items() if (e + 1) % p == 0]
+        parts = [(base ** e).scale(field.from_fraction(c)) for e, c in [*poly.items(), *jacobson]]
+        images[t] = sum(parts, images[t])
+    return Endo.from_slots("P", target, field, images)
 
 
 def _lift_coefficient(field, c, shift):

@@ -79,7 +79,11 @@ def _parse_field(text):
 
 
 def _parse_primes(text):
-    return tuple(_finite_field(p).p for p in text.split(",") if p)
+    primes = [_finite_field(p).p for p in text.split(",") if p]
+    for i, p in enumerate(primes):
+        if p in primes[:i]:
+            raise UsageError(f"prime {p} is listed twice in --primes")
+    return tuple(primes)
 
 
 def _load(path, loader):

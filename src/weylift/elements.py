@@ -124,9 +124,9 @@ class SparseElement:
             raise SideMismatch(
                 f"cannot mix {type(self).__name__} with {type(other).__name__}"
             )
-        if self.flavor != other.flavor:
+        if self.flavor is not other.flavor and self.flavor != other.flavor:
             raise FlavorMismatch(f"{self.flavor!r} vs {other.flavor!r}")
-        if self.field != other.field:
+        if self.field is not other.field and self.field != other.field:
             raise FieldMismatch(f"{self.field!r} vs {other.field!r}")
 
     @property
@@ -148,8 +148,8 @@ class SparseElement:
     def __eq__(self, other):
         return (
             type(self) is type(other)
-            and self.flavor == other.flavor
-            and self.field == other.field
+            and (self.flavor is other.flavor or self.flavor == other.flavor)
+            and (self.field is other.field or self.field == other.field)
             and self.terms == other.terms
         )
 

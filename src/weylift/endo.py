@@ -96,9 +96,9 @@ class Endo:
         for img in slots:
             if not isinstance(img, cls):
                 raise SideMismatch(f"image {img!r} is not a {cls.__name__}")
-            if img.flavor != flavor:
+            if img.flavor is not flavor and img.flavor != flavor:
                 raise FlavorMismatch("image flavor differs from endo flavor")
-            if img.field != field:
+            if img.field is not field and img.field != field:
                 raise FieldMismatch("image field differs from endo field")
         self.side = side
         self.flavor = flavor

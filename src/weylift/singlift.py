@@ -20,8 +20,8 @@ from __future__ import annotations
 import random
 from itertools import chain
 
-from .approx import approximate, stage_prefix
-from .charp import phi_p
+from .approx import approximate_both, stage_prefix
+from .charp import phi_p, phi_p_along_word
 from .endo import (
     Endo,
     bracket_violations,
@@ -42,7 +42,7 @@ from .fields import Field
 from .flavors import HAUG, STANDARD, BracketFlavor
 from .linalg import identity_matrix
 from .poly import Poly, poisson_bracket
-from .tame import LIN, SP, TameWord, evaluate, gen_endo, transport
+from .tame import LIN, SP, TameWord, evaluate, transport
 
 STABILIZATION_MARGIN = 2
 
@@ -250,7 +250,8 @@ def lift(sigma, n, primes=()):
     (the order n-1 word is a prefix of the order-n word, see
     approx.stage_prefix), per-prime comparison against the center
     morphism, canonicity under the alternate corrector ordering, and
-    the commutation table.
+    the commutation table.  One walk (approx.approximate_both) gives both
+    words; a fixture_match prime is checked by charp.phi_p_along_word.
     """
     flavor, field = sigma.flavor, sigma.field
     if flavor.kind != STANDARD or flavor.aux:
@@ -259,13 +260,12 @@ def lift(sigma, n, primes=()):
         raise WeyliftError("lift needs a target order of at least 2")
     if sigma.side != "P":
         raise SideMismatch("symplecto check applies to the commutative side")
-    # approximate runs check_symplecto and jacobian_is_unit on sigma.
-    word, report = approximate(sigma, n)
+    # approximate_both checks sigma (check_symplecto, jacobian_is_unit) once.
+    (word, report), (word_alt, _) = approximate_both(sigma, n)
     if sigma.linear_part() != identity_matrix(field, flavor.main_count):
         raise WeyliftError(
             "lift expects identity linear part; peel it with a tame word"
         )
-    word_alt, _ = approximate(sigma, n, tie_break="alt")
     hflavor = BracketFlavor(HAUG, flavor.pairs)
     deg_sigma = max(img.degree() for img in sigma.images)
     stable_height = max(1, min(n - 2, 2 * deg_sigma + STABILIZATION_MARGIN))
@@ -307,7 +307,7 @@ def lift(sigma, n, primes=()):
         trunc_n = truncated(wword.gens)
         certificate["stabilization"] = "trivial"
 
-    trunc_alt = truncated(word_alt.gens)
+    trunc_alt = trunc_n if word_alt == word else truncated(word_alt.gens)
     witness = _first_difference(trunc_n.images, trunc_alt.images, n - 1)
     certificate["canonicity"] = "pass" if witness is None else "fail"
     if witness is not None:
@@ -382,30 +382,16 @@ def _prime_status(exact, sigma_p, wword, flavor, fp):
         return {"status": "skipped_expansion_budget"}
     try:
         center = phi_p(exact, fp)
-        if [_reflavor(img, flavor) for img in center.images] == sigma_p.images:
+        # The center flavor has the key layout of sigma's flavor.
+        if [img.terms for img in center.images] == [img.terms for img in sigma_p.images]:
             return {"status": "exact"}
-        expected = _center_along_word(wword, flavor, fp)
+        expected = phi_p_along_word(wword, flavor, fp)
     except ExpansionBoundExceeded:
         return {"status": "skipped_expansion_budget"}
     if center == expected:
         return {"status": "fixture_match"}
     image = next(i for i, (x, y) in enumerate(zip(center.slots, expected.slots)) if x != y)
     return {"status": "mismatch", "mismatch_witness": {"image": image}}
-
-
-def _reflavor(img, flavor):
-    """Reread an element on a flavor with the identical key layout."""
-    out = Poly(img.field, flavor)
-    out.terms = dict(img.terms)
-    return out
-
-
-def _center_along_word(wword, flavor, fp):
-    """Compose the center morphism generator by generator, in word order."""
-    acc = Endo.identity("P", flavor.center_flavor(), fp)
-    for gen in wword.gens:
-        acc = acc.compose(phi_p(gen_endo(gen, "W", flavor, fp)))
-    return acc
 
 
 def twist_psi_lambda(i, k, flavor, field):

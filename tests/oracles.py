@@ -3,7 +3,8 @@
 The normal-ordering oracle works on raw generator words with the
 one-step rewrite rules only, so it shares no code with the closed-form
 reordering in the package.  The commutative oracles go through sympy.
-The word oracle composes one endo per letter, rightmost first.  The
+The word oracle composes one endo per letter, rightmost first, and the
+center-along-a-word oracle composes phi_p of one letter at a time.  The
 centrality oracle commutes with every generator, the completion oracle
 runs Gram-Schmidt through Field dispatch, and the scalar oracle reduces
 rationals through a Fraction round trip.
@@ -14,6 +15,7 @@ from fractions import Fraction
 import sympy
 
 from weylift import BracketFlavor, Endo, Poly, QQ, WeylElt
+from weylift.charp import phi_p
 from weylift.errors import NotPIntegral, WeyliftError, ZeroCovector
 from weylift.flavors import HAUG, SKEW, STANDARD
 from weylift.linalg import (
@@ -343,6 +345,15 @@ def oracle_evaluate(word, side, flavor, field, maxdeg=None):
     acc = Endo.identity(side, flavor, field)
     for gen in reversed(word.gens):
         acc = gen_endo(gen, side, flavor, field).compose(acc, maxdeg)
+    return acc
+
+
+def oracle_center_along_word(word, flavor, field):
+    """phi_p of the word's ordered evaluation over F_p: the full phi_p of
+    each letter (a p-th power per image), composed in word order."""
+    acc = Endo.identity("P", flavor.center_flavor(), field)
+    for gen in word.gens:
+        acc = acc.compose(phi_p(gen_endo(gen, "W", flavor, field)))
     return acc
 
 

@@ -23,6 +23,7 @@ from weylift import (
 from weylift.approx import (
     WaringTerm,
     approximate,
+    approximate_both,
     corrector,
     deviation_hamiltonian,
     hamiltonian_shift_endo,
@@ -408,3 +409,19 @@ def test_stage_prefix_is_the_lower_order_word():
             lower = word
     assert checked == 228
     assert cut > 50
+
+
+def test_approximate_both_is_the_lex_and_the_alt_walk():
+    # The alt result forks off the lex walk at the first stage whose alt
+    # split differs; it must equal a walk of its own, word and report.
+    forked = 0
+    for n, maxdeg, seeds in ((1, 3, range(1, 41)), (2, 2, range(1, 31))):
+        flavor = BracketFlavor("standard", n)
+        for seed in seeds:
+            sigma = evaluate(random_tame(n, 3, maxdeg, seed), "P", flavor, QQ)
+            for order in (4, 5, 6):
+                (word, report), alt = approximate_both(sigma, order)
+                assert alt == approximate(sigma, order, tie_break="alt"), (n, seed, order)
+                assert report["tie_break"] == "lex"
+                forked += alt[0] != word
+    assert forked > 100

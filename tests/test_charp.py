@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import oracle_power
+from oracles import oracle_center_along_word, oracle_power
 from weylift import (
     BracketFlavor,
     Endo,
@@ -20,11 +20,19 @@ from weylift.charp import (
     central_pth_root,
     frobenius_twist,
     phi_p,
+    phi_p_along_word,
     reduce_endo_mod_p,
     restrict_to_center,
 )
 from weylift.errors import NoRoot, NotPIntegral, PositiveCharacteristic
-from weylift.tame import ElementaryGen, TameWord, evaluate, random_tame, transport
+from weylift.tame import (
+    ElementaryGen,
+    TameWord,
+    evaluate,
+    random_symplectic_matrix,
+    random_tame,
+    transport,
+)
 from weylift.weyl import WeylElt, center_coordinates, pth_power
 
 FL1 = BracketFlavor("standard", 1)
@@ -120,6 +128,43 @@ def test_phi_p_is_homomorphic():
             lhs = phi_p(a.compose(b), field)
             rhs = phi_p(a, field).compose(phi_p(b, field))
             assert lhs.images == rhs.images
+
+
+def _center_word(rng, n, p):
+    """sp, shift, sp, shift.  The first sp letter has a row i with
+    a_(i,i) a_(i,i+n) = 1 (odd at p = 2), and the first shift reaches
+    degrees p - 1 and 2p - 1, whose Jacobson terms are a constant and a
+    multiple of the conjugate coordinate."""
+    g = 2 * n
+    i = rng.randrange(n)
+    transvection = [[int(r == s or (r, s) == (i, n + i)) for s in range(g)] for r in range(g)]
+    big = {rng.randrange(1, 2 * p): rng.choice([-2, -1, 2, 3]), p - 1: 1, 2 * p - 1: -1}
+    small = {e: rng.choice([-2, -1, 1, 2]) for e in rng.sample([1, 2, 3], 2)}
+    shifts = [rng.choice(["xshift", "pshift"]) for _ in range(2)]
+    return TameWord("symplectic", n, [
+        ElementaryGen("sp", transvection),
+        ElementaryGen(shifts[0], (rng.randrange(n), big)),
+        ElementaryGen("sp", random_symplectic_matrix(n, rng)),
+        ElementaryGen(shifts[1], (rng.randrange(n), small)),
+    ])
+
+
+def test_phi_p_along_word_matches_letter_by_letter_oracle():
+    rng = random.Random(15)
+    for n, flavor in ((1, FL1), (2, FL2)):
+        for p in (2, 3, 5, 7, 11, 13):
+            field = Field("Fp", p)
+            for _ in range(3):
+                word = _center_word(rng, n, p)
+                want = oracle_center_along_word(word, flavor, field)
+                assert phi_p_along_word(word, flavor, field) == want, (n, p, word.gens)
+    # The README's (x + d^2)^3 = x^3 + d^6 - 1 over F_3, and an odd p = 2 row.
+    word = TameWord("symplectic", 1, [ElementaryGen("xshift", (0, {2: 1}))])
+    images = phi_p_along_word(word, FL1, Field("Fp", 3)).images
+    assert [str(img) for img in images] == ["w1^2 + z1 + 2", "w1"]
+    word = TameWord("symplectic", 1, [ElementaryGen("sp", [[1, 1], [0, 1]])])
+    images = phi_p_along_word(word, FL1, Field("Fp", 2)).images
+    assert [str(img) for img in images] == ["z1 + w1 + 1", "w1"]
 
 
 def test_phi_p_images_are_symplectic():

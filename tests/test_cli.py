@@ -213,6 +213,14 @@ def test_lift(tmp_path):
     assert rep["result"]["endo"]["images"] == ["d1^2 + x1", "d1"]
 
 
+def test_lift_rejects_a_repeated_prime(tmp_path):
+    rep, code = run_command([
+        "lift", "--endo", shear_file(tmp_path), "--order", "4", "--primes", "3,5,3",
+    ])
+    assert code == 1
+    assert rep["error"] == {"usage": "prime 3 is listed twice in --primes"}
+
+
 def test_singscan(tmp_path):
     sig = shear_file(tmp_path)
     rep, code = run_command(["singscan", "--endo", sig, "--order", "3"])

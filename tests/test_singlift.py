@@ -219,17 +219,15 @@ def test_canonicity_failure_names_image_and_height(monkeypatch):
 
     _, cert = lift(shear(), 4)
     assert "canonicity_witness" not in cert
-    real = weylift.singlift.approximate
+    real = weylift.singlift.approximate_both
 
-    def skewed(sigma, n, tie_break="lex"):
-        word, report = real(sigma, n, tie_break)
-        if tie_break == "alt":
-            # x1 -> x1 + p1^2 acting first adds p1^2 to image 0.
-            extra = ElementaryGen("xshift", (0, {2: 1}))
-            word = TameWord(word.kind, word.n, [*word.gens, extra])
-        return word, report
+    def skewed(sigma, n):
+        lex, (word, report) = real(sigma, n)
+        # x1 -> x1 + p1^2 acting first adds p1^2 to image 0.
+        extra = ElementaryGen("xshift", (0, {2: 1}))
+        return lex, (TameWord(word.kind, word.n, [*word.gens, extra]), report)
 
-    monkeypatch.setattr(weylift.singlift, "approximate", skewed)
+    monkeypatch.setattr(weylift.singlift, "approximate_both", skewed)
     _, cert = lift(shear(), 4)
     assert cert["canonicity"] == "fail"
     assert cert["canonicity_witness"] == {"image": 0, "height": 2}
@@ -259,6 +257,23 @@ def test_lift_checks_sigma_before_its_linear_part(monkeypatch):
         lift(scaled, 4)
 
 
+def test_lift_checks_sigma_once(monkeypatch):
+    import weylift.approx
+
+    # The composite's lex and alt words differ, so the alt walk forks.
+    comp = shear().compose(Endo("P", FL1, QQ, [pelt("x1"), pelt("p1 + x1^2")]))
+    lex, alt = weylift.approx.approximate_both(comp, 5)
+    assert alt[0] != lex[0]
+    calls = []
+    real = weylift.approx.check_symplecto
+    monkeypatch.setattr(
+        weylift.approx, "check_symplecto", lambda endo: calls.append(endo) or real(endo)
+    )
+    _, cert = lift(comp, 5, primes=(3, 5))
+    assert cert["pass"]
+    assert calls == [comp]
+
+
 def test_reduction_failure_names_image_and_height(monkeypatch):
     import weylift.singlift
 
@@ -286,7 +301,7 @@ def test_prime_mismatch_names_the_image(monkeypatch):
 
     _, cert = lift(shear(), 4, primes=(3,))
     assert cert["primes"]["3"] == {"reduction_consistency": "pass", "status": "fixture_match"}
-    real = weylift.singlift._center_along_word
+    real = weylift.singlift.phi_p_along_word
 
     def off(wword, flavor, fp):
         out = real(wword, flavor, fp)
@@ -294,7 +309,7 @@ def test_prime_mismatch_names_the_image(monkeypatch):
         images = [z_img, w_img.scale(fp.from_int(2))]
         return Endo("P", out.flavor, fp, images, allow_free_term=True)
 
-    monkeypatch.setattr(weylift.singlift, "_center_along_word", off)
+    monkeypatch.setattr(weylift.singlift, "phi_p_along_word", off)
     _, cert = lift(shear(), 4, primes=(3,))
     entry = cert["primes"]["3"]
     assert entry["status"] == "mismatch"
