@@ -17,7 +17,6 @@ from .approx import (
 )
 from .charp import (
     center_bracket,
-    central_pth_root,
     frobenius_twist,
     phi_p,
     reduce_endo_mod_p,
@@ -94,7 +93,6 @@ __all__ = [
     "bracket_violations",
     "center_bracket",
     "center_coordinates",
-    "central_pth_root",
     "check_symplecto",
     "conjugate_by_curve",
     "corrector",

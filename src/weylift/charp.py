@@ -12,15 +12,11 @@ the paired convention on the plain commutative side.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 
-from .elements import term_sort_key
 from .endo import Endo
 from .errors import (
-    Ambiguous,
     InternalCentralityFailure,
-    NoRoot,
     NotDivisibleByP,
     NotFiniteField,
     PositiveCharacteristic,
@@ -38,9 +34,6 @@ from .weyl import (
     is_central,
     pth_power,
 )
-
-#: Largest candidate count the exhaustive root search will walk.
-EXHAUSTIVE_BOUND = 4096
 
 
 def reduce_endo_mod_p(endo, field):
@@ -174,92 +167,3 @@ def center_bracket(a, b, shifts=None):
     coords = center_coordinates(reduced)
     coords.flavor = a.flavor
     return -coords
-
-
-def _center_degree(flavor, key):
-    return sum(flavor.main_exponents(key))
-
-
-def central_pth_root(h, exhaustive_bound=None):
-    """Ordered element g with g^p central and coordinates matching h.
-
-    Matching is up to the coefficient Frobenius used by the center
-    morphism: center_coordinates(g^p) equals h with every coefficient
-    raised to the p-th power.  Greedy diagonal solve from the top
-    monomial down, with an exhaustive search over bounded supports as a
-    fallback; NoRoot and Ambiguous are only raised when proven.
-    """
-    field = h.field
-    if field.char == 0:
-        raise PositiveCharacteristic("root search needs a finite field")
-    if h.flavor.kind != STANDARD:
-        raise WeyliftError("root search expects plain paired coordinates")
-    p = field.char
-    w_flavor = BracketFlavor(STANDARD, h.flavor.pairs)
-    twisted = h.map_coefficients(lambda c: field.frobenius(c))
-    twisted.flavor = h.flavor
-    target = from_center_coordinates(twisted, w_flavor, cls=WeylElt)
-    degree = max(
-        (_center_degree(h.flavor, key) for key in h.terms), default=0
-    )
-    g = w_flavor.main_count
-    cap = 16 + 4 * len(list(_support_keys(w_flavor, degree)))
-    cand = WeylElt.zero(field, w_flavor)
-    for _ in range(cap):
-        residual = target - pth_power(cand)
-        if residual.is_zero:
-            return _verified(cand, h)
-        key = max(residual.terms, key=lambda k: term_sort_key(w_flavor, k))
-        exps = w_flavor.main_exponents(key)
-        if any(e % p for e in exps):
-            break
-        r = residual.terms[key]
-        inc_key = tuple(e // p for e in exps) + key[g:]
-        inc = WeylElt(field, w_flavor)
-        inc.terms = {inc_key: field.frobenius(r, inverse=True)}
-        cand = cand + inc
-    return _exhaustive_root(h, target, degree, exhaustive_bound)
-
-
-def _support_keys(flavor, degree):
-    g = flavor.main_count
-    for exps in itertools.product(range(degree + 1), repeat=g):
-        if sum(exps) <= degree:
-            yield tuple(exps) + (0,) * (flavor.key_len - g)
-
-
-def _verified(cand, h):
-    power = pth_power(cand)
-    if not is_central(power):
-        raise InternalCentralityFailure("root verification lost centrality")
-    coords = center_coordinates(power, check=False)
-    coords.flavor = h.flavor
-    want = h.map_coefficients(lambda c: h.field.frobenius(c))
-    want.flavor = h.flavor
-    if coords != want:
-        raise WeyliftError("root verification failed")
-    return cand
-
-
-def _exhaustive_root(h, target, degree, exhaustive_bound):
-    field = h.field
-    w_flavor = target.flavor
-    keys = list(_support_keys(w_flavor, degree))
-    limit = EXHAUSTIVE_BOUND if exhaustive_bound is None else exhaustive_bound
-    total = field.order ** len(keys)
-    if total > limit:
-        raise WeyliftError(
-            f"greedy search stalled and {total} candidates exceed the "
-            f"exhaustive bound {limit}"
-        )
-    values = list(field.elements())
-    found = None
-    for assignment in itertools.product(values, repeat=len(keys)):
-        cand = WeylElt(field, w_flavor, dict(zip(keys, assignment)))
-        if pth_power(cand) == target:
-            if found is not None:
-                raise Ambiguous("two distinct roots share the target coordinates")
-            found = cand
-    if found is None:
-        raise NoRoot(f"no ordered element has p-th power coordinates {h}")
-    return _verified(found, h)

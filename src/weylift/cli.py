@@ -93,7 +93,9 @@ def _load(path, loader):
         raise UsageError(f"cannot read {path}: {exc}") from exc
     try:
         return doc, loader(doc)
-    except (WeyliftError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+    except (
+        WeyliftError, AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError
+    ) as exc:
         raise UsageError(f"bad document {path}: {exc}") from exc
 
 

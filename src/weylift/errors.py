@@ -107,14 +107,6 @@ class NotDivisibleByP(WeyliftError):
     """An integer commutator coefficient is not divisible by p."""
 
 
-class NoRoot(WeyliftError):
-    """No central p-th root exists on the candidate support."""
-
-
-class Ambiguous(WeyliftError):
-    """More than one central p-th root verifies; uniqueness is violated."""
-
-
 # ---------------------------------------------------------------- singlift
 
 class DimensionMismatch(WeyliftError):

@@ -36,7 +36,7 @@ from .errors import (
 )
 from .fields import QQ
 from .flavors import STANDARD, BracketFlavor
-from .linalg import mat_inv, mat_mul, omega_matrix_raw, symplectic_inverse
+from .linalg import identity_matrix, mat_inv, mat_mul, omega_matrix_raw, symplectic_inverse
 
 SP = "sp"
 LIN = "lin"
@@ -329,35 +329,29 @@ def _random_sl2(rng, steps=3):
 
 def _embed_sl2(n, i, abcd):
     a, b, c, d = abcd
-    g = 2 * n
-    out = [[Fraction(int(r == s)) for s in range(g)] for r in range(g)]
+    out = identity_matrix(QQ, 2 * n)
     out[i][i], out[i][n + i] = Fraction(a), Fraction(b)
     out[n + i][i], out[n + i][n + i] = Fraction(c), Fraction(d)
     return out
 
 
 def _pair_swap(n, i, j):
-    g = 2 * n
-    perm = list(range(g))
-    perm[i], perm[j] = perm[j], perm[i]
-    perm[n + i], perm[n + j] = perm[n + j], perm[n + i]
-    return [
-        [Fraction(int(perm[r] == s)) for s in range(g)] for r in range(g)
-    ]
+    out = identity_matrix(QQ, 2 * n)
+    out[i], out[j] = out[j], out[i]
+    out[n + i], out[n + j] = out[n + j], out[n + i]
+    return out
 
 
 def _cross_transvection(n, i, j, m):
     # x_i += m x_j and p_j -= m p_i preserve the pairing.
-    g = 2 * n
-    out = [[Fraction(int(r == s)) for s in range(g)] for r in range(g)]
+    out = identity_matrix(QQ, 2 * n)
     out[i][j] = Fraction(m)
     out[n + j][n + i] = Fraction(-m)
     return out
 
 
 def random_symplectic_matrix(n, rng, steps=3):
-    g = 2 * n
-    acc = [[Fraction(int(r == s)) for s in range(g)] for r in range(g)]
+    acc = identity_matrix(QQ, 2 * n)
     for _ in range(steps):
         roll = rng.random()
         if roll < 0.5 or n == 1:
@@ -373,7 +367,7 @@ def random_symplectic_matrix(n, rng, steps=3):
 
 
 def random_unimodular_matrix(g, rng, steps=4):
-    acc = [[Fraction(int(r == s)) for s in range(g)] for r in range(g)]
+    acc = identity_matrix(QQ, g)
     for _ in range(steps):
         i, j = rng.sample(range(g), 2)
         m = rng.choice([-2, -1, 1, 2])

@@ -1,4 +1,4 @@
-"""Fixed-prime center morphism: reduction, restriction, twist, roots."""
+"""Fixed-prime center morphism: reduction, restriction, twist, bracket."""
 
 import random
 from fractions import Fraction
@@ -17,14 +17,13 @@ from weylift import (
 )
 from weylift.charp import (
     center_bracket,
-    central_pth_root,
     frobenius_twist,
     phi_p,
     phi_p_along_word,
     reduce_endo_mod_p,
     restrict_to_center,
 )
-from weylift.errors import NoRoot, NotPIntegral, PositiveCharacteristic
+from weylift.errors import NotPIntegral, PositiveCharacteristic
 from weylift.tame import (
     ElementaryGen,
     TameWord,
@@ -243,44 +242,6 @@ def test_center_bracket_lift_independence():
     kb = next(iter(b.terms))
     shifted = center_bracket(a, b, shifts=({ka: 1}, {kb: 2}))
     assert shifted == base
-
-
-def test_central_pth_root_fixtures():
-    f2 = Field("Fp", 2)
-    assert str(central_pth_root(parse_element("z1", f2, CF1, "P"))) == "x1"
-    assert str(central_pth_root(parse_element("z1 + w1 + 1", f2, CF1, "P"))) == "x1 + p1"
-    # (x+d+1)^2 = x^2 + d^2 over F_2, so z+w does have a root
-    assert str(central_pth_root(parse_element("z1 + w1", f2, CF1, "P"))) == "x1 + p1 + 1"
-    with pytest.raises(NoRoot):
-        central_pth_root(parse_element("z1*w1", f2, CF1, "P"))
-
-
-def test_central_pth_root_round_trip():
-    words = [
-        [ElementaryGen("xshift", (0, {2: 1}))],
-        [ElementaryGen("pshift", (0, {3: 1}))],
-        [ElementaryGen("sp", [[0, 1], [-1, 0]]), ElementaryGen("xshift", (0, {2: 1}))],
-    ]
-    for p in (2, 3):
-        field = Field("Fp", p)
-        for gens in words:
-            word = TameWord("symplectic", 1, gens)
-            wend = evaluate(transport(word), "W", FL1, QQ)
-            ce = phi_p(wend, field)
-            red = reduce_endo_mod_p(wend, field)
-            for img, center_img in zip(red.images, ce.images):
-                assert central_pth_root(center_img) == img
-
-
-def test_central_pth_root_extension_field():
-    f4 = Field("Fp", 2, 2, modulus=(1, 1, 1))
-    alpha = f4.from_coeffs((0, 1))
-    z = parse_element("z1", f4, CF1, "P")
-    target = z.scale(alpha)
-    root = central_pth_root(target)
-    x = WeylElt.generator(f4, FL1, 0)
-    # root^2 reads alpha z after the inverse-Frobenius twist, so root = alpha x
-    assert root == x.scale(alpha)
 
 
 def test_center_bracket_rejects_char_zero():

@@ -92,6 +92,8 @@ def test_usage_errors(tmp_path):
         ["bracket", "--field", "7", "--", "1/7", "x1"],
         ["check", "--in", "{zero_den_endo}"],
         ["invert", "--in", "{zero_den_word}"],
+        ["check", "--in", "{string_field_endo}"],
+        ["invert", "--in", "{list_poly_word}"],
         ["bracket", "x1", "p1", "--n", "0"],
         ["corpus", "--seed", "1", "--n", "0"],
         ["corpus", "--seed", "1", "--count", "-1"],
@@ -117,14 +119,19 @@ def test_bad_input_is_usage_error(tmp_path, argv):
         "weyl": weyl_file(tmp_path),
         "zero_den_endo": str(tmp_path / "zero_den_endo.json"),
         "zero_den_word": str(tmp_path / "zero_den_word.json"),
+        "string_field_endo": str(tmp_path / "string_field_endo.json"),
+        "list_poly_word": str(tmp_path / "list_poly_word.json"),
     }
     doc = endo_to_json(Endo("P", FL1, QQ, [pelt("x1"), pelt("p1")]))
+    dump_json({**doc, "field": "Q"}, paths["string_field_endo"])
     doc["images"][0] = "x1 + 1/0*x1^2"
     dump_json(doc, paths["zero_den_endo"])
     word = {"kind": "symplectic", "n": 1, "gens": [
         {"kind": "xshift", "index": 0, "poly": {"2": "1/0"}},
     ]}
     dump_json(word, paths["zero_den_word"])
+    word["gens"][0]["poly"] = []
+    dump_json(word, paths["list_poly_word"])
     rep, code = run_command([arg.format(**paths) for arg in argv])
     assert code == 1
     assert set(rep) == {"schema", "error"}
