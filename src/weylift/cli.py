@@ -89,12 +89,13 @@ def _parse_primes(text):
 def _load(path, loader):
     try:
         doc = load_json(path)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, RecursionError) as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
     try:
         return doc, loader(doc)
     except (
-        WeyliftError, AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError
+        WeyliftError, AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError,
+        RecursionError,
     ) as exc:
         raise UsageError(f"bad document {path}: {exc}") from exc
 
@@ -219,7 +220,7 @@ def _cmd_bracket(args):
     try:
         a = parse_element(args.exprs[0], field, flavor, args.side, cls)
         b = parse_element(args.exprs[1], field, flavor, args.side, cls)
-    except (ExprSyntaxError, UnknownGenerator) as exc:
+    except (ExprSyntaxError, UnknownGenerator, RecursionError) as exc:
         raise UsageError(str(exc)) from exc
     except ExpansionBoundExceeded as exc:
         raise UsageError(f"ExpansionBoundExceeded: {exc}") from exc

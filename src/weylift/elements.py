@@ -2,8 +2,9 @@
 
 Terms live in a dict mapping exponent keys (see flavors.BracketFlavor)
 to raw field values; zero coefficients are never stored.  One product
-kernel (ordered_mul) serves both sides, and one sweep (sweep, sum_terms)
-finishes every sum of terms.
+kernel (ordered_mul) serves both sides, one sweep (sweep, sum_terms)
+finishes every sum of terms, and one substitution (substitute) puts
+images into a polynomial for Endo.apply and tame.evaluate.
 """
 
 from __future__ import annotations
@@ -458,4 +459,43 @@ def ordered_mul(a, b, pairs, maxdeg):
                 terms[key] = c if prev is None else add(prev, c)
     out = type(a)(field, flavor)
     out.terms = sweep(field, terms)
+    return out
+
+
+# -- substitution -----------------------------------------------------------------
+
+
+def substitute(images, parts, mul, base=None):
+    """base plus the sum of c * prefix * images[s1]^e1 * .. over the parts
+    (prefix or None, [(s1, e1), ..], c), c a raw field value.
+
+    The one substitution: Endo.apply and tame.evaluate come here.  Each
+    power images[s]^e is built once per call by mul (plain or truncated),
+    with images[s] on the right.  c scales the coefficients with the plain
+    operators over Q and F_p (Field.mul over F_{p^k}), and one sum_terms
+    finishes the sum.  A part with no factors needs a prefix.
+    """
+    field, flavor = images[0].field, images[0].flavor
+    scale = _mul if field.k == 1 else field.mul
+    powers = [[None, img] for img in images]
+
+    def power(slot, e):
+        cache = powers[slot]
+        while len(cache) <= e:
+            cache.append(mul(cache[-1], images[slot]))
+        return cache[e]
+
+    def pairs():
+        if base is not None:
+            yield from base.terms.items()
+        for elem, factors, c in parts:
+            for slot, e in factors:
+                elem = power(slot, e) if elem is None else mul(elem, power(slot, e))
+                if elem.is_zero:
+                    break
+            for key, v in elem.terms.items():
+                yield key, scale(v, c)
+
+    out = type(images[0])(field, flavor)
+    out.terms = sum_terms(field, pairs())
     return out

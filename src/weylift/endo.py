@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from operator import mul as _mul
 
-from .elements import SparseElement, sum_terms
+from .elements import SparseElement, substitute
 from .errors import (
     DimensionMismatch,
     FieldMismatch,
@@ -172,30 +172,12 @@ class Endo:
         flavor, field = self.flavor, self.field
         t_slot = flavor.t_slot
 
-        def mul(a, b):
-            if maxdeg is None:
-                return a * b
-            return a.mul_truncated(b, maxdeg)
+        mul = cls.__mul__ if maxdeg is None else lambda a, b: a.mul_truncated(b, maxdeg)
+        heights = [base.height() for base in self.slots]
 
-        bases = self.slots
-        caches = [{1: base} for base in bases]
-        heights = [base.height() for base in bases]
-
-        def power(idx, e):
-            cache = caches[idx]
-            if e in cache:
-                return cache[e]
-            best = max(k for k in cache if k <= e)
-            acc = cache[best]
-            for k in range(best + 1, e + 1):
-                acc = mul(acc, bases[idx])
-                cache[k] = acc
-            return cache[e]
-
-        # One dict sums every part, so the growing sum is never copied.
         def parts():
             for key, coeff in elem.terms.items():
-                # Only the h slot can be negative; h^-e is handled below.
+                # Only the h slot can be negative; h^-e joins the prefix.
                 exps = [(s, e) for s, e in enumerate(key[:t_slot]) if e > 0]
                 h_e = flavor.h_exponent(key)
                 if maxdeg is not None:
@@ -204,27 +186,18 @@ class Endo:
                         floor += flavor.weights[flavor.h_slot] * h_e
                     if floor > maxdeg:
                         continue
-                part = cls.constant(field, flavor, coeff)
-                fixed = [0] * flavor.key_len
+                fixed = [0] * t_slot + [flavor.t_exponent(key)]
                 if h_e < 0:
                     lam = _monomial_scale(self.h_image, flavor.h_key(1))
                     fixed[flavor.h_slot] = h_e
-                    part = part.scale(field.pow_int(lam, h_e))
-                t_e = flavor.t_exponent(key)
-                if t_e:
-                    fixed[flavor.t_slot] = t_e
-                if any(fixed):
-                    shift = cls(field, flavor)
-                    shift.terms = {tuple(fixed): field.one()}
-                    part = part * shift
-                for idx, e in exps:
-                    part = mul(part, power(idx, e))
-                    if part.is_zero:
-                        break
-                yield from part.terms.items()
+                    coeff = field.mul(coeff, field.pow_int(lam, h_e))
+                # The prefix h^-e t^e also stands in for an empty product.
+                prefix = None
+                if any(fixed) or not exps:
+                    prefix = cls(field, flavor, {tuple(fixed): field.one()})
+                yield prefix, exps, coeff
 
-        out = cls(field, flavor)
-        out.terms = sum_terms(field, parts())
+        out = substitute(self.slots, parts(), mul)
         if maxdeg is not None:
             out = out.truncate(maxdeg)
         return out

@@ -9,9 +9,10 @@ Grammar:
 
 Multiplication is order-preserving, so the same parser serves both the
 commutative and the normal-ordered side.  Negative exponents are only
-accepted directly on h or t.  Printing is deterministic: terms appear in
-descending graded-lex order, factors in slot order, so equal elements
-always produce byte-identical text.
+accepted directly on h or t.  Over F_{p^k}, k > 1, the name a is the
+field generator, as Field.format_raw writes it.  Printing is
+deterministic: terms appear in descending graded-lex order, factors in
+slot order, so equal elements always produce byte-identical text.
 """
 
 from __future__ import annotations
@@ -190,6 +191,8 @@ class _Parser:
             return self.cls.constant(self.field, self.flavor, num)
         if kind == "NAME":
             slot = self.names.get(value)
+            if slot is None and value == "a" and self.field.k > 1:
+                return self.cls.constant(self.field, self.flavor, self.field.from_coeffs([0, 1]))
             if slot is None:
                 raise UnknownGenerator(f"unknown generator {value!r}")
             key = list(self.flavor.unit_key())

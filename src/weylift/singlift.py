@@ -243,15 +243,16 @@ def lift(sigma, n, primes=()):
     """Ordered-side lift of a commutative symplectomorphism, with receipts.
 
     Returns (lifted, certificate).  The lifted endo is the exact
-    ordered evaluation of the transported approximation word when the
-    expansion stays within budget, else a graded h-truncated
-    evaluation; certificate["representation"] records which.  The
-    certificate also records stabilization between orders n-1 and n
-    (the order n-1 word is a prefix of the order-n word, see
-    approx.stage_prefix), per-prime comparison against the center
-    morphism, canonicity under the alternate corrector ordering, and
-    the commutation table.  One walk (approx.approximate_both) gives both
-    words; a fixture_match prime is checked by charp.phi_p_along_word.
+    ordered evaluation of the transported approximation word, and
+    certificate["representation"] is "exact": tame.evaluate never checks
+    EXPANSION_BOUND, so the graded h-truncated fallback
+    ("truncated_haug") is not reached.  The certificate also records
+    stabilization between orders n-1 and n (the order n-1 word is a
+    prefix of the order-n word, see approx.stage_prefix), per-prime
+    comparison against the center morphism, canonicity under the
+    alternate corrector ordering, and the commutation table.  One walk
+    (approx.approximate_both) gives both words; a fixture_match prime is
+    checked by charp.phi_p_along_word.
     """
     flavor, field = sigma.flavor, sigma.field
     if flavor.kind != STANDARD or flavor.aux:

@@ -21,9 +21,8 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from operator import mul as _mul
 
-from .elements import sum_terms
+from .elements import substitute
 from .endo import Endo, element_class
 from .errors import (
     FieldMismatch,
@@ -220,10 +219,11 @@ def evaluate(word, side, flavor, field, maxdeg=None, start=None):
       one image, by deg f - 1 products; the other images are shared;
     - a gl shift letter adds its monomials in the current images.
 
-    Every letter fixes h and the k symbols, so their images are those of
-    start.  Truncation by graded degree is a ring map on images without
-    a constant term, so truncating every product gives the truncation of
-    the exact endo.
+    Each new image is one elements.substitute call, which builds each
+    power of an image once.  Every letter fixes h and the k symbols, so
+    their images are those of start.  Truncation by graded degree is a
+    ring map on images without a constant term, so truncating every
+    product gives the truncation of the exact endo.
     """
     if flavor.pairs != word.n:
         raise WrongArity(f"word has {word.n} pairs, flavor has {flavor.pairs}")
@@ -251,68 +251,28 @@ def evaluate(word, side, flavor, field, maxdeg=None, start=None):
 
     g = flavor.main_count
     images, extra = images[:g], images[g:]
-    # Over Q and F_p raw values take the plain operators; sum_terms reduces.
-    scale = _mul if field.k == 1 else field.mul
-
-    def combine(parts, base=None):
-        """base plus the sum of raw coefficient times element over parts."""
-
-        def pairs():
-            if base is not None:
-                yield from base.terms.items()
-            for r, elem in parts:
-                for key, c in elem.terms.items():
-                    yield key, scale(c, r)
-
-        out = cls(field, flavor)
-        out.terms = sum_terms(field, pairs())
-        return out
-
-    def univariate(poly, base):
-        """(raw coefficient, base^e) for the terms c y^e of poly."""
-        parts = []
-        elem = base
-        for e in range(1, max(poly, default=0) + 1):
-            if e > 1:
-                elem = mul(elem, base)
-                if elem.is_zero:
-                    break
-            if e in poly:
-                parts.append((field.from_fraction(poly[e]), elem))
-        return parts
-
-    def monomials(poly):
-        """(raw coefficient, product of image powers) for each monomial."""
-        powers = [[None, img] for img in images]
-        parts = []
-        for exps, c in poly.items():
-            elem = None
-            for slot, e in enumerate(exps):
-                if not e:
-                    continue
-                cache = powers[slot]
-                while len(cache) <= e:
-                    cache.append(mul(cache[-1], images[slot]))
-                elem = cache[e] if elem is None else mul(elem, cache[e])
-            parts.append((field.from_fraction(c), elem))
-        return parts
-
     for gen in word.gens:
         if gen.kind in (SP, LIN):
             rows = [[field.from_fraction(v) for v in row] for row in gen.data]
             images = [
-                combine([(r, img) for r, img in zip(row, images) if not field.is_zero(r)])
+                substitute(
+                    images,
+                    [(None, [(s, 1)], r) for s, r in enumerate(row) if not field.is_zero(r)],
+                    mul,
+                )
                 for row in rows
             ]
             continue
         index, poly = gen.data
         if gen.kind == SHIFT:
-            target, parts = index, monomials(poly)
+            target = index
+            terms = [([(s, e) for s, e in enumerate(exps) if e], c) for exps, c in poly.items()]
         else:
             target = index if gen.kind == XSHIFT else flavor.conjugate_index(index)
-            parts = univariate(poly, images[flavor.conjugate_index(target)])
-        images = list(images)
-        images[target] = combine(parts, images[target])
+            var = flavor.conjugate_index(target)
+            terms = [([(var, e)], c) for e, c in sorted(poly.items())]
+        parts = [(None, factors, field.from_fraction(c)) for factors, c in terms]
+        images[target] = substitute(images, parts, mul, images[target])
     return Endo.from_slots(side, flavor, field, images + extra)
 
 

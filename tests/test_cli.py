@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 import weylift
-from weylift import BracketFlavor, Endo, QQ, parse_element
+from weylift import BracketFlavor, Endo, Field, QQ, parse_element
 from weylift.cli import main, run_command
 from weylift.serialize import (
     canonical_json,
@@ -22,6 +22,7 @@ from weylift.serialize import (
     load_json,
 )
 from weylift.tame import ElementaryGen, TameWord, evaluate, random_tame
+from weylift.weyl import WeylElt
 
 FL1 = BracketFlavor("standard", 1)
 
@@ -37,8 +38,6 @@ def shear_file(tmp_path, name="sig.json"):
 
 
 def weyl_file(tmp_path, name="xd.json"):
-    from weylift.weyl import WeylElt
-
     x, d = WeylElt.generator(QQ, FL1, 0), WeylElt.generator(QQ, FL1, 1)
     path = tmp_path / name
     dump_json(endo_to_json(Endo("W", FL1, QQ, [x + d, d])), str(path))
@@ -106,6 +105,9 @@ def test_usage_errors(tmp_path):
         ["singscan", "--in", "{shear}", "--order", "2", "--samples", "-3", "--seed", "1"],
         ["lift", "--in", "{shear}", "--order", "1"],
         ["lift", "--in", "{shear}", "--order", "x"],
+        ["bracket", "--", "{deep}", "x1"],
+        ["check", "--in", "{deep_json}"],
+        ["check", "--in", "{deep_image_endo}"],
     ],
     ids=lambda argv: " ".join(argv),
 )
@@ -121,11 +123,17 @@ def test_bad_input_is_usage_error(tmp_path, argv):
         "zero_den_word": str(tmp_path / "zero_den_word.json"),
         "string_field_endo": str(tmp_path / "string_field_endo.json"),
         "list_poly_word": str(tmp_path / "list_poly_word.json"),
+        "deep": "(" * 3000 + "x1" + ")" * 3000,
+        "deep_json": str(tmp_path / "deep.json"),
+        "deep_image_endo": str(tmp_path / "deep_image_endo.json"),
     }
+    (tmp_path / "deep.json").write_text("[" * 100000 + "]" * 100000)
     doc = endo_to_json(Endo("P", FL1, QQ, [pelt("x1"), pelt("p1")]))
     dump_json({**doc, "field": "Q"}, paths["string_field_endo"])
     doc["images"][0] = "x1 + 1/0*x1^2"
     dump_json(doc, paths["zero_den_endo"])
+    doc["images"][0] = paths["deep"]
+    dump_json(doc, paths["deep_image_endo"])
     word = {"kind": "symplectic", "n": 1, "gens": [
         {"kind": "xshift", "index": 0, "poly": {"2": "1/0"}},
     ]}
@@ -137,6 +145,23 @@ def test_bad_input_is_usage_error(tmp_path, argv):
     assert set(rep) == {"schema", "error"}
     assert set(rep["error"]) == {"usage"}
     assert isinstance(rep["error"]["usage"], str)
+
+
+def test_extension_field_endo_reads_back(tmp_path):
+    f4 = Field("Fp", 2, 2, (1, 1, 1))
+
+    def welt(text):
+        return parse_element(text, f4, FL1, "W", WeylElt)
+
+    path, out = str(tmp_path / "f4.json"), str(tmp_path / "f4c.json")
+    dump_json(endo_to_json(Endo("W", FL1, f4, [welt("a*x1 + d1^2"), welt("(a+1)*d1")])), path)
+    rep, code = run_command(["check", "--in", path])
+    assert (code, rep["result"]) == (0, {"weyl": True})
+    _, code = run_command(["compose", path, path, "--out", out])
+    assert code == 0
+    assert load_json(out)["images"] == ["(a+1)*x1", "a*d1"]
+    rep, code = run_command(["check", "--in", out])
+    assert (code, rep["result"]) == (0, {"weyl": True})
 
 
 def test_leading_minus_expression_points_after_double_dash():

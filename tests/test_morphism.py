@@ -30,6 +30,7 @@ from weylift.errors import (
     UnknownGenerator,
     WrongArity,
 )
+from weylift.elements import substitute
 from weylift.endo import element_class
 from weylift.serialize import endo_from_json, endo_to_json
 from weylift.weyl import WeylElt
@@ -285,3 +286,121 @@ def test_compose_and_map_coefficients_keep_k_images(side):
     f7 = Field("Fp", 7)
     red = b.map_coefficients(f7.from_fraction, f7)
     assert red.k_images == [img.map_coefficients(f7.from_fraction, f7) for img in scaled_k(3)]
+
+
+F4 = Field("Fp", 2, 2, (1, 1, 1))
+SUBSTITUTE_FLAVORS = (FL1, HAUG1, BracketFlavor("skew", 1))
+SUBSTITUTE_FIELDS = (QQ, Field("Fp", 7), F4)
+
+
+def _random_raw(rng, field):
+    """A nonzero raw value; over F_4 one of a and a + 1."""
+    if field.k > 1:
+        return field.from_coeffs([rng.randrange(field.p), 1])
+    return field.from_fraction(Fraction(rng.randrange(1, 5), rng.randrange(1, 4)))
+
+
+def _substitute_cases():
+    for side in ("P", "W"):
+        for flavor in SUBSTITUTE_FLAVORS:
+            for field in SUBSTITUTE_FIELDS:
+                for maxdeg in (None, 4):
+                    # The standard flavor's Weyl product has no graded truncation.
+                    if not (side == "W" and flavor.kind == "standard" and maxdeg):
+                        yield side, flavor, field, maxdeg
+
+
+@pytest.mark.parametrize(
+    "side, flavor, field, maxdeg",
+    list(_substitute_cases()),
+    ids=lambda v: v if isinstance(v, str) else repr(v),
+)
+def test_substitute_matches_naive_powers(side, flavor, field, maxdeg):
+    """elements.substitute against sum c * prefix * prod images[s] ** e, built
+    with **, * and + only: no shared power cache, no truncation inside."""
+    cls = element_class(side)
+    rng = random.Random(f"{side}{flavor!r}{field!r}{maxdeg}")
+    if maxdeg is None:
+        mul = cls.__mul__
+    else:
+        def mul(a, b):
+            return a.mul_truncated(b, maxdeg)
+    t_key = [0] * flavor.key_len
+    t_key[flavor.t_slot] = 1
+    t = cls(field, flavor, {tuple(t_key): field.one()})
+    prefixes = [None, t, t * t]
+    if flavor.has_h:
+        prefixes.append(cls.h_power(field, flavor, -1))
+    compared = 0
+    for _ in range(6):
+        images = [
+            random_poly(rng, field, flavor, cls=cls, max_terms=3, max_deg=2).map_coefficients(
+                lambda c: field.mul(c, _random_raw(rng, field))
+            )
+            for _ in range(flavor.t_slot)
+        ]
+        base = random_poly(rng, field, flavor, cls=cls)
+        parts = []
+        for prefix in prefixes:
+            # A part with no factors needs a prefix.
+            count = rng.randrange(1 if prefix is None else 0, 3)
+            factors = [(rng.randrange(len(images)), rng.randrange(1, 4)) for _ in range(count)]
+            parts.append((prefix, factors, _random_raw(rng, field)))
+        expected = base
+        for prefix, factors, c in parts:
+            term = cls.constant(field, flavor, c) if prefix is None else prefix.scale(c)
+            for s, e in factors:
+                term = term * images[s] ** e
+            expected = expected + term
+        got = substitute(images, parts, mul, base)
+        if maxdeg is not None:
+            # Powers are cut at maxdeg before a prefix of weight w < 0 meets
+            # them, so the two agree up to maxdeg + w.
+            limit = maxdeg + min(0, *(p.height() for p in prefixes if p is not None))
+            got, expected = got.truncate(limit), expected.truncate(limit)
+        assert got == expected
+        compared += not expected.is_zero
+    assert compared
+
+
+def test_laurent_text_parses_back():
+    x = element_class("P").generator(QQ, HAUG1, 0)
+    h_inv = element_class("P").h_power(QQ, HAUG1, -1)
+    t_key = [0] * HAUG1.key_len
+    t_key[HAUG1.t_slot] = -2
+    laurent = x * h_inv + element_class("P")(QQ, HAUG1, {tuple(t_key): QQ.one()})
+    parsed = parse_element("x1*h^-1 + t^-2", QQ, HAUG1, "P")
+    assert parsed == laurent
+    assert parse_element(str(parsed), QQ, HAUG1, "P") == parsed
+    with pytest.raises(ExprSyntaxError, match="negative exponents are only allowed on h or t"):
+        parse_element("x1^-1", QQ, HAUG1, "P")
+
+
+def test_truncated_inverse_inverts_a_skew_k_image():
+    flavor = BracketFlavor("skew", 1)
+
+    def elt(text):
+        return parse_element(text, QQ, flavor, "P")
+
+    endo = Endo("P", flavor, QQ, [elt("xi1 + xi2^2"), elt("xi2")], k_images=[elt("2*k1_2")])
+    inv = truncated_inverse(endo, 4)
+    assert [str(s) for s in inv.slots] == ["-xi2^2 + xi1", "xi2", "h", "1/2*k1_2"]
+    assert endo.compose(inv, maxdeg=4) == Endo.identity("P", flavor, QQ)
+
+
+@pytest.mark.parametrize(
+    "field, side, texts",
+    [
+        (F4, "W", ["x1 + a*d1", "d1"]),
+        (F4, "W", ["d1^2 + a*x1", "(a+1)*d1"]),
+        (Field("Fp", 2, 3, (1, 1, 0, 1)), "P", ["x1 + a^2*p1^2", "p1"]),
+    ],
+    ids=["F4-a", "F4-a+1", "F8-a^2"],
+)
+def test_extension_field_coefficients_round_trip(field, side, texts):
+    cls = element_class(side)
+    endo = Endo(side, FL1, field, [parse_element(t, field, FL1, side, cls) for t in texts])
+    doc = endo_to_json(endo)
+    assert doc["images"] == [element_to_text(img, side) for img in endo.images]
+    assert any("a" in text for text in doc["images"])
+    assert endo_from_json(doc) == endo
