@@ -5,12 +5,13 @@ commutative paired algebra over Q, produce a tame word agreeing with
 phi below a requested degree.  Stage k reads the lowest (degree k)
 deviation of the residual, recognizes it as a Hamiltonian field of a
 homogeneous potential via the Euler formula, splits the potential into
-powers of linear forms, and cancels each power with a conjugated
-single-coordinate shift.  Every corrector word evaluates exactly to
-the unit shift of its potential, so each stage pushes the residual one
-degree higher.  The residual moves past each corrector by the Taylor
-series of the undo shift along its constant direction (undo_shift), not
-by composing the shift into every monomial.
+powers of linear forms, and cancels each power with a single-coordinate
+shift conjugated by linalg.symplectic_completion's matrix for the
+power's covector.  Every corrector word evaluates exactly to the unit
+shift of its potential, so each stage pushes the residual one degree
+higher.  The residual moves past each corrector by the Taylor series of
+the undo shift along its constant direction (undo_shift), not by
+composing the shift into every monomial.
 """
 
 from __future__ import annotations
@@ -34,12 +35,7 @@ from .fields import QQ
 from .flavors import STANDARD
 from .poly import Poly
 from .tame import SP, XSHIFT, ElementaryGen, TameWord, evaluate, gen_endo
-from .linalg import (
-    identity_matrix,
-    is_symplectic,
-    omega_matrix_raw,
-    transpose,
-)
+from .linalg import identity_matrix, is_symplectic, symplectic_completion, transpose
 
 
 def hamiltonian_field(h):
@@ -257,76 +253,12 @@ def waring_decompose(h, tie_break="lex"):
     return terms
 
 
-def symplectic_completion(field, covector, flavor):
-    """Matrix A with A symplectic and apply(linear(A), c . g) = first momentum.
-
-    Builds a symplectic basis whose first momentum column is the
-    covector, then returns the inverse transpose.  J is a signed
-    permutation (row i holds sign_i at column s_i, the conjugate slot),
-    so the pairing a^T J b is sum_i sign_i a_i b_(s_i), and the inverse
-    of the basis matrix B is -J B^T J.  The steps run on Python ints,
-    leaving them only where the scale divides inexactly.
-    """
-    if field.char != 0:
-        raise PositiveCharacteristic("symplectic completion runs over characteristic 0")
-    g = flavor.main_count
-    n = flavor.pairs
-    c = list(covector)
-    if not any(c):
-        raise ZeroCovector("covector must be nonzero")
-    conj = [flavor.conjugate_index(i) for i in range(g)]
-    sign = [flavor.omega(i, s) for i, s in enumerate(conj)]
-
-    def pairing(a, b):
-        return sum(sg * x * b[s] for x, s, sg in zip(a, conj, sign))
-
-    basis_v = [c]
-    basis_u = []
-    # Candidate pool: standard basis vectors.
-    pool = [[int(r == s) for r in range(g)] for s in range(g)]
-
-    def project(z):
-        # Strip the span of each completed pair: with <u, v> = -1 the
-        # symplectic projection is z + <z,v> u - <z,u> v.
-        for u, v in zip(basis_u, basis_v):
-            zv = pairing(z, v)
-            zu = pairing(z, u)
-            z = [a + zv * b - zu * c for a, b, c in zip(z, u, v)]
-        return z
-
-    while len(basis_v) < n or len(basis_u) < n:
-        if len(basis_u) < len(basis_v):
-            v = basis_v[len(basis_u)]
-            w = next((zc for zc in map(project, pool) if pairing(zc, v)), None)
-            if w is None:
-                raise WeyliftError("failed to complete a symplectic basis")
-            q = -pairing(w, v)
-            basis_u.append([a // q if a % q == 0 else Fraction(a, q) for a in w])
-        else:
-            z = next((zc for zc in map(project, pool) if any(zc)), None)
-            if z is None:
-                raise WeyliftError("failed to extend a symplectic basis")
-            basis_v.append(z)
-    # B^T J B = J, entry by entry: entry (r, s) is the pairing of columns
-    # r and s.  Both sides are antisymmetric, so r < s is the whole check.
-    cols = basis_u + basis_v
-    for r in range(g):
-        for s in range(r + 1, g):
-            if pairing(cols[r], cols[s]) != flavor.omega(r, s):
-                raise WeyliftError("completion produced a non-symplectic basis")
-    # (B^(-1))^T has entry (r, i) = sign_i sign_r B[s_r][s_i], B[x][y] = cols[y][x].
-    return [
-        [Fraction(sign[i] * sign[r] * cols[conj[i]][conj[r]]) for i in range(g)]
-        for r in range(g)
-    ]
-
-
 #: Letters in one corrector word: conjugate, shift, conjugate back.
 CORRECTOR_LETTERS = 3
 
 
-def corrector(term, flavor, field=QQ):
-    """Word evaluating exactly to the unit shift of the term.
+def corrector(term, flavor):
+    """Word evaluating exactly to the unit shift of the term over Q.
 
     The conjugating matrix moves the covector form onto the first
     momentum, where the potential becomes a single-coordinate shift.
@@ -335,13 +267,13 @@ def corrector(term, flavor, field=QQ):
     d = term.degree
     if d < 2:
         raise WeyliftError("corrector terms need degree at least 2")
-    a = symplectic_completion(field, term.covector, flavor)
+    a = symplectic_completion(term.covector)
     shift = ElementaryGen(XSHIFT, (0, {d - 1: term.lam * d}))
     gen_a = ElementaryGen(SP, tuple(map(tuple, a)))
     inv_a = gen_a.inverse()
     gens = [inv_a, shift, gen_a]
-    got = evaluate(TameWord("symplectic", n, gens), "P", flavor, field)
-    if got != hamiltonian_shift_endo(term.potential(field, flavor)):
+    got = evaluate(TameWord("symplectic", n, gens), "P", flavor, QQ)
+    if got != hamiltonian_shift_endo(term.potential(QQ, flavor)):
         raise WeyliftError("corrector word failed its exactness check")
     return gens
 
@@ -425,8 +357,7 @@ def _start(endo, n_target):
     lin = endo.linear_part()
     ident = identity_matrix(field, flavor.main_count)
     if lin != ident:
-        j = omega_matrix_raw(field, flavor)
-        if not is_symplectic(field, transpose(lin), j):
+        if not is_symplectic(transpose(lin)):
             raise NotSymplectic("linear part does not preserve the pairing")
         lin_fracs = tuple(tuple(Fraction(v) for v in row) for row in lin)
         gen_lin = ElementaryGen(SP, lin_fracs)
@@ -455,7 +386,7 @@ def _walk(word_gens, residual, first, n_target, tie_break, report, alt=None):
             alt.append(_walk(list(word_gens), residual, k, n_target, "alt", fork))
         report["stages"][k] = len(terms)
         for term in terms:
-            word_gens.extend(corrector(term, flavor, field))
+            word_gens.extend(corrector(term, flavor))
             residual = undo_shift(residual, term, n_target - 1)
         left = endo_rank(residual)
         if left <= k:

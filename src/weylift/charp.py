@@ -17,6 +17,7 @@ from fractions import Fraction
 from .endo import Endo
 from .errors import (
     InternalCentralityFailure,
+    NotCentral,
     NotDivisibleByP,
     NotFiniteField,
     PositiveCharacteristic,
@@ -31,7 +32,6 @@ from .weyl import (
     WeylElt,
     center_coordinates,
     from_center_coordinates,
-    is_central,
     pth_power,
 )
 
@@ -57,12 +57,12 @@ def restrict_to_center(endo):
     target = flavor.center_flavor()
     slots = []
     for i, img in enumerate(endo.images):
-        power = pth_power(img)
-        if not is_central(power):
+        try:
+            slots.append(center_coordinates(pth_power(img)))
+        except NotCentral:
             raise InternalCentralityFailure(
                 f"p-th power of image {i} failed to be central"
-            )
-        slots.append(center_coordinates(power, check=False))
+            ) from None
     # The h image (haug only) carries over: the center flavor has the same key layout.
     slots.extend(Poly(field, target, img.terms) for img in endo.slots[flavor.main_count :])
     return Endo.from_slots("P", target, field, slots)
@@ -134,7 +134,7 @@ def _lift_center(poly, shifts=None):
         key: _lift_coefficient(field, c, (shifts or {}).get(key, 0))
         for key, c in poly.terms.items()
     }
-    return from_center_coordinates(lifted, w_flavor, p=field.p, cls=WeylElt)
+    return from_center_coordinates(lifted, w_flavor, p=field.p)
 
 
 def center_bracket(a, b, shifts=None):

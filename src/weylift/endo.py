@@ -172,7 +172,11 @@ class Endo:
         flavor, field = self.flavor, self.field
         t_slot = flavor.t_slot
 
-        mul = cls.__mul__ if maxdeg is None else lambda a, b: a.mul_truncated(b, maxdeg)
+        cut, h = maxdeg, flavor.h_slot
+        if maxdeg is not None and flavor.has_h:
+            # An h^-e prefix weighs -2e on haug: cut the products it meets that much later.
+            cut -= min([0] + [key[h] for key in elem.terms]) * flavor.weights[h]
+        mul = cls.__mul__ if maxdeg is None else lambda a, b: a.mul_truncated(b, cut)
         heights = [base.height() for base in self.slots]
 
         def parts():
@@ -183,13 +187,13 @@ class Endo:
                 if maxdeg is not None:
                     floor = sum(heights[i] * e for i, e in exps)
                     if h_e < 0:
-                        floor += flavor.weights[flavor.h_slot] * h_e
+                        floor += flavor.weights[h] * h_e
                     if floor > maxdeg:
                         continue
                 fixed = [0] * t_slot + [flavor.t_exponent(key)]
                 if h_e < 0:
                     lam = _monomial_scale(self.h_image, flavor.h_key(1))
-                    fixed[flavor.h_slot] = h_e
+                    fixed[h] = h_e
                     coeff = field.mul(coeff, field.pow_int(lam, h_e))
                 # The prefix h^-e t^e also stands in for an empty product.
                 prefix = None

@@ -35,6 +35,13 @@ SKEW = "skew"
 _KINDS = (STANDARD, HAUG, SKEW)
 
 
+def partner(i: int, g: int):
+    """(slot, sign) of J's entry in row i on g = 2m paired slots: slot
+    i < m meets i + m with sign -1, slot i >= m meets i - m with +1."""
+    m = g // 2
+    return (i + m, -1) if i < m else (i - m, 1)
+
+
 class BracketFlavor:
     __slots__ = (
         "kind", "n", "aux", "names",
@@ -160,19 +167,14 @@ class BracketFlavor:
         """The index paired with i under the symplectic form."""
         if not self.paired:
             raise IndexOutOfRange("skew generators are not paired")
-        m = self.pairs
-        return i + m if i < m else i - m
+        return partner(i, self.main_count)[0]
 
     def omega(self, i: int, j: int) -> int:
         """Pairing sign: +1 for (p_i, x_i) slots, -1 for (x_i, p_i), else 0."""
         if not self.paired:
             return 0
-        m = self.pairs
-        if j == i + m:
-            return -1
-        if i == j + m:
-            return 1
-        return 0
+        slot, sign = partner(i, self.main_count)
+        return sign if j == slot else 0
 
     # -- names ---------------------------------------------------------------
 

@@ -1,23 +1,24 @@
-"""Small dense matrix helpers over an arbitrary coefficient field.
+"""The one matrix module: dense matrices and the symplectic form J.
 
-Matrices are plain lists of rows of raw field values.  Everything here
-is at most a few dozen rows, so Gauss-Jordan with first-nonzero pivoting
-is plenty.
+Matrices are plain lists of rows of at most a few dozen entries.
+identity_matrix, transpose, mat_mul and mat_inv (Gauss-Jordan, first
+nonzero pivot) work on raw values of any field.  is_symplectic,
+symplectic_inverse and symplectic_completion work on Q values with the
+plain operators and read J as the signed permutation of flavors.partner:
+row i holds sign_i at column s_i, so a^T J b = sum_i sign_i a_i b_(s_i).
 """
 
 from __future__ import annotations
 
-from .errors import SingularLinearPart
+from fractions import Fraction
+
+from .errors import SingularLinearPart, WeyliftError, ZeroCovector
+from .flavors import partner
 
 
 def identity_matrix(field, n):
     z, o = field.zero(), field.one()
     return [[o if i == j else z for j in range(n)] for i in range(n)]
-
-
-def zero_matrix(field, rows, cols):
-    z = field.zero()
-    return [[z for _ in range(cols)] for _ in range(rows)]
 
 
 def transpose(a):
@@ -26,7 +27,7 @@ def transpose(a):
 
 def mat_mul(field, a, b):
     n, k, m = len(a), len(b), len(b[0])
-    out = zero_matrix(field, n, m)
+    out = [[field.zero()] * m for _ in range(n)]
     for i in range(n):
         row = a[i]
         acc = out[i]
@@ -38,18 +39,6 @@ def mat_mul(field, a, b):
             for j in range(m):
                 acc[j] = field.add(acc[j], field.mul(x, brow[j]))
     return out
-
-
-def mat_eq(field, a, b):
-    if len(a) != len(b):
-        return False
-    for ra, rb in zip(a, b):
-        if len(ra) != len(rb):
-            return False
-        for x, y in zip(ra, rb):
-            if not field.is_zero(field.sub(x, y)):
-                return False
-    return True
 
 
 def mat_inv(field, a):
@@ -74,40 +63,78 @@ def mat_inv(field, a):
     return [row[n:] for row in work]
 
 
-def omega_matrix_raw(field, flavor):
-    """The structure matrix of the paired bracket as raw field values."""
-    g = flavor.main_count
-    out = zero_matrix(field, g, g)
-    for i in range(g):
-        for j in range(g):
-            w = flavor.omega(i, j)
-            if w:
-                out[i][j] = field.from_int(w)
-    return out
+def _layout(g):
+    """(s, sign) on g slots, read from partner once per call."""
+    return zip(*(partner(i, g) for i in range(g)))
 
 
-def is_symplectic(field, a, j):
-    at = transpose(a)
-    return mat_eq(field, mat_mul(field, mat_mul(field, at, j), a), j)
+def _pairing(conj, sign):
+    return lambda a, b: sum(sg * x * b[s] for x, s, sg in zip(a, conj, sign))
 
 
-def signed_permutation(field, j):
-    """(s, plus) for a signed permutation J: row i holds +1 or -1 at
-    column s_i, and plus_i says which."""
-    g = len(j)
-    s = [next(c for c in range(g) if not field.is_zero(j[i][c])) for i in range(g)]
-    return s, [j[i][s[i]] == field.one() for i in range(g)]
+def is_symplectic(a):
+    """A^T J A = J, one column pair (r, c) at a time.  Both sides are
+    antisymmetric, so r < c is the whole check."""
+    g = len(a)
+    conj, sign = _layout(g)
+    pairing, cols = _pairing(conj, sign), transpose(a)
+    return all(
+        pairing(cols[r], cols[c]) == (sign[r] if c == conj[r] else 0)
+        for r in range(g) for c in range(r + 1, g)
+    )
 
 
-def symplectic_inverse(field, a, j):
-    """For paired J with J^2 = -1: A in Sp gives A^(-1) = -J A^T J.
-
-    J is a signed permutation: row i holds sign_i at column s_i, and s is
-    an involution, so -J A^T J has entry (i, r) = sign_i sign_r A[s_r][s_i].
-    """
-    g = len(j)
-    s, plus = signed_permutation(field, j)
+def symplectic_inverse(a):
+    """For A in Sp, A^(-1) = -J A^T J.  J is a signed permutation and s an
+    involution, so entry (i, r) is sign_i sign_r A[s_r][s_i]."""
+    conj, sign = _layout(len(a))
     return [
-        [a[s[r]][s[i]] if plus[i] == plus[r] else field.neg(a[s[r]][s[i]]) for r in range(g)]
-        for i in range(g)
+        [x if si == sr else -x for x, sr in zip((a[s][t] for s in conj), sign)]
+        for t, si in zip(conj, sign)
     ]
+
+
+def symplectic_completion(covector):
+    """Matrix A with A symplectic and apply(linear(A), c . g) = first momentum.
+
+    Builds a symplectic basis B whose first momentum column is the
+    covector and returns (B^T)^(-1) as Fractions.  The steps run on
+    Python ints, leaving them only where the scale divides inexactly.
+    """
+    c = list(covector)
+    if not any(c):
+        raise ZeroCovector("covector must be nonzero")
+    g = len(c)
+    n = g // 2
+    pairing = _pairing(*_layout(g))
+    basis_v = [c]
+    basis_u = []
+    # Candidate pool: standard basis vectors.
+    pool = [[int(r == s) for r in range(g)] for s in range(g)]
+
+    def project(z):
+        # Strip the span of each completed pair: with <u, v> = -1 the
+        # symplectic projection is z + <z,v> u - <z,u> v.
+        for u, v in zip(basis_u, basis_v):
+            zv = pairing(z, v)
+            zu = pairing(z, u)
+            z = [a + zv * b - zu * c for a, b, c in zip(z, u, v)]
+        return z
+
+    while len(basis_v) < n or len(basis_u) < n:
+        if len(basis_u) < len(basis_v):
+            v = basis_v[len(basis_u)]
+            w = next((zc for zc in map(project, pool) if pairing(zc, v)), None)
+            if w is None:
+                raise WeyliftError("failed to complete a symplectic basis")
+            q = -pairing(w, v)
+            basis_u.append([a // q if a % q == 0 else Fraction(a, q) for a in w])
+        else:
+            z = next((zc for zc in map(project, pool) if any(zc)), None)
+            if z is None:
+                raise WeyliftError("failed to extend a symplectic basis")
+            basis_v.append(z)
+    cols = basis_u + basis_v
+    if not is_symplectic(transpose(cols)):
+        raise WeyliftError("completion produced a non-symplectic basis")
+    return [[Fraction(x) for x in row] for row in symplectic_inverse(cols)]

@@ -34,8 +34,7 @@ from .errors import (
     WrongArity,
 )
 from .fields import QQ
-from .flavors import STANDARD, BracketFlavor
-from .linalg import identity_matrix, mat_inv, mat_mul, omega_matrix_raw, symplectic_inverse
+from .linalg import identity_matrix, mat_inv, mat_mul, symplectic_inverse
 
 SP = "sp"
 LIN = "lin"
@@ -106,8 +105,7 @@ class ElementaryGen:
                 self.kind, (index, {e: -c for e, c in poly.items()})
             )
         if self.kind == SP:
-            omega = omega_matrix_raw(QQ, BracketFlavor(STANDARD, len(self.data) // 2))
-            return ElementaryGen(SP, symplectic_inverse(QQ, self.data, omega))
+            return ElementaryGen(SP, symplectic_inverse(self.data))
         return ElementaryGen(LIN, mat_inv(QQ, self.data))
 
 
@@ -276,9 +274,9 @@ def evaluate(word, side, flavor, field, maxdeg=None, start=None):
     return Endo.from_slots(side, flavor, field, images + extra)
 
 
-def _random_sl2(rng, steps=3):
+def _random_sl2(rng):
     a, b, c, d = 1, 0, 0, 1
-    for _ in range(steps):
+    for _ in range(3):
         m = rng.choice([-2, -1, 1, 2])
         if rng.random() < 0.5:
             a, b = a + m * c, b + m * d
@@ -310,9 +308,9 @@ def _cross_transvection(n, i, j, m):
     return out
 
 
-def random_symplectic_matrix(n, rng, steps=3):
+def random_symplectic_matrix(n, rng):
     acc = identity_matrix(QQ, 2 * n)
-    for _ in range(steps):
+    for _ in range(3):
         roll = rng.random()
         if roll < 0.5 or n == 1:
             factor = _embed_sl2(n, rng.randrange(n), _random_sl2(rng))
@@ -326,9 +324,9 @@ def random_symplectic_matrix(n, rng, steps=3):
     return acc
 
 
-def random_unimodular_matrix(g, rng, steps=4):
+def random_unimodular_matrix(g, rng):
     acc = identity_matrix(QQ, g)
-    for _ in range(steps):
+    for _ in range(4):
         i, j = rng.sample(range(g), 2)
         m = rng.choice([-2, -1, 1, 2])
         for col in range(g):

@@ -130,7 +130,7 @@ def is_central(a: WeylElt) -> bool:
     return not any(e % p if p else e for key in a.terms for e in key[:g])
 
 
-def center_coordinates(a: WeylElt, check: bool = True) -> Poly:
+def center_coordinates(a: WeylElt) -> Poly:
     """Read a central element in the coordinates z_i = x_i^p, w_i = d_i^p.
 
     The h exponent (if present) and the t exponent pass through unchanged;
@@ -141,7 +141,7 @@ def center_coordinates(a: WeylElt, check: bool = True) -> Poly:
     if p == 0:
         raise PositiveCharacteristic("center coordinates need a finite field")
     # center_flavor (or is_central) refuses skew flavors.
-    if check and not is_central(a):
+    if not is_central(a):
         raise NotCentral("element does not commute with the generators")
     target = flavor.center_flavor()
     g = flavor.main_count
@@ -156,14 +156,14 @@ def center_coordinates(a: WeylElt, check: bool = True) -> Poly:
     return out
 
 
-def from_center_coordinates(c: Poly, flavor, p=None, cls=WeylElt) -> WeylElt:
+def from_center_coordinates(c: Poly, flavor, p=None) -> WeylElt:
     """Inverse of center_coordinates: z^A w^B h^c goes to x^(pA) d^(pB) h^c."""
     field = c.field
     p = field.char if p is None else p
     if p == 0:
         raise PositiveCharacteristic("center coordinates need a prime")
     g = flavor.main_count
-    out = cls(field, flavor)
+    out = WeylElt(field, flavor)
     out.terms = {
         tuple(e * p for e in key[:g]) + key[g:]: coeff for key, coeff in c.terms.items()
     }

@@ -6,7 +6,8 @@ reordering in the package.  The commutative oracles go through sympy.
 The word oracle composes one endo per letter, rightmost first, and the
 center-along-a-word oracle composes phi_p of one letter at a time.  The
 centrality oracle commutes with every generator, the completion oracle
-runs Gram-Schmidt through Field dispatch, and the scalar oracle reduces
+runs Gram-Schmidt through Field dispatch, the symplectic-matrix oracle
+multiplies out A^T J A with a dense J, and the scalar oracle reduces
 rationals through a Fraction round trip.
 """
 
@@ -18,12 +19,7 @@ from weylift import BracketFlavor, Endo, Poly, QQ, WeylElt
 from weylift.charp import phi_p
 from weylift.errors import NotPIntegral, WeyliftError, ZeroCovector
 from weylift.flavors import HAUG, SKEW, STANDARD
-from weylift.linalg import (
-    omega_matrix_raw,
-    signed_permutation,
-    symplectic_inverse,
-    transpose,
-)
+from weylift.linalg import mat_inv, mat_mul, transpose
 from weylift.tame import gen_endo
 
 
@@ -280,14 +276,17 @@ def oracle_is_central(a):
 
 def oracle_symplectic_completion(field, covector, flavor):
     """Gram-Schmidt on raw field values through Field dispatch: the same
-    steps and candidate order as approx.symplectic_completion."""
+    steps and candidate order as linalg.symplectic_completion.  J is dense,
+    read from flavor.omega, and the inverse transpose comes from
+    Gauss-Jordan, so no code is shared with the closed form."""
     g = flavor.main_count
     n = flavor.pairs
-    j = omega_matrix_raw(field, flavor)
+    j = _dense_omega(field, flavor)
     c = [field.from_int(v) for v in covector]
     if all(field.is_zero(v) for v in c):
         raise ZeroCovector("covector must be nonzero")
-    perm, plus = signed_permutation(field, j)
+    perm = [next(col for col in range(g) if not field.is_zero(row[col])) for row in j]
+    plus = [row[col] == field.one() for row, col in zip(j, perm)]
 
     def pairing(a, b):
         s = field.zero()
@@ -334,7 +333,18 @@ def oracle_symplectic_completion(field, covector, flavor):
         for s in range(r + 1, g):
             if not field.is_zero(field.sub(pairing(cols[r], cols[s]), j[r][s])):
                 raise WeyliftError("completion produced a non-symplectic basis")
-    return transpose(symplectic_inverse(field, transpose(cols), j))
+    return transpose(mat_inv(field, transpose(cols)))
+
+
+def _dense_omega(field, flavor):
+    g = flavor.main_count
+    return [[field.from_int(flavor.omega(r, c)) for c in range(g)] for r in range(g)]
+
+
+def oracle_is_symplectic(a, flavor):
+    """A^T J A == J with J dense from flavor.omega and products from mat_mul."""
+    j = _dense_omega(QQ, flavor)
+    return mat_mul(QQ, mat_mul(QQ, transpose(a), j), a) == j
 
 
 # ------------------------------------------------------------- tame words

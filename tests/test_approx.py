@@ -8,7 +8,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import oracle_symplectic_completion
+from oracles import oracle_is_symplectic, oracle_symplectic_completion
 from weylift import (
     BracketFlavor,
     Endo,
@@ -28,7 +28,6 @@ from weylift.approx import (
     deviation_hamiltonian,
     hamiltonian_shift_endo,
     is_symplectic,
-    omega_matrix_raw,
     stage_prefix,
     symplectic_completion,
     transpose,
@@ -44,7 +43,13 @@ from weylift.errors import (
     ZeroCovector,
 )
 from weylift.linalg import mat_mul
-from weylift.tame import evaluate, gen_endo, random_tame
+from weylift.tame import (
+    evaluate,
+    gen_endo,
+    random_symplectic_matrix,
+    random_tame,
+    random_unimodular_matrix,
+)
 
 FL1 = BracketFlavor("standard", 1)
 FL2 = BracketFlavor("standard", 2)
@@ -194,13 +199,30 @@ def test_symplectic_completion_is_symplectic():
         cov = tuple(rng.randint(-3, 3) for _ in range(4))
         if not any(cov):
             continue
-        a = symplectic_completion(QQ, cov, FL2)
-        assert is_symplectic(QQ, transpose(a), omega_matrix_raw(QQ, FL2))
+        a = symplectic_completion(cov)
+        assert is_symplectic(transpose(a))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_is_symplectic_matches_dense_oracle(n):
+    flavor = BracketFlavor("standard", n)
+    rng = random.Random(n)
+    verdicts = []
+    for _ in range(8):
+        sp = random_symplectic_matrix(n, rng)
+        bumped = [list(row) for row in sp]
+        bumped[rng.randrange(2 * n)][rng.randrange(2 * n)] += rng.choice([-1, 1])
+        for a in (sp, random_unimodular_matrix(2 * n, rng), bumped):
+            verdicts.append(is_symplectic(a))
+            assert verdicts[-1] == oracle_is_symplectic(a, flavor)
+        assert verdicts[-3]
+    # On n = 1 a unimodular matrix is in SL_2 = Sp_2, so only bumps fail.
+    assert verdicts.count(False) >= 8
 
 
 def test_symplectic_completion_rejects_zero():
     with pytest.raises(ZeroCovector):
-        symplectic_completion(QQ, (0, 0), FL1)
+        symplectic_completion((0, 0))
 
 
 @pytest.mark.parametrize("flavor", [FL1, FL2], ids=["n1", "n2"])
@@ -209,7 +231,7 @@ def test_symplectic_completion_matches_field_dispatch_oracle(flavor):
     for cov in itertools.product(range(-3, 4), repeat=flavor.main_count):
         if not any(cov):
             continue
-        got = symplectic_completion(QQ, cov, flavor)
+        got = symplectic_completion(cov)
         want = oracle_symplectic_completion(QQ, cov, flavor)
         assert got == want, cov
         assert [list(map(type, row)) for row in got] == [
@@ -217,11 +239,6 @@ def test_symplectic_completion_matches_field_dispatch_oracle(flavor):
         ], cov
         count += 1
     assert count == 7**flavor.main_count - 1
-
-
-def test_symplectic_completion_refuses_positive_characteristic():
-    with pytest.raises(PositiveCharacteristic):
-        symplectic_completion(Field("Fp", 5), (1, 2), FL1)
 
 
 def test_corrector_equals_hamiltonian_flow():
@@ -241,12 +258,13 @@ def test_corrector_check_rejects_a_wrong_word(monkeypatch, flavor, covector):
     term = WaringTerm(Fraction(2, 5), covector, 3)
     corrector(term, flavor)
     real = weylift.approx.symplectic_completion
-    omega = omega_matrix_raw(QQ, flavor)
+    g = flavor.main_count
+    omega = [[Fraction(flavor.omega(i, j)) for j in range(g)] for i in range(g)]
 
-    def other(field, cov, fl):
+    def other(cov):
         # Symplectic still, but it no longer carries the covector onto p1.
-        out = mat_mul(field, real(field, cov, fl), omega)
-        assert is_symplectic(field, transpose(out), omega)
+        out = mat_mul(QQ, real(cov), omega)
+        assert is_symplectic(transpose(out))
         return out
 
     monkeypatch.setattr(weylift.approx, "symplectic_completion", other)

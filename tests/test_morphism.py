@@ -404,3 +404,32 @@ def test_extension_field_coefficients_round_trip(field, side, texts):
     assert doc["images"] == [element_to_text(img, side) for img in endo.images]
     assert any("a" in text for text in doc["images"])
     assert endo_from_json(doc) == endo
+
+
+def test_truncated_apply_keeps_terms_under_a_negative_h_power():
+    x, p = (element_class("P").generator(QQ, HAUG1, i) for i in range(2))
+    e = Endo("P", HAUG1, QQ, [x + p * p, p])
+    elem = parse_element("x1^3*h^-1", QQ, HAUG1, "P")
+    want = "p1^6*h^-1 + 3*x1*p1^4*h^-1 + 3*x1^2*p1^2*h^-1 + x1^3*h^-1"
+    assert str(e.apply(elem, maxdeg=4)) == want
+    assert e.apply(elem, maxdeg=4) == e.apply(elem).truncate(4)
+
+
+@pytest.mark.parametrize("side", ["P", "W"])
+def test_truncated_apply_matches_exact_then_truncate(side):
+    """apply(elem, maxdeg) against apply(elem).truncate(maxdeg) on haug
+    elements carrying h^-1 and h^-2 prefixes."""
+    cls = element_class(side)
+    rng = random.Random(f"apply-{side}")
+    gens = [cls.generator(QQ, HAUG1, i) for i in range(2)]
+    compared = 0
+    for _ in range(12):
+        images = [g + random_poly(rng, QQ, HAUG1, cls=cls, max_terms=2) for g in gens]
+        e = Endo(side, HAUG1, QQ, images, allow_free_term=True)
+        for power in (-1, -2):
+            elem = random_poly(rng, QQ, HAUG1, cls=cls) * cls.h_power(QQ, HAUG1, power)
+            for maxdeg in (2, 4):
+                want = e.apply(elem).truncate(maxdeg)
+                assert e.apply(elem, maxdeg) == want
+                compared += not want.is_zero
+    assert compared
