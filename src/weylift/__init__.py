@@ -29,14 +29,13 @@ from .endo import (
     check_symplecto,
     dilation_conjugate,
     endo_rank,
-    jacobian_is_unit,
     truncated_inverse,
 )
 from .errors import WeyliftError
 from .fields import Field, QQ
 from .flavors import BracketFlavor, HAUG, SKEW, STANDARD
 from .grammar import element_to_text, parse_element
-from .poly import Poly, jacobian, poisson_bracket
+from .poly import Poly, poisson_bracket
 from .singlift import (
     DiagonalCurve,
     ScanVerdict,
@@ -109,8 +108,6 @@ __all__ = [
     "hn_scan",
     "invert_word",
     "is_central",
-    "jacobian",
-    "jacobian_is_unit",
     "lift",
     "lifted_commutation_check",
     "parse_element",

@@ -17,10 +17,10 @@ import time
 
 from .approx import approximate
 from .charp import phi_p
-from .endo import bracket_violations, jacobian_is_unit, truncated_inverse
+from .endo import bracket_violations, truncated_inverse
 from .errors import ExpansionBoundExceeded, ExprSyntaxError, UnknownGenerator, WeyliftError
 from .fields import Field
-from .flavors import BracketFlavor
+from .flavors import STANDARD, BracketFlavor
 from .grammar import element_to_text, parse_element
 from .poly import Poly, poisson_bracket
 from .serialize import (
@@ -116,8 +116,9 @@ def _cmd_check(args):
     ok = not bracket_violations(endo)
     if endo.side == "P":
         result = {"symplecto": ok}
-        if ok:
-            result["jacobian"] = endo.field.format_raw(jacobian_is_unit(endo))
+        if ok and endo.flavor.kind == STANDARD:
+            # J Omega J^T = Omega gives Pf(Omega) = det J Pf(Omega), so det J = 1.
+            result["jacobian"] = "1"
     else:
         result = {"weyl": ok}
     return inputs, result, {"checked": True}, ok

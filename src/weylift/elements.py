@@ -198,11 +198,16 @@ class SparseElement:
 
         The right factor stays the short input, which costs fewer term
         products than squaring the growing power.  Raises
-        ExpansionBoundExceeded when an intermediate power has more than
-        EXPANSION_BOUND terms, and InvalidExponent unless e is an int >= 0.
+        ExpansionBoundExceeded when e or an intermediate power's term count
+        is above EXPANSION_BOUND, and InvalidExponent unless e is an int >= 0.
         """
         if not isinstance(e, int) or e < 0:
             raise InvalidExponent(f"exponent must be an int >= 0, got {e!r}")
+        if e > EXPANSION_BOUND:
+            raise ExpansionBoundExceeded(
+                f"exponent {e} asks for more multiplications than the bound"
+                f" (bound {EXPANSION_BOUND})"
+            )
         acc = type(self).one(self.field, self.flavor)
         for _ in range(e):
             acc = guard_expansion(acc * self)
@@ -272,11 +277,9 @@ class SparseElement:
         slot = self.flavor.h_slot
         return min(k[slot] for k in self.terms)
 
-    def specialize_h(self, value_raw=None):
-        """Substitute a scalar for h, landing in the standard flavor."""
-        target_flavor = self.flavor.without_h()
+    def specialize_h(self):
+        """Substitute 1 for h, landing in the standard flavor."""
         field = self.field
-        value = field.one() if value_raw is None else value_raw
         h_slot = self.flavor.h_slot
 
         def specialized():
@@ -284,10 +287,9 @@ class SparseElement:
                 e = key[h_slot]
                 if e < 0:
                     raise NegativeHExponent(f"term with h^{e} cannot be specialized")
-                v = field.mul(c, field.pow_int(value, e)) if e else c
-                yield key[:h_slot] + key[h_slot + 1 :], v
+                yield key[:h_slot] + key[h_slot + 1 :], c
 
-        out = type(self)(field, target_flavor)
+        out = type(self)(field, self.flavor.without_h())
         out.terms = sum_terms(field, specialized())
         return out
 

@@ -22,7 +22,6 @@ from .errors import (
     FieldMismatch,
     FlavorMismatch,
     NegativeHExponent,
-    NonUnitJacobian,
     NotSymplectic,
     SideMismatch,
     StageStall,
@@ -30,7 +29,7 @@ from .errors import (
     WrongArity,
 )
 from .linalg import mat_inv
-from .poly import Poly, jacobian, poisson_bracket, structure_element
+from .poly import Poly, poisson_bracket, structure_element
 from .weyl import WeylElt, weyl_commutator
 
 _SIDES = ("P", "W")
@@ -244,19 +243,14 @@ class Endo:
             [im.map_coefficients(fn, tgt) for im in self.slots],
         )
 
-    def specialize_h(self, value=None):
-        """Set h to a nonzero scalar, landing in the h-free flavor."""
-        target = self.flavor.without_h()
-        images = [im.specialize_h(value) for im in self.images]
-        lam = _monomial_scale(self.h_image, self.flavor.h_key(1))
-        v = value if value is not None else self.field.one()
-        if not self.field.is_zero(self.field.sub(self.field.mul(lam, v), v)):
-            raise WeyliftError(
-                "h image scale is not 1; specialization is not well defined"
-            )
+    def specialize_h(self):
+        """Set h to 1, landing in the h-free flavor; the h image must be h."""
+        images = [im.specialize_h() for im in self.images]
+        if self.h_image != element_class(self.side).h_power(self.field, self.flavor, 1):
+            raise WeyliftError("h image is not h; specialization is not well defined")
         return Endo(
             self.side,
-            target,
+            self.flavor.without_h(),
             self.field,
             images,
             allow_free_term=True,
@@ -310,14 +304,6 @@ def check_symplecto(endo):
         raise NotSymplectic(
             f"bracket of images {i}, {j} differs from the image of the bracket"
         )
-
-
-def jacobian_is_unit(endo):
-    """Check det(d images / d generators) is a nonzero constant."""
-    det = jacobian(endo.images)
-    if det.num_terms() != 1 or not det.has_constant_term():
-        raise NonUnitJacobian(f"jacobian determinant {det} is not a constant")
-    return det.constant_term()
 
 
 def endo_rank(endo):

@@ -67,10 +67,6 @@ class NotSymplectic(WeyliftError):
     """A map that must preserve the bracket does not."""
 
 
-class NonUnitJacobian(WeyliftError):
-    """A polynomial map whose Jacobian determinant must be 1 has another."""
-
-
 # ------------------------------------------------------------------ approx
 
 class DeviationNotHamiltonian(WeyliftError):
@@ -93,10 +89,6 @@ class StageStall(WeyliftError):
 
 class NotCentral(WeyliftError):
     """An element expected to lie in the center does not."""
-
-
-class NotInPthPowerForm(WeyliftError):
-    """A central element has an exponent not divisible by p."""
 
 
 class InternalCentralityFailure(WeyliftError):

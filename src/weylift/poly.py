@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 from .elements import SparseElement, ordered_mul
-from .errors import IndexOutOfRange, PositiveCharacteristic, WeyliftError
-from .flavors import STANDARD, BracketFlavor
+from .errors import IndexOutOfRange
+from .flavors import BracketFlavor
 
 
 class Poly(SparseElement):
@@ -78,40 +78,3 @@ def poisson_bracket(f: Poly, g: Poly) -> Poly:
             result = result + z * term
     return result
 
-
-def jacobian(images) -> Poly:
-    """Determinant of the partial-derivative matrix of a full image list."""
-    if not images:
-        raise WeyliftError("empty image list")
-    first = images[0]
-    flavor, field = first.flavor, first.field
-    if flavor.kind != STANDARD:
-        raise WeyliftError("jacobian is defined over the standard flavor")
-    if field.char != 0:
-        raise PositiveCharacteristic("jacobian determinant needs characteristic zero")
-    g = flavor.main_count
-    if len(images) != g:
-        raise WeyliftError(f"need {g} images, got {len(images)}")
-    rows = [[img.partial(j) for j in range(g)] for img in images]
-
-    # Expansion along the first remaining row, memoized on column subsets.
-    memo = {}
-
-    def minor(row: int, cols: tuple) -> Poly:
-        if row == g:
-            return Poly.one(field, flavor)
-        cached = memo.get((row, cols))
-        if cached is not None:
-            return cached
-        acc = Poly.zero(field, flavor)
-        for pos, j in enumerate(cols):
-            entry = rows[row][j]
-            if entry.is_zero:
-                continue
-            sub = minor(row + 1, cols[:pos] + cols[pos + 1 :])
-            term = entry * sub
-            acc = acc + term if pos % 2 == 0 else acc - term
-        memo[(row, cols)] = acc
-        return acc
-
-    return minor(0, tuple(range(g)))

@@ -34,6 +34,7 @@ from .errors import (
     ExpansionBoundExceeded,
     IndexOutOfRange,
     InsufficientK,
+    NotPIntegral,
     SideMismatch,
     StabilizationFailure,
     WeyliftError,
@@ -261,7 +262,7 @@ def lift(sigma, n, primes=()):
         raise WeyliftError("lift needs a target order of at least 2")
     if sigma.side != "P":
         raise SideMismatch("symplecto check applies to the commutative side")
-    # approximate_both checks sigma (check_symplecto, jacobian_is_unit) once.
+    # approximate_both checks sigma once, by check_symplecto alone.
     (word, report), (word_alt, _) = approximate_both(sigma, n)
     if sigma.linear_part() != identity_matrix(field, flavor.main_count):
         raise WeyliftError(
@@ -337,13 +338,18 @@ def lift(sigma, n, primes=()):
     for p in primes:
         fp = Field("Fp", p)
         entry = {}
-        if not _word_is_p_integral(word, p):
+        sigma_p = None
+        if _word_is_p_integral(word, p):
+            try:
+                sigma_p = sigma.map_coefficients(fp.from_fraction, fp)
+            except NotPIntegral:
+                pass
+        if sigma_p is None:
             entry["status"] = "inapplicable_not_p_integral"
             certificate["primes"][str(p)] = entry
             continue
         if ev_q is None:
             ev_q = evaluate(wword, "P", flavor, field, maxdeg=n - 1)
-        sigma_p = sigma.map_coefficients(fp.from_fraction, fp)
         ev_p = [img.map_coefficients(fp.from_fraction, fp) for img in ev_q.images]
         target_p = [img.truncate(n - 1) for img in sigma_p.images]
         consistent = ev_p == target_p

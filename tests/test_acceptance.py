@@ -338,7 +338,7 @@ def test_07_ordered_lift_certificates():
         ordered_h = evaluate(transport(approx_word), "W", haug, QQ)
         table = lifted_commutation_check(ordered_h.images, haug)
         assert table["ok"], (word, table["violations"])
-        specialized = ordered_h.specialize_h(1)
+        specialized = ordered_h.specialize_h()
         assert [str(a) for a in specialized.images] == [str(b) for b in lifted.images]
 
 
@@ -348,7 +348,7 @@ def test_08_h_specialization_round_trip():
         ordered_word = transport(word)
         with_h = evaluate(ordered_word, "W", haug, QQ)
         without_h = evaluate(ordered_word, "W", flavor, QQ)
-        specialized = with_h.specialize_h(1)
+        specialized = with_h.specialize_h()
         assert [str(a) for a in specialized.images] == [
             str(b) for b in without_h.images
         ], word

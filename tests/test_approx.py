@@ -27,10 +27,8 @@ from weylift.approx import (
     corrector,
     deviation_hamiltonian,
     hamiltonian_shift_endo,
-    is_symplectic,
     stage_prefix,
     symplectic_completion,
-    transpose,
     undo_shift,
     waring_decompose,
 )
@@ -42,7 +40,7 @@ from weylift.errors import (
     WeyliftError,
     ZeroCovector,
 )
-from weylift.linalg import mat_mul
+from weylift.linalg import is_symplectic, mat_mul, transpose
 from weylift.tame import (
     evaluate,
     gen_endo,

@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 import weylift
-from weylift import BracketFlavor, Endo, Field, QQ, parse_element
+from weylift import BracketFlavor, Endo, Field, Poly, QQ, parse_element
 from weylift.cli import main, run_command
 from weylift.serialize import (
     canonical_json,
@@ -185,6 +185,39 @@ def test_power_past_the_expansion_bound_is_usage_error(monkeypatch):
     message = rep["error"]["usage"]
     assert message.startswith("ExpansionBoundExceeded: ")
     assert "(bound 500)" in message
+
+
+def test_exponent_past_the_expansion_bound_is_usage_error():
+    rep, code = run_command(["bracket", "--", "x1^99999999999999999999", "x1"])
+    assert code == 1
+    assert set(rep) == {"schema", "error"}
+    assert rep["error"]["usage"].startswith("ExpansionBoundExceeded: exponent ")
+
+
+@pytest.mark.parametrize(
+    "kind, field, want",
+    [
+        ("haug", QQ, {"symplecto": True}),
+        ("skew", QQ, {"symplecto": True}),
+        ("standard", Field("Fp", 5), {"symplecto": True, "jacobian": "1"}),
+    ],
+    ids=["haug", "skew", "F5"],
+)
+def test_check_reads_the_bracket_check_alone(tmp_path, kind, field, want):
+    flavor = BracketFlavor(kind, 1)
+    x, p = (Poly.generator(field, flavor, i) for i in range(2))
+    path = str(tmp_path / "shear.json")
+    dump_json(endo_to_json(Endo("P", flavor, field, [x + p * p, p])), path)
+    rep, code = run_command(["check", "--in", path])
+    assert (code, rep["result"]) == (0, want)
+
+
+def test_check_reads_the_phi_p_output(tmp_path):
+    path = str(tmp_path / "c3.json")
+    _, code = run_command(["phi-p", "--in", weyl_file(tmp_path), "--prime", "3", "--out", path])
+    assert code == 0
+    rep, code = run_command(["check", "--in", path])
+    assert (code, rep["result"]) == (0, {"symplecto": True, "jacobian": "1"})
 
 
 def test_field_flags_accepted():

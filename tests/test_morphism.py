@@ -17,14 +17,12 @@ from weylift import (
     dilation_conjugate,
     element_to_text,
     endo_rank,
-    jacobian_is_unit,
     parse_element,
     truncated_inverse,
 )
 from weylift.errors import (
     ExprSyntaxError,
     NegativeHExponent,
-    NonUnitJacobian,
     NotSymplectic,
     SideMismatch,
     UnknownGenerator,
@@ -122,13 +120,6 @@ def test_side_mismatch():
     x, _ = WeylElt.generator(QQ, FL1, 0), WeylElt.generator(QQ, FL1, 1)
     with pytest.raises(SideMismatch):
         sh.apply(x)
-
-
-def test_jacobian_is_unit():
-    assert jacobian_is_unit(shear())
-    squared = Endo("P", FL1, QQ, [pelt("x1^2"), pelt("p1")], allow_free_term=True)
-    with pytest.raises(NonUnitJacobian):
-        jacobian_is_unit(squared)
 
 
 def test_rank_and_hn():

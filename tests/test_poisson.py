@@ -1,4 +1,4 @@
-"""Commutative elements: arithmetic, brackets, jacobians."""
+"""Commutative elements: arithmetic and brackets."""
 
 import random
 from fractions import Fraction
@@ -10,7 +10,6 @@ from oracles import (
     oracle_commutative_mul,
     poly_to_sympy,
     random_poly,
-    sympy_jacobian,
     sympy_poisson,
     sympy_symbols,
 )
@@ -19,7 +18,6 @@ from weylift import (
     Field,
     Poly,
     QQ,
-    jacobian,
     parse_element,
     poisson_bracket,
 )
@@ -100,24 +98,6 @@ def test_mul_matches_sympy():
         lib = poly_to_sympy(f * g, syms)
         ref = sympy.expand(poly_to_sympy(f, syms) * poly_to_sympy(g, syms))
         assert sympy.expand(lib - ref) == 0
-
-
-def test_jacobian_matches_sympy():
-    flavor = BracketFlavor(STANDARD, 1)
-    syms = sympy_symbols(flavor)
-    rng = random.Random(13)
-    for _ in range(15):
-        imgs = [random_poly(rng, QQ, flavor, max_deg=2) for _ in range(2)]
-        lib = poly_to_sympy(jacobian(imgs), syms)
-        ref = sympy_jacobian(imgs, syms)
-        assert sympy.expand(lib - ref) == 0
-
-
-def test_jacobian_of_shear_is_one():
-    flavor = BracketFlavor(STANDARD, 1)
-    x = Poly.generator(QQ, flavor, 0)
-    p = Poly.generator(QQ, flavor, 1)
-    assert jacobian([x + p * p, p]) == Poly.one(QQ, flavor)
 
 
 def test_truncated_mul_is_truncation_of_mul():

@@ -19,7 +19,6 @@ from weylift.endo import diagonal_conjugate, dilation_conjugate
 from weylift.errors import (
     DimensionMismatch,
     InsufficientK,
-    NonUnitJacobian,
     NotSymplectic,
     SideMismatch,
     StabilizationFailure,
@@ -195,6 +194,17 @@ def test_lift_skips_non_integral_primes():
     assert cert["pass"]
 
 
+def test_lift_skips_a_prime_in_a_denominator_of_sigma_past_the_word():
+    # The order-4 word stops below the p1^7 term, so only sigma has a 3
+    # in a denominator.
+    sigma = Endo("P", FL1, QQ, [pelt("x1 + p1^2 + 1/3*p1^7"), pelt("p1")])
+    _, cert = lift(sigma, 4, primes=(3, 5))
+    assert cert["primes"]["3"] == {"status": "inapplicable_not_p_integral"}
+    assert cert["primes"]["5"]["reduction_consistency"] == "pass"
+    assert cert["primes"]["5"]["status"] == "fixture_match"
+    assert cert["pass"]
+
+
 def test_lift_low_order_stabilization_trivial():
     _, cert = lift(shear(), 2)
     assert cert["stabilization"] == "trivial"
@@ -234,9 +244,7 @@ def test_canonicity_failure_names_image_and_height(monkeypatch):
     assert not cert["pass"]
 
 
-def test_lift_checks_sigma_before_its_linear_part(monkeypatch):
-    import weylift.approx
-
+def test_lift_checks_sigma_before_its_linear_part():
     bent = Endo("P", FL1, QQ, [pelt("x1 + x1^2"), pelt("p1")])
     with pytest.raises(NotSymplectic) as want:
         check_symplecto(bent)
@@ -245,12 +253,6 @@ def test_lift_checks_sigma_before_its_linear_part(monkeypatch):
     assert str(got.value) == str(want.value)
     with pytest.raises(SideMismatch, match="commutative side"):
         lift(Endo.identity("W", FL1, QQ), 4)
-    # Symplectic maps have unit Jacobians, so only a disabled bracket
-    # check lets the Jacobian check speak.
-    monkeypatch.setattr(weylift.approx, "check_symplecto", lambda endo: None)
-    with pytest.raises(NonUnitJacobian):
-        lift(bent, 4)
-    monkeypatch.undo()
     scaled = Endo("P", FL1, QQ, [pelt("2*x1 + p1^2"), pelt("1/2*p1")])
     check_symplecto(scaled)
     with pytest.raises(WeyliftError, match="identity linear part"):

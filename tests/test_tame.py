@@ -5,15 +5,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from oracles import oracle_evaluate
+from oracles import oracle_evaluate, sympy_jacobian, sympy_symbols
 from weylift import (
     BracketFlavor,
     Endo,
     Field,
     QQ,
     bracket_violations,
-    jacobian_is_unit,
 )
 from weylift.errors import (
     FieldMismatch,
@@ -208,10 +208,21 @@ def test_random_tame_words_are_symplectic():
 
 
 def test_random_gl_words_have_unit_jacobian():
+    syms = sympy_symbols(FL1)
     for seed in range(5):
         word = random_tame(1, 4, 3, seed=seed, kind="gl")
-        endo = evaluate(word, "P", FL1, QQ)
-        assert jacobian_is_unit(endo)
+        det = sympy_jacobian(evaluate(word, "P", FL1, QQ).images, syms)
+        assert det.is_number and det != 0
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([FL1, FL2]), st.integers(0, 10**6))
+def test_symplectic_words_have_jacobian_one(flavor, seed):
+    # The bracket check stands in for a determinant: J Omega J^T = Omega
+    # forces det J = 1.
+    word = random_tame(flavor.pairs, 3, 3, seed=seed)
+    images = evaluate(word, "P", flavor, QQ).images
+    assert sympy_jacobian(images, sympy_symbols(flavor)) == 1
 
 
 def test_weyl_side_evaluation_preserves_commutators():

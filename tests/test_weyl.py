@@ -553,3 +553,9 @@ def test_expansion_bound(monkeypatch):
     monkeypatch.setattr(weylift.elements, "EXPANSION_BOUND", 10)
     with pytest.raises(ExpansionBoundExceeded):
         bounded_power(x + d, 40)
+    # (x + d)^5 has 12 normal-ordered terms; x^e has one term for every e.
+    with pytest.raises(ExpansionBoundExceeded, match="hit 12 terms"):
+        bounded_power(x + d, 5)
+    assert bounded_power(x, 10) == WeylElt(QQ, fl, {fl.gen_key(0, 10): QQ.one()})
+    with pytest.raises(ExpansionBoundExceeded, match="exponent 11 "):
+        bounded_power(x, 11)
