@@ -346,10 +346,13 @@ def _start(endo, n_target):
         raise SideMismatch("approximation reads commutative images")
     if field.char != 0:
         raise PositiveCharacteristic("approximation runs over characteristic 0")
-    if flavor.kind != STANDARD or flavor.aux:
-        raise WeyliftError("approximation expects the plain paired flavor")
-    # The bracket check alone suffices: J Omega J^T = Omega gives det J = 1
-    # and a symplectic linear part.
+    t = flavor.t_slot
+    if flavor.kind != STANDARD or flavor.aux or any(
+        k[t] for img in endo.images for k in img.terms
+    ):
+        raise WeyliftError("approximation expects t-free images on the plain paired flavor")
+    # On t-free images the bracket check alone suffices: J Omega J^T = Omega
+    # gives det J = 1 and a symplectic linear part.
     check_symplecto(endo)
     maxdeg = n_target - 1
     word_gens = []

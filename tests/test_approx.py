@@ -352,6 +352,16 @@ def test_approximate_input_guards():
         approximate(hend, 3)
 
 
+def test_approximate_refuses_t_dependent_images():
+    # (t x1, t^-1 p1) preserves the bracket, but its t^0 linear part is zero;
+    # the walk reads only t-free images.
+    for images in (("t*x1", "t^-1*p1"), ("x1 + t*p1^2", "p1")):
+        sigma = Endo("P", FL1, QQ, [pelt(text) for text in images])
+        check_symplecto(sigma)
+        with pytest.raises(WeyliftError, match="t-free"):
+            approximate(sigma, 4)
+
+
 def test_shift_by_minus_potential_undoes_the_shift():
     rng = random.Random(41)
     for flavor, top in ((FL1, 4), (FL2, 3)):

@@ -177,21 +177,17 @@ def test_leading_minus_expression_points_after_double_dash():
 def test_power_past_the_expansion_bound_is_usage_error(monkeypatch):
     import weylift.elements
 
-    # A small bound reaches the same guard as EXPANSION_BOUND, sooner.
+    # A small bound reaches the same guards as EXPANSION_BOUND, sooner:
+    # (x1+d1)^60 passes 500 terms, and 10^20 is past the exponent cap.
     monkeypatch.setattr(weylift.elements, "EXPANSION_BOUND", 500)
-    rep, code = run_command(["bracket", "--side", "W", "--", "(x1+d1)^5000", "x1"])
-    assert code == 1
-    assert set(rep) == {"schema", "error"}
-    message = rep["error"]["usage"]
-    assert message.startswith("ExpansionBoundExceeded: ")
-    assert "(bound 500)" in message
-
-
-def test_exponent_past_the_expansion_bound_is_usage_error():
-    rep, code = run_command(["bracket", "--", "x1^99999999999999999999", "x1"])
-    assert code == 1
-    assert set(rep) == {"schema", "error"}
-    assert rep["error"]["usage"].startswith("ExpansionBoundExceeded: exponent ")
+    for expr, guard in (("(x1+d1)^60", "terms"), ("x1^99999999999999999999", "exponent")):
+        rep, code = run_command(["bracket", "--side", "W", "--", expr, "x1"])
+        assert code == 1
+        assert set(rep) == {"schema", "error"}
+        message = rep["error"]["usage"]
+        assert message.startswith("ExpansionBoundExceeded: ")
+        assert guard in message
+        assert "(bound 500)" in message
 
 
 @pytest.mark.parametrize(
