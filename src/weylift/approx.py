@@ -305,8 +305,9 @@ def undo_shift(residual, term, maxdeg):
     exact and finite over characteristic 0.  This equals
     hamiltonian_shift_endo(-potential).compose(residual, maxdeg)
     and skips substituting the shift into every monomial.  The factors
-    F_m = (s L^(d-1))^m / m! are shared by all images and stop at the
-    first one that truncates to zero.
+    F_m = (s L^(d-1))^m / m! are shared by all images and built only
+    when some image still has a nonzero m-th derivative along v; the
+    series stops at the first factor that truncates to zero.
     """
     flavor, field = residual.flavor, residual.field
     v = []
@@ -317,22 +318,20 @@ def undo_shift(residual, term, maxdeg):
     d = term.degree
     step = (term.form(field, flavor) ** (d - 1)).truncate(maxdeg)
     step = step.scale(field.from_fraction(-term.lam * d))
-    factors = []
-    factor = step
-    while not factor.is_zero:
-        factors.append(factor)
-        factor = factor.mul_truncated(step, maxdeg).scale(
-            field.inv(field.from_int(len(factors) + 1))
-        )
+    factors = [step]
     images = []
     for img in residual.images:
         parts = [img.terms.items()]
-        deriv = img
-        for factor in factors:
-            deriv = _derivative_along(deriv, v)
-            if deriv.is_zero:
+        deriv, m = _derivative_along(img, v), 1
+        while not deriv.is_zero:
+            if m > len(factors):
+                factors.append(
+                    factors[-1].mul_truncated(step, maxdeg).scale(field.inv(field.from_int(m)))
+                )
+            if factors[m - 1].is_zero:
                 break
-            parts.append(factor.mul_truncated(deriv, maxdeg).terms.items())
+            parts.append(factors[m - 1].mul_truncated(deriv, maxdeg).terms.items())
+            deriv, m = _derivative_along(deriv, v), m + 1
         out = Poly(field, flavor)
         out.terms = sum_terms(field, chain.from_iterable(parts))
         images.append(out)

@@ -216,9 +216,9 @@ def _cmd_singscan(args):
 
 def _cmd_bracket(args):
     field = _parse_field(args.field)
-    flavor = BracketFlavor(args.flavor, args.n)
     cls = WeylElt if args.side == "W" else Poly
     try:
+        flavor = BracketFlavor(args.flavor, args.n)
         a = parse_element(args.exprs[0], field, flavor, args.side, cls)
         b = parse_element(args.exprs[1], field, flavor, args.side, cls)
     except (ExprSyntaxError, UnknownGenerator, RecursionError) as exc:
@@ -241,7 +241,10 @@ def _cmd_corpus(args):
     if args.seed is None:
         raise UsageError("--seed is required")
     field = Field("Q")
-    flavor = BracketFlavor("standard", args.n)
+    try:
+        flavor = BracketFlavor("standard", args.n)
+    except ExpansionBoundExceeded as exc:
+        raise UsageError(f"ExpansionBoundExceeded: {exc}") from exc
     items = []
     for i in range(args.count):
         word = random_tame(args.n, args.length, args.maxdeg, args.seed + i)

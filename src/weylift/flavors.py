@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from operator import mul as _mul
 
-from .errors import IndexOutOfRange, WeyliftError
+from .errors import ExpansionBoundExceeded, IndexOutOfRange, WeyliftError
 
 STANDARD = "standard"
 HAUG = "haug"
@@ -55,15 +55,26 @@ class BracketFlavor:
             raise WeyliftError(f"unknown flavor kind {kind!r}")
         if not isinstance(n, int) or n < 1:
             raise WeyliftError(f"flavor needs at least one pair, got n={n!r}")
+        # Count the key slots before building any per-slot tuple: a huge n
+        # would overflow or exhaust memory there.  elements imports this
+        # module, so the bound is read at call time.
+        from .elements import EXPANSION_BOUND
+
+        g = 2 * (n + bool(aux))
+        key_len = g + (kind != STANDARD) + (g * (g - 1) // 2 if kind == SKEW else 0) + 1
+        if key_len > EXPANSION_BOUND:
+            raise ExpansionBoundExceeded(
+                f"a {kind} flavor with n={n} has {key_len} key slots"
+                f" (bound {EXPANSION_BOUND})"
+            )
         self.kind = kind
         self.n = n
         self.aux = bool(aux)
         self.names = names  # optional (x_name, p_name) override for paired kinds
         self.pairs = n + (1 if aux else 0)
-        self.main_count = 2 * self.pairs
+        self.main_count = g
         self.has_h = kind in (HAUG, SKEW)
         self.has_k = kind == SKEW
-        g = self.main_count
         self.k_pairs = (
             tuple((i, j) for i in range(g) for j in range(i + 1, g)) if self.has_k else ()
         )

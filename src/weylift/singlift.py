@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import random
 from itertools import chain
+from operator import le as _le, mul as _mul
 
 from .approx import approximate_both, stage_prefix
 from .charp import phi_p, phi_p_along_word
@@ -130,6 +131,7 @@ def position_reduction(endo, pos, lam, delta):
 
 
 def _witness_curves(flavor, n, pos):
+    """Weight lists of the witness family at one position."""
     g = flavor.main_count
     for m2 in range(1, n + 2):
         for m1 in range(n * m2, (n + 1) * m2):
@@ -137,7 +139,47 @@ def _witness_curves(flavor, n, pos):
                 continue
             weights = [m2] * g
             weights[pos] = m1
-            yield DiagonalCurve(weights)
+            yield weights
+
+
+def _minimal_supports(endo):
+    """Each slot image's componentwise-minimal exponent keys, in slot order.
+
+    Under a curve every slot weighs >= 0 and t weighs 1, so a key that
+    dominates another never reaches the smaller t exponent: the minimal
+    keys alone decide whether the conjugate has a pole.  A dominating key
+    sorts after the key it dominates, so one sorted pass keeps the
+    minimal ones.
+    """
+    supports = []
+    for img in endo.slots:
+        kept = []
+        for key in sorted(img.terms):
+            if not any(all(map(_le, low, key)) for low in kept):
+                kept.append(key)
+        supports.append(kept)
+    return supports
+
+
+def _has_pole(flavor, supports, weights):
+    """pole_order(conjugate_by_curve(endo, DiagonalCurve(weights))) > 0,
+    read off the endo's minimal supports without building the conjugate.
+
+    A key e in the image of slot s moves to t exponent
+    sum_j full_j e_j - full_s (endo.diagonal_conjugate), where full holds
+    the curve weights, 0 for h, w_a + w_b for each k_ab and 1 for t.
+    """
+    full = [
+        *weights,
+        *(0,) * flavor.has_h,
+        *(weights[a] + weights[b] for a, b in flavor.k_pairs),
+        1,
+    ]
+    for base, keys in zip(full, supports):
+        for key in keys:
+            if sum(map(_mul, full, key)) < base:
+                return True
+    return False
 
 
 class ScanVerdict:
@@ -186,14 +228,16 @@ def hn_scan(endo, n, sample_curves=0, seed=0):
     (m_1, m_2) with m_2 <= n+1 and n m_2 <= m_1 < (n+1) m_2, so the
     order stays at most n), retries special positions after a
     general-position change when the flavor has the auxiliary pair,
-    then tries sample_curves random curves.
+    then tries sample_curves random curves.  Each curve is tested on the
+    images' minimal exponent supports (_has_pole); no conjugate is built.
     """
     flavor = endo.flavor
     g = flavor.main_count
+    supports = _minimal_supports(endo)
     for pos in range(g):
-        for curve in _witness_curves(flavor, n, pos):
-            if pole_order(conjugate_by_curve(endo, curve)) > 0:
-                return ScanVerdict("pole", curve)
+        for weights in _witness_curves(flavor, n, pos):
+            if _has_pole(flavor, supports, weights):
+                return ScanVerdict("pole", DiagonalCurve(weights))
     if flavor.aux and endo.side == "P":
         for pos in _special_positions(endo):
             reduced = None
@@ -209,19 +253,20 @@ def hn_scan(endo, n, sample_curves=0, seed=0):
                     break
             if reduced is None:
                 continue
-            for curve in _witness_curves(flavor, n, pos):
-                if pole_order(conjugate_by_curve(reduced, curve)) > 0:
-                    return ScanVerdict("pole", curve, chosen)
+            reduced_supports = _minimal_supports(reduced)
+            for weights in _witness_curves(flavor, n, pos):
+                if _has_pole(flavor, reduced_supports, weights):
+                    return ScanVerdict("pole", DiagonalCurve(weights), chosen)
     rng = random.Random(seed)
     for _ in range(sample_curves):
         m_min = rng.randrange(1, 4)
         weights = [rng.randrange(m_min, (n + 1) * m_min) for _ in range(g)]
         weights[rng.randrange(g)] = m_min
-        curve = DiagonalCurve(weights)
-        if curve.order() > n:
+        # m_min is the smallest weight, so this is DiagonalCurve.order().
+        if max(weights) // m_min > n:
             continue
-        if pole_order(conjugate_by_curve(endo, curve)) > 0:
-            return ScanVerdict("pole", curve)
+        if _has_pole(flavor, supports, weights):
+            return ScanVerdict("pole", DiagonalCurve(weights))
     return ScanVerdict("consistent")
 
 

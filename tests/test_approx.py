@@ -411,6 +411,25 @@ def test_undo_shift_matches_compose():
                     )
 
 
+def test_undo_shift_builds_only_the_factors_it_uses(monkeypatch):
+    # sigma = [xshift(p^2), pshift(x^2/2)]: two correctors, whose images
+    # have vanishing derivatives along v after a step or two.  Building
+    # every Taylor factor up to maxdeg would cost one product per degree.
+    sigma = Endo("P", FL1, QQ, [pelt("p1^2 + x1"), pelt("1/2*p1^4 + x1*p1^2 + 1/2*x1^2 + p1")])
+    products = []
+    mul_truncated = Poly.mul_truncated
+
+    def counted(self, other, maxdeg):
+        products.append(maxdeg)
+        return mul_truncated(self, other, maxdeg)
+
+    monkeypatch.setattr(Poly, "mul_truncated", counted)
+    low = approximate(sigma, 8)
+    at_low = len(products)
+    assert approximate(sigma, 3000)[0] == low[0]
+    assert len(products) - at_low == at_low <= 6
+
+
 def test_stage_prefix_is_the_lower_order_word():
     from test_acceptance import _corpus
 

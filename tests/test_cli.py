@@ -108,6 +108,10 @@ def test_usage_errors(tmp_path):
         ["bracket", "--", "{deep}", "x1"],
         ["check", "--in", "{deep_json}"],
         ["check", "--in", "{deep_image_endo}"],
+        ["check", "--in", "{huge_flavor_endo}"],
+        ["singscan", "--in", "{huge_flavor_endo}", "--order", "2"],
+        ["bracket", "--n", str(10**30), "--", "x1", "d1"],
+        ["corpus", "--seed", "1", "--n", str(10**30)],
     ],
     ids=lambda argv: " ".join(argv),
 )
@@ -126,6 +130,7 @@ def test_bad_input_is_usage_error(tmp_path, argv):
         "deep": "(" * 3000 + "x1" + ")" * 3000,
         "deep_json": str(tmp_path / "deep.json"),
         "deep_image_endo": str(tmp_path / "deep_image_endo.json"),
+        "huge_flavor_endo": str(tmp_path / "huge_flavor_endo.json"),
     }
     (tmp_path / "deep.json").write_text("[" * 100000 + "]" * 100000)
     doc = endo_to_json(Endo("P", FL1, QQ, [pelt("x1"), pelt("p1")]))
@@ -134,6 +139,9 @@ def test_bad_input_is_usage_error(tmp_path, argv):
     dump_json(doc, paths["zero_den_endo"])
     doc["images"][0] = paths["deep"]
     dump_json(doc, paths["deep_image_endo"])
+    doc["images"][0] = "x1"
+    doc["flavor"]["n"] = 10**30
+    dump_json(doc, paths["huge_flavor_endo"])
     word = {"kind": "symplectic", "n": 1, "gens": [
         {"kind": "xshift", "index": 0, "poly": {"2": "1/0"}},
     ]}

@@ -21,7 +21,7 @@ from weylift import (
     parse_element,
     poisson_bracket,
 )
-from weylift.errors import FlavorMismatch
+from weylift.errors import ExpansionBoundExceeded, FlavorMismatch
 from weylift.flavors import HAUG, SKEW, STANDARD, Grading
 
 FLAVORS = [
@@ -121,6 +121,21 @@ def test_flavor_weights():
     assert str(elem.homogeneous_part(4)) == "h^2"
     # perfbench/workloads.py passes Grading.default_for(flavor) to truncate.
     assert elem.truncate(4, Grading.default_for(hfl)) == elem.truncate(4)
+
+
+def test_flavor_key_length_is_bounded(monkeypatch):
+    import weylift.elements
+
+    # A small bound reaches the guard of EXPANSION_BOUND without building
+    # a huge flavor: skew n = 10 has 20 + 1 + 190 + 1 = 212 key slots.
+    monkeypatch.setattr(weylift.elements, "EXPANSION_BOUND", 211)
+    with pytest.raises(ExpansionBoundExceeded, match="212 key slots"):
+        BracketFlavor(SKEW, 10)
+    with pytest.raises(ExpansionBoundExceeded, match="213 key slots"):
+        BracketFlavor(STANDARD, 105, aux=True)
+    assert BracketFlavor(STANDARD, 104, aux=True).key_len == 211
+    monkeypatch.setattr(weylift.elements, "EXPANSION_BOUND", 212)
+    assert BracketFlavor(SKEW, 10).key_len == 212
 
 
 def test_flavor_mismatch_rejected():

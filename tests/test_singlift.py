@@ -15,7 +15,7 @@ from weylift import (
     endo_rank,
     parse_element,
 )
-from weylift.endo import diagonal_conjugate, dilation_conjugate
+from weylift.endo import diagonal_conjugate, dilation_conjugate, element_class
 from weylift.errors import (
     DimensionMismatch,
     InsufficientK,
@@ -26,6 +26,8 @@ from weylift.errors import (
 )
 from weylift.singlift import (
     DiagonalCurve,
+    _has_pole,
+    _minimal_supports,
     conjugate_by_curve,
     extend_to_aux,
     hn_scan,
@@ -152,6 +154,70 @@ def test_special_position_needs_reduction():
     reduced = position_reduction(sp, 0, Fraction(1), Fraction(1))
     assert str(reduced.images[0]) == "x1*p1^2 + u*p1^2 + p1^2*v + x1"
     assert pole_order(conjugate_by_curve(reduced, DiagonalCurve((7, 2, 2, 2)))) == 1
+
+
+def _laurent_endo(rng, flavor, side):
+    """Every slot image is its own symbol plus up to three random
+    monomials: main degree 0..3, h exponent in -1..1, k exponents 0..1 and
+    t exponent in -1..1 (mostly 0 and 1)."""
+    cls = element_class(side)
+    symbols = [
+        *(flavor.gen_key(s) for s in range(flavor.main_count)),
+        *([flavor.h_key()] if flavor.has_h else []),
+        *(flavor.k_key(a, b) for a, b in flavor.k_pairs),
+    ]
+
+    def image(symbol):
+        terms = {symbol: QQ.one()}
+        for _ in range(rng.randrange(4)):
+            key = [0] * flavor.key_len
+            for _ in range(rng.choice((0, 1, 2, 2, 3, 3))):
+                key[rng.randrange(flavor.main_count)] += 1
+            if flavor.has_h:
+                key[flavor.h_slot] = rng.randrange(-1, 2)
+            if flavor.has_k:
+                key[rng.randrange(flavor.k_start, flavor.t_slot)] += rng.randrange(2)
+            key[flavor.t_slot] = rng.choice((-1, 0, 0, 1, 1, 1))
+            terms[tuple(key)] = QQ.from_int(rng.choice((-2, -1, 1, 2)))
+        return cls(QQ, flavor, terms)
+
+    return Endo.from_slots(side, flavor, QQ, [image(key) for key in symbols])
+
+
+def test_pole_test_on_minimal_supports_matches_the_conjugate():
+    # Oracle: build the conjugate and read its pole order.  The inputs
+    # cover paired, h-augmented and skew flavors (k weighs w_a + w_b), both
+    # sides, aux-extended endos, their position reductions, and Laurent
+    # inputs: random t and h exponents, and conjugates of conjugates.
+    rng = random.Random(31)
+    flavors = [
+        BracketFlavor("standard", 1), BracketFlavor("standard", 2),
+        BracketFlavor("haug", 1), BracketFlavor("skew", 1), BracketFlavor("skew", 2),
+    ]
+    seen = {True: 0, False: 0}
+    for flavor in flavors:
+        for side in ("P", "W"):
+            for _ in range(6):
+                endo = _laurent_endo(rng, flavor, side)
+                endos = [endo, conjugate_by_curve(endo, DiagonalCurve(
+                    [rng.randrange(1, 4) for _ in range(flavor.main_count)]
+                ))]
+                if flavor.has_h:
+                    shift = [rng.randrange(-2, 3) for _ in range(flavor.main_count)]
+                    endos.append(diagonal_conjugate(endo, flavor.h_slot, (*shift, 0)))
+                if flavor.paired:
+                    ext = extend_to_aux(endo)
+                    endos.append(ext)
+                    if side == "P" and flavor.kind == "standard":
+                        endos.append(position_reduction(ext, 0, 1, 2))
+                for phi in endos:
+                    supports = _minimal_supports(phi)
+                    for _ in range(8):
+                        weights = [rng.randrange(1, 6) for _ in range(phi.flavor.main_count)]
+                        want = pole_order(conjugate_by_curve(phi, DiagonalCurve(weights))) > 0
+                        assert _has_pole(phi.flavor, supports, weights) == want, (phi, weights)
+                        seen[want] += 1
+    assert min(seen.values()) > 100, seen
 
 
 def test_lift_shear_certificate():
