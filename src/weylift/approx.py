@@ -371,7 +371,13 @@ def _walk(word_gens, residual, first, n_target, tie_break, report, alt=None):
     """Stages first .. n_target - 1: (word, report).  An empty alt list gets
     the alt result, forked at the first stage whose alt split differs."""
     flavor, field = residual.flavor, residual.field
+    # The residual is the identity below degree rank, so those stages have
+    # nothing to do; past an identity residual (rank inf) none has.
+    rank = endo_rank(residual)
     for k in range(first, n_target):
+        if k < rank:
+            report["stages"][k] = 0
+            continue
         devs = [
             (img - Poly.generator(field, flavor, i)).homogeneous_part(k)
             for i, img in enumerate(residual.images)
@@ -388,11 +394,10 @@ def _walk(word_gens, residual, first, n_target, tie_break, report, alt=None):
         for term in terms:
             word_gens.extend(corrector(term, flavor))
             residual = undo_shift(residual, term, n_target - 1)
-        left = endo_rank(residual)
-        if left <= k:
-            raise StageStall(f"stage {k} left a degree {left} deviation")
-    final = endo_rank(residual)
-    report["residual_height"] = None if final == float("inf") else final
+        rank = endo_rank(residual)
+        if rank <= k:
+            raise StageStall(f"stage {k} left a degree {rank} deviation")
+    report["residual_height"] = None if rank == float("inf") else rank
     return TameWord("symplectic", flavor.pairs, word_gens), report
 
 

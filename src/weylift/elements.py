@@ -2,9 +2,12 @@
 
 Terms live in a dict mapping exponent keys (see flavors.BracketFlavor)
 to raw field values; zero coefficients are never stored.  One product
-kernel (ordered_mul) serves both sides, one sweep (sweep, sum_terms)
-finishes every sum of terms, and one substitution (substitute) puts
-images into a polynomial for Endo.apply and tame.evaluate.
+kernel (ordered_mul) serves both sides, one bracket kernel
+(leibniz_bracket) gives the Poisson bracket and the commutator with an
+element of main degree 1 in one pass over the term pairs, one sweep
+(sweep, sum_terms) finishes every sum of terms, and one substitution
+(substitute) puts images into a polynomial for Endo.apply and
+tame.evaluate.
 """
 
 from __future__ import annotations
@@ -461,6 +464,61 @@ def ordered_mul(a, b, pairs, maxdeg):
                 terms[key] = c if prev is None else add(prev, c)
     out = type(a)(field, flavor)
     out.terms = sweep(field, terms)
+    return out
+
+
+def leibniz_bracket(a, b, pairs):
+    """The bracket of a and b that is a derivation in each argument and
+    takes the generator pairs (j, i, z, s) to [g_j, g_i] = s z, in one
+    pass over the term pairs:
+
+        sum over the pairs of s z (d_j a d_i b - d_i a d_j b),
+
+    d_j the formal derivative in the j-th exponent.  A term pair c1 m1,
+    c2 m2 adds s (m1_j m2_i - m1_i m2_j) c1 c2 at m1 + m2 - e_j - e_i + z
+    for each pair, and one sum_terms finishes the sum.  On Poly this is
+    the Poisson bracket; on WeylElt it is the commutator a b - b a
+    whenever b has main degree at most 1, since ad(b) is then the
+    derivation above and the products of a and b are never built.
+
+    The raw values take the plain operators over Q and F_p and Field.mul
+    over F_{p^k}, k > 1, as in ordered_mul.
+    """
+    flavor, field = a.flavor, a.field
+    # (j, i, s, z - e_j - e_i as a key) for each pair.
+    shifts = []
+    for j, i, central, sign in pairs:
+        shift = [0] * flavor.key_len
+        shift[j] -= 1
+        shift[i] -= 1
+        for slot in central:
+            shift[slot] += 1
+        shifts.append((j, i, sign, tuple(shift)))
+    if field.k == 1:
+        mul = scale = _mul
+    else:
+        mul = field.mul
+
+        def scale(c, w):
+            return mul(c, field.from_int(w))
+
+    right = b.terms.items()
+
+    def summands():
+        for k1, c1 in a.terms.items():
+            for k2, c2 in right:
+                base = None
+                for j, i, sign, shift in shifts:
+                    w = k1[j] * k2[i] - k1[i] * k2[j]
+                    if not w:
+                        continue
+                    if base is None:
+                        base = tuple(map(_add, k1, k2))
+                        c = mul(c1, c2)
+                    yield tuple(map(_add, base, shift)), scale(c, sign * w)
+
+    out = type(a)(field, flavor)
+    out.terms = sum_terms(field, summands())
     return out
 
 

@@ -19,7 +19,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .elements import term_sort_key
+from . import elements
+from .elements import sum_terms, term_sort_key
 from .errors import ExprSyntaxError, UnknownGenerator
 
 
@@ -122,17 +123,22 @@ class _Parser:
         return out
 
     def expr(self):
-        negate = False
-        if self.peek()[0] == "-":
-            self.take()
-            negate = True
-        out = self.term()
-        if negate:
-            out = -out
-        while self.peek()[0] in ("+", "-"):
-            op = self.take()[0]
-            rhs = self.term()
-            out = out - rhs if op == "-" else out + rhs
+        """The sum of the terms, taken once by sum_terms: adding each term
+        into the running sum would copy it again for every term."""
+        field = self.field
+        sign = self.take()[0] if self.peek()[0] == "-" else "+"
+        pairs = []
+        while True:
+            terms = self.term().terms
+            if sign == "-":
+                pairs.extend((key, field.neg(c)) for key, c in terms.items())
+            else:
+                pairs.extend(terms.items())
+            if self.peek()[0] not in ("+", "-"):
+                break
+            sign = self.take()[0]
+        out = self.cls(field, self.flavor)
+        out.terms = sum_terms(field, pairs)
         return out
 
     def term(self):
@@ -143,8 +149,11 @@ class _Parser:
         return out
 
     def factor(self):
+        """An atom and its exponent.  A power of a single generator is read
+        as one monomial; any other base is multiplied out by __pow__, which
+        also refuses an exponent past EXPANSION_BOUND."""
         kind, value, at = self.peek()
-        base_name = value if kind == "NAME" else None
+        slot = self.names.get(value) if kind == "NAME" else None
         out = self.atom()
         if self.peek()[0] != "^":
             return out
@@ -156,17 +165,21 @@ class _Parser:
         etok = self.take("INT")
         e = int(etok[1])
         if negative:
-            slot = self.names.get(base_name, -1)
-            if base_name not in ("h", "t") or slot < 0:
+            if value not in ("h", "t") or slot is None:
                 raise ExprSyntaxError(
                     "negative exponents are only allowed on h or t", etok[2]
                 )
-            key = list(self.flavor.unit_key())
-            key[slot] = -e
-            elem = self.cls(self.field, self.flavor)
-            elem.terms = {tuple(key): self.field.one()}
-            return elem
-        return out**e
+            return self.monomial(slot, -e)
+        if slot is None or e > elements.EXPANSION_BOUND:
+            return out**e
+        return self.monomial(slot, e)
+
+    def monomial(self, slot, e):
+        key = list(self.flavor.unit_key())
+        key[slot] = e
+        elem = self.cls(self.field, self.flavor)
+        elem.terms = {tuple(key): self.field.one()}
+        return elem
 
     def atom(self):
         kind, value, at = self.take()
@@ -195,11 +208,7 @@ class _Parser:
                 return self.cls.constant(self.field, self.flavor, self.field.from_coeffs([0, 1]))
             if slot is None:
                 raise UnknownGenerator(f"unknown generator {value!r}")
-            key = list(self.flavor.unit_key())
-            key[slot] = 1
-            elem = self.cls(self.field, self.flavor)
-            elem.terms = {tuple(key): self.field.one()}
-            return elem
+            return self.monomial(slot, 1)
         raise ExprSyntaxError(f"unexpected token {value!r}", at)
 
 

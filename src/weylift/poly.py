@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .elements import SparseElement, ordered_mul
+from .elements import SparseElement, leibniz_bracket, ordered_mul
 from .errors import IndexOutOfRange
 from .flavors import BracketFlavor
 
@@ -40,41 +40,27 @@ class Poly(SparseElement):
         return Poly(field, flavor, terms)
 
 
-def _central_element(cls, flavor, field, central, sign):
-    """sign times the monomial of the central slots, as an element."""
-    key = [0] * flavor.key_len
-    for slot in central:
-        key[slot] = 1
-    return cls(field, flavor, {tuple(key): field.from_int(sign)})
-
-
 def structure_element(flavor: BracketFlavor, field, i: int, j: int, cls=Poly):
     """The bracket (or commutator) of generators i and j as an element,
-    read off the flavor's contraction pairs."""
+    read off the flavor's contraction pairs: sign times the monomial of
+    the central slots."""
     for a, b, central, sign in flavor.contractions:
         if (a, b) in ((i, j), (j, i)):
-            return _central_element(
-                cls, flavor, field, central, sign if a == i else -sign
-            )
+            key = [0] * flavor.key_len
+            for slot in central:
+                key[slot] = 1
+            raw = field.from_int(sign if a == i else -sign)
+            return cls(field, flavor, {tuple(key): raw})
     return cls.zero(field, flavor)
 
 
 def poisson_bracket(f: Poly, g: Poly) -> Poly:
-    """{f, g} by the Leibniz rule from the flavor's contraction pairs.
+    """{f, g} by the Leibniz rule from the flavor's contraction pairs, in
+    one pass over the term pairs (elements.leibniz_bracket).
 
     Each pair (j, i) with {g_j, g_i} = s z adds
     s z (d_j f d_i g - d_i f d_j g); no other pair of generators has a
     nonzero bracket.
     """
     f._check_compatible(g)
-    flavor, field = f.flavor, f.field
-    df = [f.partial(s) for s in range(flavor.main_count)]
-    dg = [g.partial(s) for s in range(flavor.main_count)]
-    result = Poly.zero(field, flavor)
-    for j, i, central, sign in flavor.contractions:
-        term = df[j] * dg[i] - df[i] * dg[j]
-        if not term.is_zero:
-            z = _central_element(Poly, flavor, field, central, sign)
-            result = result + z * term
-    return result
-
+    return leibniz_bracket(f, g, f.flavor.contractions)

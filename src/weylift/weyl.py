@@ -11,8 +11,11 @@ Over F_p, p-th powers take a closed form where Jacobson's formula
 Algebras, 1962, ch. V): split a = l + F into its terms of main degree 1
 and the rest.  When F lies in a commutative algebra that ad(l) keeps,
 every s_i but one vanishes, and a^p is the sum of the p-th powers of the
-terms of a plus ad(l)^(p-1)(F).  This costs p - 1 products by l instead
-of p dense products, and covers every image of a shift or linear letter.
+terms of a plus ad(l)^(p-1)(F).  Since l has main degree 1, ad(l) is a
+derivation that replaces one generator by a central element: each of
+its p - 1 steps is one pass over the term pairs (elements.leibniz_bracket)
+instead of the two products G l and l G, whose contraction-free halves
+cancel.  This covers every image of a shift or linear letter.
 The p-th powers of the paired generators are central; this module also
 reads central elements in their p-th power coordinates.
 
@@ -26,7 +29,13 @@ k01 g2 commutes with g0, g1, g2), and is_central refuses skew elements.
 
 from __future__ import annotations
 
-from .elements import SparseElement, guard_expansion, ordered_mul, sum_terms
+from .elements import (
+    SparseElement,
+    guard_expansion,
+    leibniz_bracket,
+    ordered_mul,
+    sum_terms,
+)
 from .errors import (
     NotCentral,
     PositiveCharacteristic,
@@ -81,7 +90,10 @@ def pth_power(a: WeylElt) -> WeylElt:
         a^p = sum over the terms c m of a of c^p m^p + D^(p-1)(F),
 
     with D(G) = G l - l G, which for odd p has the same (p-1)-th power as
-    ad(l).  Every other element, and p = 2, goes to bounded_power.
+    ad(l).  D is the derivation that the contraction pairs give by the
+    Leibniz rule, so each step is one elements.leibniz_bracket pass over
+    the term pairs of G and l.  Every other element, and p = 2, goes to
+    bounded_power.
     """
     p = a.field.char
     if p == 0:
@@ -105,7 +117,7 @@ def _jacobson_power(a: WeylElt, p: int):
     acc = WeylElt(field, flavor)
     acc.terms = rest
     for _ in range(p - 1):
-        acc = acc * ell - ell * acc
+        acc = leibniz_bracket(acc, ell, flavor.contractions)
         if not acc.terms:
             break
     powers = [

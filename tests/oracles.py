@@ -2,7 +2,9 @@
 
 The normal-ordering oracle works on raw generator words with the
 one-step rewrite rules only, so it shares no code with the closed-form
-reordering in the package.  The commutative oracles go through sympy.
+reordering in the package.  The commutative oracles go through sympy,
+and the Poisson oracle builds {f, g} from partial-derivative elements
+and their products.
 The word oracle composes one endo per letter, rightmost first, and the
 center-along-a-word oracle composes phi_p of one letter at a time.  The
 centrality oracle commutes with every generator, the completion oracle
@@ -199,6 +201,23 @@ def oracle_commutative_mul(a, b, maxdeg=None):
     return out
 
 
+def oracle_poisson_bracket(f, g):
+    """{f, g} from the partial-derivative elements: for each contraction
+    pair (j, i) with {g_j, g_i} = s z, the element s z times
+    d_j f d_i g - d_i f d_j g, built by products and summed."""
+    flavor, field = f.flavor, f.field
+    df = [f.partial(s) for s in range(flavor.main_count)]
+    dg = [g.partial(s) for s in range(flavor.main_count)]
+    result = Poly.zero(field, flavor)
+    for j, i, central, sign in flavor.contractions:
+        term = df[j] * dg[i] - df[i] * dg[j]
+        key = [0] * flavor.key_len
+        for slot in central:
+            key[slot] = 1
+        result = result + Poly(field, flavor, {tuple(key): field.from_int(sign)}) * term
+    return result
+
+
 # ------------------------------------------------------------ sympy bridge
 
 def sympy_symbols(flavor, side="P"):
@@ -224,11 +243,21 @@ def poly_to_sympy(elem, syms):
 
 
 def sympy_poisson(a, b, syms):
-    """Standard bracket via partial derivatives, times h for haug."""
+    """Standard bracket via partial derivatives, times h for haug; on skew,
+    {xi_i, xi_j} = h k_ij for i < j.  Rational coefficients only."""
     flavor = a.flavor
-    m = flavor.pairs
     ea, eb = poly_to_sympy(a, syms), poly_to_sympy(b, syms)
     out = sympy.Integer(0)
+    if flavor.kind == SKEW:
+        h = syms[flavor.h_slot]
+        for i, j in flavor.k_pairs:
+            k = syms[flavor.k_slot(i, j)]
+            out += h * k * (
+                sympy.diff(ea, syms[i]) * sympy.diff(eb, syms[j])
+                - sympy.diff(ea, syms[j]) * sympy.diff(eb, syms[i])
+            )
+        return sympy.expand(out)
+    m = flavor.pairs
     for i in range(m):
         out += sympy.diff(ea, syms[m + i]) * sympy.diff(eb, syms[i])
         out -= sympy.diff(ea, syms[i]) * sympy.diff(eb, syms[m + i])

@@ -430,6 +430,26 @@ def test_undo_shift_builds_only_the_factors_it_uses(monkeypatch):
     assert len(products) - at_low == at_low <= 6
 
 
+def test_walk_stops_at_an_identity_residual(monkeypatch):
+    # Same sigma: stage 2 has the only work, and the residual is the
+    # identity after it.  The later stages are reported as 0 without
+    # reading the residual again.
+    sigma = Endo("P", FL1, QQ, [pelt("p1^2 + x1"), pelt("1/2*p1^4 + x1*p1^2 + 1/2*x1^2 + p1")])
+    calls = []
+    homogeneous_part = Poly.homogeneous_part
+
+    def counted(self, d):
+        calls.append(d)
+        return homogeneous_part(self, d)
+
+    monkeypatch.setattr(Poly, "homogeneous_part", counted)
+    word, report = approximate(sigma, 20000)
+    assert len(calls) <= 10
+    assert report["residual_height"] is None
+    assert report["stages"] == {2: 2, **{k: 0 for k in range(3, 20000)}}
+    assert word == approximate(sigma, 8)[0]
+
+
 def test_stage_prefix_is_the_lower_order_word():
     from test_acceptance import _corpus
 

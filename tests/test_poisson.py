@@ -5,9 +5,11 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
 
 from oracles import (
     oracle_commutative_mul,
+    oracle_poisson_bracket,
     poly_to_sympy,
     random_poly,
     sympy_poisson,
@@ -86,6 +88,55 @@ def test_bracket_against_sympy(kind):
         lib = poly_to_sympy(poisson_bracket(f, g), syms)
         ref = sympy_poisson(f, g, syms)
         assert sympy.expand(lib - ref) == 0
+
+
+F7 = Field("Fp", 7)
+F9 = Field("Fp", 3, 2, modulus=(1, 0, 1))
+
+
+@st.composite
+def _bracket_cases(draw):
+    """(f, g) on a random flavor and field, with every slot in play: the
+    main exponents, h, the k symbols and t."""
+    kind = draw(st.sampled_from([STANDARD, HAUG, SKEW]))
+    flavor = BracketFlavor(kind, draw(st.sampled_from([1, 2])))
+    field = draw(st.sampled_from([QQ, F7, F9]))
+
+    def element():
+        terms = []
+        for _ in range(draw(st.integers(1, 5))):
+            key = [draw(st.integers(0, 3)) for _ in range(flavor.main_count)]
+            key += [draw(st.integers(0, 2)) for _ in range(flavor.key_len - len(key))]
+            if field.k > 1:
+                digits = draw(st.lists(st.integers(-3, 3), min_size=2, max_size=2))
+                c = field.from_coeffs(digits)
+            else:
+                c = field.from_fraction(Fraction(draw(st.integers(-4, 4)), draw(st.integers(1, 3))))
+            terms.append((tuple(key), c))
+        return Poly.from_terms(field, flavor, terms)
+
+    return element(), element()
+
+
+def _reduced(expr, syms, p):
+    """expr with its integer coefficients reduced mod p (p = 0 keeps it)."""
+    if not p or expr == 0:
+        return expr
+    return sympy.Poly(expr, *syms).trunc(p).as_expr()
+
+
+@settings(max_examples=100, deadline=None)
+@given(_bracket_cases())
+def test_bracket_matches_the_derivative_oracle_and_sympy(case):
+    f, g = case
+    got = poisson_bracket(f, g)
+    assert got == oracle_poisson_bracket(f, g)
+    if f.field.k == 1:
+        # Over F_p the raw values are ints, and the bracket commutes with
+        # reduction mod p.
+        syms = sympy_symbols(f.flavor)
+        ref = sympy_poisson(f, g, syms)
+        assert _reduced(poly_to_sympy(got, syms) - ref, syms, f.field.char) == 0
 
 
 def test_mul_matches_sympy():
@@ -182,3 +233,30 @@ def test_parse_print_round_trip_random():
             text = element_to_text(f, "P")
             back = parse_element(text, QQ, flavor, "P")
             assert back == f
+        for field in (QQ, F7, F9):
+            f = random_poly(rng, field, flavor, max_terms=40, max_deg=6)
+            assert parse_element(element_to_text(f, "P"), field, flavor, "P") == f
+
+
+def test_parse_reads_a_generator_power_as_one_monomial(monkeypatch):
+    # x1^e used to take e products; a power of one generator (h and k
+    # included) is now one monomial and takes none.
+    import weylift.poly
+
+    products = []
+    ordered_mul = weylift.poly.ordered_mul
+
+    def counted(a, b, pairs, maxdeg):
+        products.append(maxdeg)
+        return ordered_mul(a, b, pairs, maxdeg)
+
+    monkeypatch.setattr(weylift.poly, "ordered_mul", counted)
+    hfl = BracketFlavor(HAUG, 1)
+    assert parse_element("x1^40", QQ, hfl, "P") == Poly.generator(QQ, hfl, 0, 40)
+    assert parse_element("h^3", QQ, hfl, "P") == Poly.h_power(QQ, hfl, 3)
+    assert parse_element("-p1^2 + x1^0", QQ, hfl, "P") == (
+        Poly.one(QQ, hfl) - Poly.generator(QQ, hfl, 1, 2)
+    )
+    sfl = BracketFlavor(SKEW, 1)
+    assert parse_element("k1_2^2", QQ, sfl, "P").terms == {sfl.k_key(0, 1, 2): 1}
+    assert products == []

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oracles import (
     oracle_binary_power,
@@ -13,6 +14,7 @@ from oracles import (
     random_poly,
 )
 from weylift import BracketFlavor, Field, Poly, QQ
+from weylift.elements import leibniz_bracket
 from weylift.errors import (
     ExpansionBoundExceeded,
     InvalidExponent,
@@ -191,6 +193,54 @@ def test_commutator_with_central_power():
     assert is_central(cube)
     assert not is_central(x)
     assert not is_central(bounded_power(x, 2))
+
+
+@st.composite
+def _commutator_cases(draw):
+    """(F, l) on W: F random, l of main degree at most 1, both with h and
+    k factors where the flavor has them."""
+    kind = draw(st.sampled_from([STANDARD, HAUG, SKEW]))
+    flavor = BracketFlavor(kind, draw(st.sampled_from([1, 2])))
+    field = draw(st.sampled_from([QQ, Field("Fp", 7), F9]))
+    g = flavor.main_count
+    central = [flavor.h_slot] * flavor.has_h + list(range(flavor.k_start, flavor.t_slot))
+
+    def coeff():
+        if field.k > 1:
+            return field.from_coeffs(draw(st.lists(st.integers(0, 2), min_size=2, max_size=2)))
+        return field.from_fraction(Fraction(draw(st.integers(-4, 4)), draw(st.integers(1, 3))))
+
+    def element(main_key):
+        terms = []
+        for _ in range(draw(st.integers(1, 4))):
+            key = main_key() + [0] * (flavor.key_len - g)
+            for slot in central:
+                key[slot] = draw(st.integers(0, 2))
+            terms.append((tuple(key), coeff()))
+        return WeylElt.from_terms(field, flavor, terms)
+
+    def any_key():
+        return [draw(st.integers(0, 3)) for _ in range(g)]
+
+    def linear_key():
+        key = [0] * g
+        slot = draw(st.integers(-1, g - 1))
+        if slot >= 0:
+            key[slot] = 1
+        return key
+
+    return element(any_key), element(linear_key)
+
+
+@settings(max_examples=120, deadline=None)
+@given(_commutator_cases())
+def test_commutator_with_a_linear_element_matches_the_oracle(case):
+    # ad(l) for l of main degree <= 1 is the Leibniz bracket of the
+    # contraction pairs: the pass pth_power takes, against both rewritten
+    # products.
+    f, ell = case
+    want = oracle_mul(f, ell) - oracle_mul(ell, f)
+    assert leibniz_bracket(f, ell, f.flavor.contractions) == want
 
 
 def test_is_central_over_q():
