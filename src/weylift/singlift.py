@@ -130,16 +130,13 @@ def position_reduction(endo, pos, lam, delta):
     return fwd.compose(endo).compose(back)
 
 
-def _witness_curves(flavor, n, pos):
-    """Weight lists of the witness family at one position."""
-    g = flavor.main_count
-    for m2 in range(1, n + 2):
-        for m1 in range(n * m2, (n + 1) * m2):
-            if m1 < m2:
-                continue
-            weights = [m2] * g
-            weights[pos] = m1
-            yield weights
+def _witness_row(g, n, pos, m2):
+    """Weight lists of the witness row (pos, m2): every weight m2 but the
+    one at pos, which runs over n m2 <= m1 < (n+1) m2."""
+    for m1 in range(n * m2, (n + 1) * m2):
+        weights = [m2] * g
+        weights[pos] = m1
+        yield weights
 
 
 def _minimal_supports(endo):
@@ -161,25 +158,97 @@ def _minimal_supports(endo):
     return supports
 
 
-def _has_pole(flavor, supports, weights):
-    """pole_order(conjugate_by_curve(endo, DiagonalCurve(weights))) > 0,
-    read off the endo's minimal supports without building the conjugate.
+def _pole_forms(flavor, supports):
+    """The t exponents of the support keys under a curve, as linear forms
+    (coefficients, constant) in the main weights, without repeats.
 
     A key e in the image of slot s moves to t exponent
     sum_j full_j e_j - full_s (endo.diagonal_conjugate), where full holds
     the curve weights, 0 for h, w_a + w_b for each k_ab and 1 for t.
     """
-    full = [
-        *weights,
-        *(0,) * flavor.has_h,
-        *(weights[a] + weights[b] for a, b in flavor.k_pairs),
-        1,
-    ]
-    for base, keys in zip(full, supports):
+    g, k_start = flavor.main_count, flavor.k_start
+    forms = set()
+    for s, keys in enumerate(supports):
         for key in keys:
-            if sum(map(_mul, full, key)) < base:
-                return True
-    return False
+            coeffs = list(key[:g])
+            for (a, b), e in zip(flavor.k_pairs, key[k_start:flavor.t_slot]):
+                coeffs[a] += e
+                coeffs[b] += e
+            if s < g:
+                coeffs[s] -= 1
+            elif s >= k_start:
+                a, b = flavor.k_pairs[s - k_start]
+                coeffs[a] -= 1
+                coeffs[b] -= 1
+            forms.add((tuple(coeffs), key[flavor.t_slot]))
+    return list(forms)
+
+
+def _has_pole(forms, weights):
+    """pole_order(conjugate_by_curve(endo, DiagonalCurve(weights))) > 0,
+    read off the endo's _pole_forms without building the conjugate."""
+    return any(sum(map(_mul, coeffs, weights)) < -const for coeffs, const in forms)
+
+
+def _corner_lines(forms, spans):
+    """Each form's least value on a box, as a line a*m + b in the box's size m.
+
+    The box holds the weights with low_i(m) <= w_i <= high_i(m), where
+    spans[i] = (low_i, high_i) and each end is a line (slope, intercept).
+    A form is least at the corner that puts w_i at its low end when its
+    coefficient is positive and at its high end when it is negative.
+    """
+    lines = []
+    for coeffs, const in forms:
+        a, b = 0, const
+        for c, (low, high) in zip(coeffs, spans):
+            slope, intercept = low if c > 0 else high
+            a += c * slope
+            b += c * intercept
+        lines.append((a, b))
+    return lines
+
+
+def _box_spans(g, n):
+    """The box m <= w_i <= (n+1)m - 1 of the curves of order at most n whose
+    least weight is m."""
+    return [((1, 0), (n + 1, -1))] * g
+
+
+def _row_spans(g, n, pos):
+    """The witness row (pos, m) as a box: w_pos from n m to (n+1)m - 1,
+    every other weight m."""
+    spans = [((1, 0), (1, 0))] * g
+    spans[pos] = ((n, 0), (n + 1, -1))
+    return spans
+
+
+def _open_sizes(lines, top):
+    """The sizes m in 1..top at which some line a*m + b is negative, in
+    increasing order.  Each line is negative on a half-line of m, so they
+    make a prefix 1..lo and a suffix hi..top."""
+    lo, hi = 0, top + 1
+    for a, b in lines:
+        if a > 0:
+            lo = max(lo, (-b - 1) // a)
+        elif a < 0:
+            hi = min(hi, b // -a + 1)
+        elif b < 0:
+            lo = top
+    lo = min(lo, top)
+    return chain(range(1, lo + 1), range(max(hi, lo + 1), top + 1))
+
+
+def _first_pole_row(forms, g, n, pos):
+    """The first witness curve at pos with a pole, or None.
+
+    The low corner of a row is a curve of the row, so the corner test
+    decides the row exactly and the first open row holds the first pole.
+    """
+    m2 = next(_open_sizes(_corner_lines(forms, _row_spans(g, n, pos)), n + 1), None)
+    if m2 is None:
+        return None
+    return next(w for w in _witness_row(g, n, pos, m2) if _has_pole(forms, w))
 
 
 class ScanVerdict:
@@ -228,16 +297,25 @@ def hn_scan(endo, n, sample_curves=0, seed=0):
     (m_1, m_2) with m_2 <= n+1 and n m_2 <= m_1 < (n+1) m_2, so the
     order stays at most n), retries special positions after a
     general-position change when the flavor has the auxiliary pair,
-    then tries sample_curves random curves.  Each curve is tested on the
-    images' minimal exponent supports (_has_pole); no conjugate is built.
+    then tries sample_curves random curves.  Each endo's minimal keys
+    become linear forms in the curve weights (_pole_forms), and boxes
+    and rows of curves are decided at their corners first: a witness row
+    is walked only when its low corner has a pole, and the random curves
+    are drawn only when the box m <= w_i <= (n+1)m - 1 of some least
+    weight m in 1..3 has a pole at its low corner.  Verdicts, witness
+    curves and the draws made are those of the plain curve-by-curve walk.
     """
+    if n < 1:
+        raise WeyliftError(f"the pole scan needs an order of at least 1, got {n}")
+    if sample_curves < 0:
+        raise WeyliftError(f"sample count must be at least 0, got {sample_curves}")
     flavor = endo.flavor
     g = flavor.main_count
-    supports = _minimal_supports(endo)
+    forms = _pole_forms(flavor, _minimal_supports(endo))
     for pos in range(g):
-        for weights in _witness_curves(flavor, n, pos):
-            if _has_pole(flavor, supports, weights):
-                return ScanVerdict("pole", DiagonalCurve(weights))
+        weights = _first_pole_row(forms, g, n, pos)
+        if weights is not None:
+            return ScanVerdict("pole", DiagonalCurve(weights))
     if flavor.aux and endo.side == "P":
         for pos in _special_positions(endo):
             reduced = None
@@ -253,19 +331,19 @@ def hn_scan(endo, n, sample_curves=0, seed=0):
                     break
             if reduced is None:
                 continue
-            reduced_supports = _minimal_supports(reduced)
-            for weights in _witness_curves(flavor, n, pos):
-                if _has_pole(flavor, reduced_supports, weights):
-                    return ScanVerdict("pole", DiagonalCurve(weights), chosen)
+            reduced_forms = _pole_forms(flavor, _minimal_supports(reduced))
+            weights = _first_pole_row(reduced_forms, g, n, pos)
+            if weights is not None:
+                return ScanVerdict("pole", DiagonalCurve(weights), chosen)
+    open_boxes = set(_open_sizes(_corner_lines(forms, _box_spans(g, n)), 3))
+    if not open_boxes:
+        return ScanVerdict("consistent")
     rng = random.Random(seed)
     for _ in range(sample_curves):
         m_min = rng.randrange(1, 4)
         weights = [rng.randrange(m_min, (n + 1) * m_min) for _ in range(g)]
         weights[rng.randrange(g)] = m_min
-        # m_min is the smallest weight, so this is DiagonalCurve.order().
-        if max(weights) // m_min > n:
-            continue
-        if _has_pole(flavor, supports, weights):
+        if m_min in open_boxes and _has_pole(forms, weights):
             return ScanVerdict("pole", DiagonalCurve(weights))
     return ScanVerdict("consistent")
 

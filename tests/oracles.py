@@ -10,18 +10,28 @@ center-along-a-word oracle composes phi_p of one letter at a time.  The
 centrality oracle commutes with every generator, the completion oracle
 runs Gram-Schmidt through Field dispatch, the symplectic-matrix oracle
 multiplies out A^T J A with a dense J, and the scalar oracle reduces
-rationals through a Fraction round trip.
+rationals through a Fraction round trip.  The pole-scan oracle walks every
+witness and sampled curve and tests each on every key of the images.
 """
 
+import random
 from fractions import Fraction
+from operator import mul
 
 import sympy
 
 from weylift import BracketFlavor, Endo, Poly, QQ, WeylElt
 from weylift.charp import phi_p
-from weylift.errors import NotPIntegral, WeyliftError, ZeroCovector
+from weylift.errors import IndexOutOfRange, NotPIntegral, WeyliftError, ZeroCovector
 from weylift.flavors import HAUG, SKEW, STANDARD
 from weylift.linalg import mat_inv, mat_mul, transpose
+from weylift.singlift import (
+    _REDUCTION_PAIRS,
+    DiagonalCurve,
+    ScanVerdict,
+    _special_positions,
+    position_reduction,
+)
 from weylift.tame import gen_endo
 
 
@@ -394,6 +404,80 @@ def oracle_center_along_word(word, flavor, field):
     for gen in word.gens:
         acc = acc.compose(phi_p(gen_endo(gen, "W", flavor, field)))
     return acc
+
+
+# -------------------------------------------------------------- pole scan
+
+def _witness_curves(flavor, n, pos):
+    """Weight lists of the witness family at one position."""
+    g = flavor.main_count
+    for m2 in range(1, n + 2):
+        for m1 in range(n * m2, (n + 1) * m2):
+            if m1 < m2:
+                continue
+            weights = [m2] * g
+            weights[pos] = m1
+            yield weights
+
+
+def oracle_has_pole(flavor, supports, weights):
+    """Whether some key e in the image of slot s moves to a negative t
+    exponent sum_j full_j e_j - full_s, where full holds the curve
+    weights, 0 for h, w_a + w_b for each k_ab and 1 for t."""
+    full = [
+        *weights,
+        *(0,) * flavor.has_h,
+        *(weights[a] + weights[b] for a, b in flavor.k_pairs),
+        1,
+    ]
+    for base, keys in zip(full, supports):
+        for key in keys:
+            if sum(map(mul, full, key)) < base:
+                return True
+    return False
+
+
+def oracle_hn_scan(endo, n, sample_curves=0, seed=0):
+    """hn_scan curve by curve: every witness curve in order, the
+    general-position retries, then every random curve, each tested on
+    every key of every slot image."""
+    flavor = endo.flavor
+    g = flavor.main_count
+    supports = [list(img.terms) for img in endo.slots]
+    for pos in range(g):
+        for weights in _witness_curves(flavor, n, pos):
+            if oracle_has_pole(flavor, supports, weights):
+                return ScanVerdict("pole", DiagonalCurve(weights))
+    if flavor.aux and endo.side == "P":
+        for pos in _special_positions(endo):
+            reduced = None
+            chosen = None
+            for lam, delta in _REDUCTION_PAIRS:
+                try:
+                    cand = position_reduction(endo, pos, lam, delta)
+                except (WeyliftError, IndexOutOfRange):
+                    break
+                if pos not in _special_positions(cand):
+                    reduced = cand
+                    chosen = (pos, lam, delta)
+                    break
+            if reduced is None:
+                continue
+            reduced_supports = [list(img.terms) for img in reduced.slots]
+            for weights in _witness_curves(flavor, n, pos):
+                if oracle_has_pole(flavor, reduced_supports, weights):
+                    return ScanVerdict("pole", DiagonalCurve(weights), chosen)
+    rng = random.Random(seed)
+    for _ in range(sample_curves):
+        m_min = rng.randrange(1, 4)
+        weights = [rng.randrange(m_min, (n + 1) * m_min) for _ in range(g)]
+        weights[rng.randrange(g)] = m_min
+        # m_min is the smallest weight, so this is DiagonalCurve.order().
+        if max(weights) // m_min > n:
+            continue
+        if oracle_has_pole(flavor, supports, weights):
+            return ScanVerdict("pole", DiagonalCurve(weights))
+    return ScanVerdict("consistent")
 
 
 # -------------------------------------------------------- random elements

@@ -307,6 +307,19 @@ def test_singscan(tmp_path):
     assert code == 0
 
 
+def test_singscan_on_a_pole_free_endo_is_bounded_in_the_order(tmp_path):
+    # Every curve box is closed at its corner, so no curve is walked or drawn.
+    scaling = Endo("P", FL1, QQ, [pelt("2*x1"), pelt("1/2*p1")])
+    for name, endo in (("id.json", Endo.identity("P", FL1, QQ)), ("scale.json", scaling)):
+        path = tmp_path / name
+        dump_json(endo_to_json(endo), str(path))
+        rep, code = run_command([
+            "singscan", "--in", str(path), "--order", "100000", "--samples", "200", "--seed", "1",
+        ])
+        assert code == 0
+        assert rep["result"] == {"verdict": "ConsistentWithHN"}
+
+
 def test_bracket():
     rep, code = run_command(["bracket", "p1", "x1", "--n", "1"])
     assert code == 0

@@ -2,8 +2,12 @@
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from oracles import oracle_has_pole, oracle_hn_scan
 
 from weylift import (
     BracketFlavor,
@@ -26,8 +30,13 @@ from weylift.errors import (
 )
 from weylift.singlift import (
     DiagonalCurve,
+    _box_spans,
+    _corner_lines,
     _has_pole,
     _minimal_supports,
+    _open_sizes,
+    _pole_forms,
+    _row_spans,
     conjugate_by_curve,
     extend_to_aux,
     hn_scan,
@@ -38,7 +47,7 @@ from weylift.singlift import (
     twist_conjugate,
     twist_psi_lambda,
 )
-from weylift.tame import ElementaryGen, TameWord, evaluate
+from weylift.tame import PSHIFT, XSHIFT, ElementaryGen, TameWord, evaluate, random_tame
 from weylift.weyl import WeylElt, weyl_commutator
 
 FL1 = BracketFlavor("standard", 1)
@@ -156,6 +165,12 @@ def test_special_position_needs_reduction():
     assert pole_order(conjugate_by_curve(reduced, DiagonalCurve((7, 2, 2, 2)))) == 1
 
 
+LAURENT_FLAVORS = [
+    BracketFlavor("standard", 1), BracketFlavor("standard", 2),
+    BracketFlavor("haug", 1), BracketFlavor("skew", 1), BracketFlavor("skew", 2),
+]
+
+
 def _laurent_endo(rng, flavor, side):
     """Every slot image is its own symbol plus up to three random
     monomials: main degree 0..3, h exponent in -1..1, k exponents 0..1 and
@@ -190,12 +205,8 @@ def test_pole_test_on_minimal_supports_matches_the_conjugate():
     # sides, aux-extended endos, their position reductions, and Laurent
     # inputs: random t and h exponents, and conjugates of conjugates.
     rng = random.Random(31)
-    flavors = [
-        BracketFlavor("standard", 1), BracketFlavor("standard", 2),
-        BracketFlavor("haug", 1), BracketFlavor("skew", 1), BracketFlavor("skew", 2),
-    ]
     seen = {True: 0, False: 0}
-    for flavor in flavors:
+    for flavor in LAURENT_FLAVORS:
         for side in ("P", "W"):
             for _ in range(6):
                 endo = _laurent_endo(rng, flavor, side)
@@ -211,13 +222,120 @@ def test_pole_test_on_minimal_supports_matches_the_conjugate():
                     if side == "P" and flavor.kind == "standard":
                         endos.append(position_reduction(ext, 0, 1, 2))
                 for phi in endos:
-                    supports = _minimal_supports(phi)
+                    forms = _pole_forms(phi.flavor, _minimal_supports(phi))
                     for _ in range(8):
                         weights = [rng.randrange(1, 6) for _ in range(phi.flavor.main_count)]
                         want = pole_order(conjugate_by_curve(phi, DiagonalCurve(weights))) > 0
-                        assert _has_pole(phi.flavor, supports, weights) == want, (phi, weights)
+                        assert _has_pole(forms, weights) == want, (phi, weights)
                         seen[want] += 1
     assert min(seen.values()) > 100, seen
+
+
+def test_hn_scan_refuses_a_bad_order_or_sample_count():
+    ident = Endo.identity("P", FL1, QQ)
+    with pytest.raises(WeyliftError, match="order of at least 1"):
+        hn_scan(ident, 0, 5, 1)
+    with pytest.raises(WeyliftError, match="sample count"):
+        hn_scan(ident, 2, -1, 1)
+
+
+def _shift(rng, n, deg):
+    side = rng.choice((XSHIFT, PSHIFT))
+    return ElementaryGen(side, (rng.randrange(n), {deg: Fraction(rng.choice((-2, -1, 1, 2)))}))
+
+
+def _scan_input(kind, seed, order):
+    """An endo for the scan differential test, from a seed."""
+    rng = random.Random(seed)
+    n = rng.randrange(1, 3)
+    flavor = BracketFlavor("standard", n)
+    if kind == "tame":
+        endo = evaluate(random_tame(n, rng.randrange(1, 3), 3, seed), "P", flavor, QQ)
+        return extend_to_aux(endo) if rng.randrange(2) else endo
+    if kind == "identity":
+        kind_flavor = BracketFlavor(rng.choice(("haug", "skew")), n)
+        return Endo.identity(rng.choice(("P", "W")), kind_flavor, QQ)
+    if kind == "laurent":
+        return _laurent_endo(rng, rng.choice(LAURENT_FLAVORS), rng.choice(("P", "W")))
+    if kind == "consistent":
+        # the scan workload's family of rank above the order
+        gens = [_shift(rng, n, rng.randrange(order + 1, order + 3)) for _ in range(rng.randrange(1, 3))]
+        return evaluate(TameWord("symplectic", n, gens), "P", flavor, QQ)
+    if kind == "witness":
+        # the scan workload's family of rank at most the order, on the aux flavor
+        word = TameWord("symplectic", n, [_shift(rng, n, rng.randrange(1, order + 1))])
+        return extend_to_aux(evaluate(word, "P", flavor, QQ))
+    if kind == "k_image":
+        # k12 -> k12 + xi3^d t^e: a form d w_3 - w_1 - w_2 + e that no
+        # witness row makes negative when d = order + 2 and e = 0, while
+        # random curves can
+        skew = BracketFlavor("skew", 2)
+        slots = list(Endo.identity("P", skew, QQ).slots)
+        key = [0] * skew.key_len
+        key[2] = rng.randrange(order + 1, order + 4)
+        key[skew.t_slot] = rng.choice((-1, 0, 0, 1))
+        slots[skew.k_start] = slots[skew.k_start] + Poly(QQ, skew, {tuple(key): QQ.one()})
+        return Endo.from_slots("P", skew, QQ, slots)
+    # a special position: the deviation of x1 contains x1
+    lifted = BracketFlavor("standard", n, aux=True)
+    images = [Poly.generator(QQ, lifted, i) for i in range(lifted.main_count)]
+    images[0] = images[0] + parse_element(f"x1*p1^{rng.randrange(1, 4)}", QQ, lifted, "P")
+    return Endo("P", lifted, QQ, images)
+
+
+SCAN_KINDS = ["tame", "identity", "laurent", "consistent", "witness", "special", "k_image"]
+
+
+def test_corner_test_decides_every_small_box_and_row():
+    # Brute force: a box (and a witness row, a box with one long side) has
+    # a pole at its low corner exactly when some integer weight vector in
+    # it has one, tested on every key of the images; and the open sizes
+    # are the m at which some corner line is negative.
+    rng = random.Random(11)
+    endos = [
+        _laurent_endo(rng, flavor, side)
+        for flavor in LAURENT_FLAVORS for side in ("P", "W") for _ in range(3)
+    ]
+    endos += [_scan_input(kind, seed, 2) for kind in SCAN_KINDS for seed in range(4)]
+    seen = {True: 0, False: 0}
+    for endo in endos:
+        flavor = endo.flavor
+        g = flavor.main_count
+        every_key = [list(img.terms) for img in endo.slots]
+        forms = _pole_forms(flavor, _minimal_supports(endo))
+        for n in (1, 2):
+            for spans in [_box_spans(g, n), *(_row_spans(g, n, pos) for pos in range(g))]:
+                lines = _corner_lines(forms, spans)
+                assert list(_open_sizes(lines, 40)) == [
+                    m for m in range(1, 41) if any(a * m + b < 0 for a, b in lines)
+                ]
+                open_sizes = set(_open_sizes(lines, 3))
+                for m in (1, 2, 3):
+                    box = product(*(
+                        range(ls * m + li, hs * m + hi + 1) for (ls, li), (hs, hi) in spans
+                    ))
+                    want = any(oracle_has_pole(flavor, every_key, w) for w in box)
+                    assert (m in open_sizes) == want, (endo, n, spans, m)
+                    seen[want] += 1
+    assert min(seen.values()) > 200, seen
+
+
+@settings(max_examples=150, deadline=None)
+@example("k_image", 6, 1, 60, 0)  # only box 3 holds a pole: a random curve finds it
+@given(
+    st.sampled_from(SCAN_KINDS),
+    st.integers(0, 10**6),
+    st.integers(1, 5),
+    st.integers(0, 60),
+    st.integers(0, 10**6),
+)
+def test_hn_scan_matches_the_curve_by_curve_oracle(kind, endo_seed, order, samples, seed):
+    endo = _scan_input(kind, endo_seed, order)
+    got = hn_scan(endo, order, samples, seed)
+    want = oracle_hn_scan(endo, order, samples, seed)
+    assert got.kind == want.kind
+    assert (got.curve and got.curve.weights) == (want.curve and want.curve.weights)
+    assert got.reduction == want.reduction
 
 
 def test_lift_shear_certificate():
