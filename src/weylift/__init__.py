@@ -27,7 +27,6 @@ from .endo import (
     Endo,
     bracket_violations,
     check_symplecto,
-    dilation_conjugate,
     endo_rank,
     truncated_inverse,
 )
@@ -46,8 +45,6 @@ from .singlift import (
     lifted_commutation_check,
     pole_order,
     position_reduction,
-    twist_conjugate,
-    twist_psi_lambda,
 )
 from .tame import (
     ElementaryGen,
@@ -96,7 +93,6 @@ __all__ = [
     "conjugate_by_curve",
     "corrector",
     "deviation_hamiltonian",
-    "dilation_conjugate",
     "element_to_text",
     "endo_rank",
     "evaluate",
@@ -124,8 +120,6 @@ __all__ = [
     "symplectic_completion",
     "transport",
     "truncated_inverse",
-    "twist_conjugate",
-    "twist_psi_lambda",
     "waring_decompose",
     "weyl_commutator",
     "__version__",

@@ -32,24 +32,18 @@ from .errors import (
 )
 from .fields import QQ
 from .flavors import STANDARD
-from .poly import Poly
+from .poly import Poly, poisson_bracket
 from .tame import SP, XSHIFT, ElementaryGen, TameWord, evaluate, gen_endo
 from .linalg import identity_matrix, symplectic_completion
 
 
 def hamiltonian_field(h):
-    """Images [X_h(g_j)] with X_h(g_j) = sum_a omega(a, j) d_a h."""
+    """Images [X_h(g_j)] with X_h(g_j) = {h, g_j}."""
     flavor, field = h.flavor, h.field
-    g = flavor.main_count
-    out = []
-    for j in range(g):
-        a = flavor.conjugate_index(j)
-        w = flavor.omega(a, j)
-        img = h.partial(a)
-        if w == -1:
-            img = -img
-        out.append(img)
-    return out
+    return [
+        poisson_bracket(h, Poly.generator(field, flavor, j))
+        for j in range(flavor.main_count)
+    ]
 
 
 def hamiltonian_shift_endo(h):

@@ -143,12 +143,6 @@ class SparseElement:
     def coeff(self, key: tuple):
         return self.terms.get(key, self.field.zero())
 
-    def constant_term(self):
-        return self.terms.get(self.flavor.unit_key(), self.field.zero())
-
-    def has_constant_term(self) -> bool:
-        return self.flavor.unit_key() in self.terms
-
     def __eq__(self, other):
         return (
             type(self) is type(other)
@@ -272,12 +266,6 @@ class SparseElement:
         if not self.terms:
             return 0
         slot = self.flavor.t_slot
-        return min(k[slot] for k in self.terms)
-
-    def min_h_exponent(self) -> int:
-        if not self.terms or not self.flavor.has_h:
-            return 0
-        slot = self.flavor.h_slot
         return min(k[slot] for k in self.terms)
 
     def specialize_h(self):

@@ -72,8 +72,9 @@ class Endo:
             )
         self._fill(side, flavor, field, slots)
         if not allow_free_term:
+            unit = flavor.unit_key()
             for i, img in enumerate(self.images):
-                if img.has_constant_term():
+                if unit in img.terms:
                     raise WeyliftError(
                         f"image of generator {i} has a constant term"
                     )
@@ -404,14 +405,3 @@ def diagonal_conjugate(endo, slot, weights):
         slots.append(out)
     return Endo.from_slots(endo.side, flavor, endo.field, slots)
 
-
-def dilation_conjugate(endo, e):
-    """Conjugate by the dilation g -> t^(e w(g)) g, w the flavor's weight
-    of each main generator and of h (see diagonal_conjugate).
-
-    The graded degree-m part of each main image picks up t^((m-1)e); a
-    multiple of h is left as it is.
-    """
-    flavor = endo.flavor
-    weights = [e * w for w in flavor.weights[: flavor.k_start]]
-    return diagonal_conjugate(endo, flavor.t_slot, weights)

@@ -109,10 +109,6 @@ class StabilizationFailure(WeyliftError):
     """Successive lift truncations disagree below the stable height."""
 
 
-class InsufficientK(WeyliftError):
-    """The twist order k is too small to clear the h-poles."""
-
-
 # -------------------------------------------------------------------- cli
 
 class ExprSyntaxError(WeyliftError):

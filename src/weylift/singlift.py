@@ -26,15 +26,12 @@ from .charp import phi_p, phi_p_along_word
 from .endo import (
     Endo,
     bracket_violations,
-    check_symplecto,
     diagonal_conjugate,
     element_class,
-    truncated_inverse,
 )
 from .errors import (
     ExpansionBoundExceeded,
     IndexOutOfRange,
-    InsufficientK,
     NotPIntegral,
     SideMismatch,
     StabilizationFailure,
@@ -323,7 +320,7 @@ def hn_scan(endo, n, sample_curves=0, seed=0):
             for lam, delta in _REDUCTION_PAIRS:
                 try:
                     cand = position_reduction(endo, pos, lam, delta)
-                except (WeyliftError, IndexOutOfRange):
+                except WeyliftError:
                     break
                 if pos not in _special_positions(cand):
                     reduced = cand
@@ -524,28 +521,6 @@ def _prime_status(exact, sigma_p, wword, flavor, fp):
     return {"status": "mismatch", "mismatch_witness": {"image": image}}
 
 
-def twist_psi_lambda(i, k, flavor, field):
-    """u -> u + h^k x_i and p_i -> p_i - h^k v on the extended flavor."""
-    if flavor.kind != HAUG or not flavor.aux:
-        raise WeyliftError("twist needs the h-augmented flavor with the aux pair")
-    n = flavor.pairs - 1
-    if not 0 <= i < n:
-        raise IndexOutOfRange(f"pair index {i} out of range for {n} pairs")
-    if k < 1:
-        raise WeyliftError("twist exponent k must be positive")
-    g = flavor.main_count
-    u_slot = flavor.pairs - 1
-    v_slot = 2 * flavor.pairs - 1
-    images = [Poly.generator(field, flavor, s) for s in range(g)]
-    hk = Poly.h_power(field, flavor, k)
-    images[u_slot] = images[u_slot] + hk * Poly.generator(field, flavor, i)
-    p_slot = flavor.conjugate_index(i)
-    images[p_slot] = images[p_slot] - hk * Poly.generator(field, flavor, v_slot)
-    endo = Endo("P", flavor, field, images)
-    check_symplecto(endo)
-    return endo
-
-
 def extend_to_aux(endo):
     """Reread an endo on the flavor extended by the aux pair, fixing u, v."""
     flavor = endo.flavor
@@ -571,18 +546,3 @@ def extend_to_aux(endo):
     v_img = cls.generator(field, target, 2 * n + 1)
     slots = [*slots[:n], u_img, *slots[n : 2 * n], v_img, *slots[2 * n :]]
     return Endo.from_slots(endo.side, target, field, slots)
-
-
-def twist_conjugate(phi, psi, phi_inv=None, order=None):
-    """phi o psi o phi_inv; InsufficientK when h-poles survive."""
-    if phi_inv is None:
-        if order is None:
-            raise WeyliftError("supply phi_inv or a truncation order")
-        phi_inv = truncated_inverse(phi, order)
-    out = phi.compose(psi).compose(phi_inv)
-    for img in out.slots:
-        if img.min_h_exponent() < 0:
-            raise InsufficientK(
-                "negative powers of h survive; raise the twist exponent k"
-            )
-    return out

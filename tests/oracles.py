@@ -2,7 +2,10 @@
 
 The normal-ordering oracle works on raw generator words with the
 one-step rewrite rules only, so it shares no code with the closed-form
-reordering in the package.  The commutative oracles go through sympy,
+reordering in the package.  It builds each word letter by letter: a
+letter a after a normal-ordered word u b, with b ranked after a, is
+placed by u b a = (u a) b + u [b, a], [b, a] being central, and each
+(u, a) result is cached per flavor.  The commutative oracles go through sympy,
 and the Poisson oracle builds {f, g} from partial-derivative elements
 and their products.
 The word oracle composes one endo per letter, rightmost first, and the
@@ -16,14 +19,14 @@ witness and sampled curve and tests each on every key of the images.
 
 import random
 from fractions import Fraction
-from operator import mul
+from operator import add, mul
 
 import sympy
 
-from weylift import BracketFlavor, Endo, Poly, QQ, WeylElt
+from weylift import Endo, Poly, QQ, WeylElt
 from weylift.charp import phi_p
 from weylift.errors import IndexOutOfRange, NotPIntegral, WeyliftError, ZeroCovector
-from weylift.flavors import HAUG, SKEW, STANDARD
+from weylift.flavors import HAUG, SKEW
 from weylift.linalg import mat_inv, mat_mul, transpose
 from weylift.singlift import (
     _REDUCTION_PAIRS,
@@ -44,46 +47,77 @@ def _letter_rank(flavor, letter):
     return flavor.main_count // 2 + i if flavor.paired else i
 
 
+def _letter_bracket(flavor, b, a):
+    """[b, a] = b a - a b for letters with b ranked after a: None when it
+    is zero, else (sign, h exponent, k pair or None) of the central result."""
+    if flavor.paired:
+        if a[0] == "x" and b == ("d", a[1]):
+            # d x = x d + 1 (or + h)
+            return 1, (1 if flavor.kind == HAUG else 0), None
+        return None
+    # xi_j xi_i = xi_i xi_j - h k_ij for i < j
+    return -1, 1, (a[1], b[1])
+
+
+# Per flavor: (normal-ordered word u, letter a) -> normal form of u a.
+_APPENDS = {}
+
+
+def _append_letter(flavor, u, a):
+    """Normal-order u a for a normal-ordered word u.
+
+    Returns {(letters, h_exp, k_tuple): int}.  When u = w b with b ranked
+    after a, u a = (w a) b + w [b, a], and [b, a] is central.
+    """
+    memo = _APPENDS.setdefault(flavor, {})
+    out = memo.get((u, a))
+    if out is not None:
+        return out
+    zero_k = (0,) * len(flavor.k_pairs)
+    if not u or _letter_rank(flavor, u[-1]) <= _letter_rank(flavor, a):
+        out = {(u + (a,), 0, zero_k): 1}
+    else:
+        w, b = u[:-1], u[-1]
+        out = {}
+        for (wa, h_wa, k_wa), c in _append_letter(flavor, w, a).items():
+            for (v, h_v, k_v), c2 in _append_letter(flavor, wa, b).items():
+                key = (v, h_wa + h_v, tuple(map(add, k_wa, k_v)))
+                out[key] = out.get(key, 0) + c * c2
+        bracket = _letter_bracket(flavor, b, a)
+        if bracket is not None:
+            sign, h_e, pair = bracket
+            k_vec = list(zero_k)
+            if pair is not None:
+                k_vec[flavor.k_pairs.index(pair)] = 1
+            key = (w, h_e, tuple(k_vec))
+            out[key] = out.get(key, 0) + sign
+        out = {key: c for key, c in out.items() if c}
+    memo[(u, a)] = out
+    return out
+
+
 def naive_normal_order(flavor, words):
     """Normal-order a coefficient dict over raw generator words.
 
     words: {(letters tuple, h_exp, k_tuple): Fraction}
     letters: ("x", i) / ("d", i) for paired flavors, ("xi", i) for skew.
-    Returns the same shape with all words in normal order.
+    Returns the same shape with all words in normal order.  Each word is
+    built letter by letter, each letter put in place by _append_letter.
     """
-    n_k = len(flavor.k_pairs)
-    k_index = {pair: idx for idx, pair in enumerate(flavor.k_pairs)}
-    pending = dict(words)
     done = {}
-    while pending:
-        (letters, h_e, k_vec), coeff = pending.popitem()
+    for (letters, h_e, k_vec), coeff in words.items():
         if coeff == 0:
             continue
-        for t in range(len(letters) - 1):
-            a, b = letters[t], letters[t + 1]
-            if _letter_rank(flavor, a) <= _letter_rank(flavor, b):
-                continue
-            swapped = letters[:t] + (b, a) + letters[t + 2 :]
-            if flavor.paired and a[0] == "d" and b[0] == "x" and a[1] == b[1]:
-                # d x = x d + 1 (or + h)
-                contracted = letters[:t] + letters[t + 2 :]
-                ch = h_e + (1 if flavor.kind == HAUG else 0)
-                key2 = (contracted, ch, k_vec)
-                pending[key2] = pending.get(key2, Fraction(0)) + coeff
-            elif not flavor.paired:
-                # xi_j xi_i = xi_i xi_j - h k_ij for i < j
-                i, j = b[1], a[1]
-                contracted = letters[:t] + letters[t + 2 :]
-                kv = list(k_vec)
-                kv[k_index[(i, j)]] += 1
-                key2 = (contracted, h_e + 1, tuple(kv))
-                pending[key2] = pending.get(key2, Fraction(0)) - coeff
-            key1 = (swapped, h_e, k_vec)
-            pending[key1] = pending.get(key1, Fraction(0)) + coeff
-            break
-        else:
-            key = (letters, h_e, k_vec)
-            done[key] = done.get(key, Fraction(0)) + coeff
+        partial = {((), h_e, k_vec): coeff}
+        for a in letters:
+            step = {}
+            for (u, h_u, k_u), c in partial.items():
+                for (v, h_v, k_v), c2 in _append_letter(flavor, u, a).items():
+                    key = (v, h_u + h_v, tuple(map(add, k_u, k_v)))
+                    step[key] = step.get(key, 0) + c * c2
+            partial = step
+        for key, c in partial.items():
+            done[key] = done.get(key, Fraction(0)) + c
     return {k: v for k, v in done.items() if v != 0}
 
 

@@ -14,7 +14,6 @@ from weylift import (
     QQ,
     bracket_violations,
     check_symplecto,
-    dilation_conjugate,
     element_to_text,
     endo_rank,
     parse_element,
@@ -29,7 +28,7 @@ from weylift.errors import (
     WrongArity,
 )
 from weylift.elements import substitute
-from weylift.endo import element_class
+from weylift.endo import diagonal_conjugate, element_class
 from weylift.serialize import endo_from_json, endo_to_json
 from weylift.weyl import WeylElt
 
@@ -152,10 +151,11 @@ def test_truncated_inverse_round_trip():
 
 def test_dilation_conjugate():
     sh = shear()
-    dil = dilation_conjugate(sh, 2)
+    t = sh.flavor.t_slot
+    dil = diagonal_conjugate(sh, t, (2, 2))
     assert str(dil.images[0]) == "p1^2*t^2 + x1"
     assert str(dil.images[1]) == "p1"
-    assert str(dilation_conjugate(sh, 0).images[0]) == "p1^2 + x1"
+    assert str(diagonal_conjugate(sh, t, (0, 0)).images[0]) == "p1^2 + x1"
 
 
 def test_endo_json_round_trip():

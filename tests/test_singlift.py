@@ -19,10 +19,9 @@ from weylift import (
     endo_rank,
     parse_element,
 )
-from weylift.endo import diagonal_conjugate, dilation_conjugate, element_class
+from weylift.endo import diagonal_conjugate, element_class
 from weylift.errors import (
     DimensionMismatch,
-    InsufficientK,
     NotSymplectic,
     SideMismatch,
     StabilizationFailure,
@@ -44,8 +43,6 @@ from weylift.singlift import (
     lifted_commutation_check,
     pole_order,
     position_reduction,
-    twist_conjugate,
-    twist_psi_lambda,
 )
 from weylift.tame import PSHIFT, XSHIFT, ElementaryGen, TameWord, evaluate, random_tame
 from weylift.weyl import WeylElt, weyl_commutator
@@ -527,47 +524,6 @@ def test_lifted_commutation_check_reports_violations():
     assert (i, j) == (0, 1)
 
 
-def test_twist_psi_lambda():
-    hafl = BracketFlavor("haug", 1, aux=True)
-    psi = twist_psi_lambda(0, 1, hafl, QQ)
-    assert [str(i) for i in psi.images] == ["x1", "x1*h + u", "p1 - v*h", "v"]
-    assert not bracket_violations(psi)
-    psi3 = twist_psi_lambda(0, 3, hafl, QQ)
-    assert str(psi3.images[1]) == "x1*h^3 + u"
-    assert not bracket_violations(psi3)
-
-
-def test_twist_psi_lambda_guards():
-    hafl = BracketFlavor("haug", 1, aux=True)
-    with pytest.raises(Exception):
-        twist_psi_lambda(0, 0, hafl, QQ)
-    with pytest.raises(Exception):
-        twist_psi_lambda(0, 1, FL1, QQ)
-
-
-def test_twist_conjugate():
-    hafl = BracketFlavor("haug", 1, aux=True)
-    psi = twist_psi_lambda(0, 1, hafl, QQ)
-    ext = Endo("P", hafl, QQ, [
-        pelt("x1 + p1^2*h^3", hafl), pelt("u", hafl), pelt("p1", hafl), pelt("v", hafl),
-    ])
-    out = twist_conjugate(ext, psi, order=4)
-    assert str(out.images[0]) == "p1^2*h^3 + x1"
-    assert str(out.images[1]) == "p1^2*h^4 + x1*h + u"
-
-
-def test_twist_conjugate_insufficient_k():
-    hafl = BracketFlavor("haug", 1, aux=True)
-    dev = Endo("P", hafl, QQ, [
-        pelt("x1 + p1^2*h", hafl), pelt("u", hafl), pelt("p1", hafl), pelt("v", hafl),
-    ])
-    laurent = diagonal_conjugate(dev, hafl.h_slot, (2, 0, 0, 0, 0))
-    assert str(laurent.images[0]) == "p1^2*h^-1 + x1"
-    psi = twist_psi_lambda(0, 1, hafl, QQ)
-    with pytest.raises(InsufficientK):
-        twist_conjugate(laurent, psi, phi_inv=Endo.identity("P", hafl, QQ))
-
-
 def test_h_weight_conjugate():
     hfl = BracketFlavor("haug", 1)
     e = Endo("P", hfl, QQ, [pelt("x1 + p1^2*h", hfl), pelt("p1", hfl)])
@@ -575,6 +531,13 @@ def test_h_weight_conjugate():
     assert str(up.images[0]) == "p1^2*h^4 + x1"
     with pytest.raises(DimensionMismatch):
         diagonal_conjugate(e, hfl.h_slot, (1, 0))
+    # A positive h weight on x1 leaves a Laurent power of h.
+    hafl = BracketFlavor("haug", 1, aux=True)
+    dev = Endo("P", hafl, QQ, [
+        pelt("x1 + p1^2*h", hafl), pelt("u", hafl), pelt("p1", hafl), pelt("v", hafl),
+    ])
+    laurent = diagonal_conjugate(dev, hafl.h_slot, (2, 0, 0, 0, 0))
+    assert str(laurent.images[0]) == "p1^2*h^-1 + x1"
 
 
 def _rescaling(flavor, slot, weights, sign=1):
@@ -646,7 +609,8 @@ def test_diagonal_conjugations_match_composition(flavor):
         e = rng.randrange(1, 3)
         # The flavor's weights: 1 per main generator, h 2 on haug, 0 on skew.
         weights = (e,) * g + (2 * e if flavor.kind == "haug" else 0,) * flavor.has_h
-        assert dilation_conjugate(phi, e) == _conjugated(phi, flavor.t_slot, weights)
+        got = diagonal_conjugate(phi, flavor.t_slot, weights)
+        assert got == _conjugated(phi, flavor.t_slot, weights)
         if flavor.has_h:
             exps = tuple(rng.randrange(-2, 3) for _ in range(g))
             got = diagonal_conjugate(phi, flavor.h_slot, (*exps, 0))

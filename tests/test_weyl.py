@@ -140,11 +140,9 @@ def test_finite_field_truncated_haug_matches_oracle(field):
 @pytest.mark.parametrize("n", [1, 2])
 @pytest.mark.parametrize("field", FINITE_FIELDS, ids=repr)
 def test_finite_field_skew_matches_oracle(field, n):
-    # With n = 2 every main slot is in several contraction pairs; the
-    # exponents stay at 5 there to keep the rewriting oracle fast.
     p = field.char
     sfl = BracketFlavor(SKEW, n)
-    top = p + 1 if n == 1 else min(p + 1, 5)
+    top = p + 1
     rng = random.Random(300 + 10 * n + p * field.k)
     for _ in range(6):
         a = high_power_elt(rng, field, sfl, top)
