@@ -54,8 +54,6 @@ from .tame import (
     invert_word,
     random_symplectic_matrix,
     random_tame,
-    random_unimodular_matrix,
-    transport,
 )
 from .weyl import (
     WeylElt,
@@ -114,11 +112,9 @@ __all__ = [
     "pth_power",
     "random_symplectic_matrix",
     "random_tame",
-    "random_unimodular_matrix",
     "reduce_endo_mod_p",
     "restrict_to_center",
     "symplectic_completion",
-    "transport",
     "truncated_inverse",
     "waring_decompose",
     "weyl_commutator",

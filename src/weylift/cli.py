@@ -241,15 +241,16 @@ def _cmd_corpus(args):
     if args.seed is None:
         raise UsageError("--seed is required")
     field = Field("Q")
+    # Only the flags set the size here, so a bound they exceed is a usage error.
     try:
         flavor = BracketFlavor("standard", args.n)
+        items = []
+        for i in range(args.count):
+            word = random_tame(args.n, args.length, args.maxdeg, args.seed + i)
+            endo = evaluate(word, "P", flavor, field)
+            items.append({"word": word_to_json(word), "endo": endo_to_json(endo)})
     except ExpansionBoundExceeded as exc:
         raise UsageError(f"ExpansionBoundExceeded: {exc}") from exc
-    items = []
-    for i in range(args.count):
-        word = random_tame(args.n, args.length, args.maxdeg, args.seed + i)
-        endo = evaluate(word, "P", flavor, field)
-        items.append({"word": word_to_json(word), "endo": endo_to_json(endo)})
     payload = {"items": items}
     _maybe_out(args, payload)
     inputs = {

@@ -12,10 +12,12 @@ import json
 from fractions import Fraction
 
 from .endo import Endo, element_class
+from .errors import IndexOutOfRange, NotSymplectic, WeyliftError
 from .fields import Field
 from .flavors import BracketFlavor
 from .grammar import element_to_text, parse_element
-from .tame import SHIFT, SP, LIN, ElementaryGen, TameWord
+from .linalg import is_symplectic
+from .tame import PSHIFT, SP, XSHIFT, ElementaryGen, TameWord
 
 # The interpreter's built-in SHA-256, taken the way random.py takes SHA-512:
 # hashlib would load OpenSSL, some MB of resident memory, for one digest.
@@ -91,29 +93,29 @@ class _Texts(dict):
 
 
 def _gen_to_json(gen, texts):
-    if gen.kind in (SP, LIN):
+    if gen.kind == SP:
         return {"kind": gen.kind, "matrix": texts.matrix(gen.data)}
     index, poly = gen.data
-    if gen.kind == SHIFT:
-        body = {",".join(str(x) for x in e): texts[c] for e, c in poly.items()}
-    else:
-        body = {str(e): texts[c] for e, c in poly.items()}
+    body = {str(e): texts[c] for e, c in poly.items()}
     return {"kind": gen.kind, "index": index, "poly": body}
 
 
 def _gen_from_json(doc):
+    """One letter of a word document.  ElementaryGen leaves the check that
+    an sp matrix is symplectic to its callers, so a document gets it here."""
     kind = doc["kind"]
-    if kind in (SP, LIN):
-        matrix = [[Fraction(v) for v in row] for row in doc["matrix"]]
-        return ElementaryGen(kind, matrix)
-    if kind == SHIFT:
-        poly = {
-            tuple(int(x) for x in e.split(",")): Fraction(c)
-            for e, c in doc["poly"].items()
-        }
-    else:
-        poly = {int(e): Fraction(c) for e, c in doc["poly"].items()}
-    return ElementaryGen(kind, (doc["index"], poly))
+    if kind == SP:
+        gen = ElementaryGen(kind, [[Fraction(v) for v in row] for row in doc["matrix"]])
+        if not is_symplectic(gen.data):
+            raise NotSymplectic("an sp letter's matrix is not symplectic")
+        return gen
+    if kind not in (XSHIFT, PSHIFT):
+        raise WeyliftError(f"unknown generator kind {kind!r}")
+    index = doc["index"]
+    if type(index) is not int:
+        raise IndexOutOfRange(f"pair index {index!r} is not an integer")
+    poly = {int(e): Fraction(c) for e, c in doc["poly"].items()}
+    return ElementaryGen(kind, (index, poly))
 
 
 def word_to_json(word):

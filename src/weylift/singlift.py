@@ -41,7 +41,7 @@ from .fields import Field
 from .flavors import HAUG, STANDARD, BracketFlavor
 from .linalg import identity_matrix
 from .poly import Poly, poisson_bracket
-from .tame import LIN, SP, TameWord, evaluate, transport
+from .tame import SP, TameWord, evaluate
 
 STABILIZATION_MARGIN = 2
 
@@ -349,7 +349,7 @@ def _word_is_p_integral(word, p):
     return not any(
         v.denominator % p == 0
         for gen in word.gens
-        for v in (chain(*gen.data) if gen.kind in (SP, LIN) else gen.data[1].values())
+        for v in (chain(*gen.data) if gen.kind == SP else gen.data[1].values())
     )
 
 
@@ -364,7 +364,7 @@ def lift(sigma, n, primes=()):
     """Ordered-side lift of a commutative symplectomorphism, with receipts.
 
     Returns (lifted, certificate).  The lifted endo is the exact
-    ordered evaluation of the transported approximation word, and
+    ordered (W-side) evaluation of the approximation word, and
     certificate["representation"] is "exact": tame.evaluate never checks
     EXPANSION_BOUND, so the graded h-truncated fallback
     ("truncated_haug") is not reached.  The certificate also records
@@ -392,11 +392,9 @@ def lift(sigma, n, primes=()):
     deg_sigma = max(img.degree() for img in sigma.images)
     stable_height = max(1, min(n - 2, 2 * deg_sigma + STABILIZATION_MARGIN))
 
-    wword = transport(word)
-
     def truncated(gens, start=None):
         return evaluate(
-            TameWord(wword.kind, wword.n, gens),
+            TameWord(word.kind, word.n, gens),
             "W",
             hflavor,
             field,
@@ -415,8 +413,8 @@ def lift(sigma, n, primes=()):
         # The order n-1 word is a prefix: its evaluation continues into
         # the order-n one.
         cut = len(stage_prefix(word, report, n - 1))
-        trunc_prev = truncated(wword.gens[:cut])
-        trunc_n = truncated(wword.gens[cut:], start=trunc_prev)
+        trunc_prev = truncated(word.gens[:cut])
+        trunc_n = truncated(word.gens[cut:], start=trunc_prev)
         witness = _first_difference(trunc_n.images, trunc_prev.images, stable_height)
         certificate["stabilization"] = "pass" if witness is None else "fail"
         if witness is not None:
@@ -426,7 +424,7 @@ def lift(sigma, n, primes=()):
                 f"first differs at height {witness['height']}"
             )
     else:
-        trunc_n = truncated(wword.gens)
+        trunc_n = truncated(word.gens)
         certificate["stabilization"] = "trivial"
 
     trunc_alt = trunc_n if word_alt == word else truncated(word_alt.gens)
@@ -437,7 +435,7 @@ def lift(sigma, n, primes=()):
 
     exact = None
     try:
-        exact = evaluate(wword, "W", flavor, field)
+        exact = evaluate(word, "W", flavor, field)
         certificate["representation"] = "exact"
     except ExpansionBoundExceeded:
         certificate["representation"] = "truncated_haug"
@@ -469,14 +467,14 @@ def lift(sigma, n, primes=()):
             certificate["primes"][str(p)] = entry
             continue
         if ev_q is None:
-            ev_q = evaluate(wword, "P", flavor, field, maxdeg=n - 1)
+            ev_q = evaluate(word, "P", flavor, field, maxdeg=n - 1)
         ev_p = [img.map_coefficients(fp.from_fraction, fp) for img in ev_q.images]
         target_p = [img.truncate(n - 1) for img in sigma_p.images]
         consistent = ev_p == target_p
         entry["reduction_consistency"] = "pass" if consistent else "fail"
         if not consistent:
             entry["reduction_witness"] = _first_difference(ev_p, target_p, n - 1)
-        entry.update(_prime_status(exact, sigma_p, wword, flavor, fp))
+        entry.update(_prime_status(exact, sigma_p, word, flavor, fp))
         certificate["primes"][str(p)] = entry
     certificate["pass"] = (
         certificate["stabilization"] != "fail"
@@ -502,7 +500,7 @@ def _first_difference(a, b, height):
     return None
 
 
-def _prime_status(exact, sigma_p, wword, flavor, fp):
+def _prime_status(exact, sigma_p, word, flavor, fp):
     """Compare phi_p of the exact lift, reduced mod p, with sigma mod p:
     {"status": ...}, with the first differing image on a mismatch."""
     if exact is None:
@@ -512,7 +510,7 @@ def _prime_status(exact, sigma_p, wword, flavor, fp):
         # The center flavor has the key layout of sigma's flavor.
         if [img.terms for img in center.images] == [img.terms for img in sigma_p.images]:
             return {"status": "exact"}
-        expected = phi_p_along_word(wword, flavor, fp)
+        expected = phi_p_along_word(word, flavor, fp)
     except ExpansionBoundExceeded:
         return {"status": "skipped_expansion_budget"}
     if center == expected:

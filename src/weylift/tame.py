@@ -5,13 +5,11 @@ first, so evaluate([g1, g2]) sends f to g1(g2(f)).  evaluate walks the
 letters left to right on the list of generator images: the images of
 start . g1 . .. . gi are those of start . g1 . .. . g(i-1) with the
 letter gi substituted into them, so an evaluation of a prefix of a word
-continues into the whole word.  Symplectic words mix
-integral symplectic matrices with single-coordinate shifts by a
-polynomial in the conjugate variable; such shifts preserve the bracket
-exactly and also define endomorphisms of the ordered algebra, so one
-word can be read on either side.  General-linear words additionally
-allow invertible matrices and triangular multivariate shifts, and only
-act on the commutative side.
+continues into the whole word.  Words are symplectic: they mix integral
+symplectic matrices with single-coordinate shifts by a polynomial in
+the conjugate variable.  Such shifts preserve the bracket exactly and
+also define endomorphisms of the ordered algebra, so one word, with
+the same data, is read on either side by evaluate's side argument.
 
 Generator data is stored over Z (or Q), so one word can be reduced and
 evaluated over any coefficient field.
@@ -25,41 +23,34 @@ from fractions import Fraction
 from .elements import substitute
 from .endo import Endo, element_class
 from .errors import (
+    ExpansionBoundExceeded,
     FieldMismatch,
     FlavorMismatch,
     IndexOutOfRange,
-    NotSymplectic,
     SideMismatch,
     WeyliftError,
     WrongArity,
 )
 from .fields import QQ
-from .linalg import identity_matrix, mat_inv, mat_mul, symplectic_inverse
+from .linalg import identity_matrix, mat_mul, symplectic_inverse
 
 SP = "sp"
-LIN = "lin"
 XSHIFT = "xshift"
 PSHIFT = "pshift"
-SHIFT = "shift"
-
-_SYMPLECTIC_KINDS = (SP, XSHIFT, PSHIFT)
-_GL_KINDS = (SP, LIN, XSHIFT, PSHIFT, SHIFT)
 
 
 class ElementaryGen:
     """One step of a tame word.
 
-    sp / lin carry a square matrix over Z or Q in data.
+    sp carries a square matrix over Z or Q in data.
     xshift / pshift carry (index, {exponent: coefficient}) with the
     polynomial read in the conjugate variable of the indexed pair.
-    shift carries (index, {exponent tuple: coefficient}) where the
-    tuple runs over all generators and the indexed slot stays zero.
     """
 
     __slots__ = ("kind", "data")
 
     def __init__(self, kind, data):
-        if kind in (SP, LIN):
+        if kind == SP:
             matrix = tuple(tuple(Fraction(v) for v in row) for row in data)
             if any(len(row) != len(matrix) for row in matrix):
                 raise WrongArity("matrix generator must be square")
@@ -70,22 +61,6 @@ class ElementaryGen:
             if any(e < 1 for e in poly):
                 raise WeyliftError("shift polynomials need positive exponents")
             self.data = (int(index), poly)
-        elif kind == SHIFT:
-            index, poly = data
-            index = int(index)
-            poly = {tuple(int(x) for x in e): Fraction(c) for e, c in poly.items() if c}
-            for e in poly:
-                if not 0 <= index < len(e):
-                    raise IndexOutOfRange(
-                        f"generator index {index} outside exponent width {len(e)}"
-                    )
-                if e[index] != 0:
-                    raise WeyliftError(
-                        "a shift polynomial cannot involve the shifted generator"
-                    )
-                if all(x == 0 for x in e):
-                    raise WeyliftError("shift polynomials need zero constant term")
-            self.data = (index, poly)
         else:
             raise WeyliftError(f"unknown generator kind {kind!r}")
         self.kind = kind
@@ -99,44 +74,27 @@ class ElementaryGen:
         return f"ElementaryGen({self.kind!r}, {self.data!r})"
 
     def inverse(self):
-        if self.kind in (XSHIFT, PSHIFT, SHIFT):
-            index, poly = self.data
-            return ElementaryGen(
-                self.kind, (index, {e: -c for e, c in poly.items()})
-            )
         if self.kind == SP:
             return ElementaryGen(SP, symplectic_inverse(self.data))
-        return ElementaryGen(LIN, mat_inv(QQ, self.data))
+        index, poly = self.data
+        return ElementaryGen(self.kind, (index, {e: -c for e, c in poly.items()}))
 
 
 class TameWord:
-    """kind is "symplectic" or "gl"; n is the number of pairs."""
+    """kind is "symplectic", the only word kind; n is the number of pairs."""
 
     __slots__ = ("kind", "n", "gens")
 
     def __init__(self, kind, n, gens):
-        if kind not in ("symplectic", "gl"):
+        if kind != "symplectic":
             raise WeyliftError(f"unknown word kind {kind!r}")
-        allowed = _SYMPLECTIC_KINDS if kind == "symplectic" else _GL_KINDS
         gens = tuple(gens)
         g = 2 * n
         for gen in gens:
-            if gen.kind not in allowed:
-                raise WeyliftError(
-                    f"{gen.kind} generators are not allowed in a {kind} word"
-                )
-            if gen.kind in (SP, LIN) and len(gen.data) != g:
+            if gen.kind == SP and len(gen.data) != g:
                 raise WrongArity(f"matrix generator must be {g} x {g}")
-            if gen.kind in (XSHIFT, PSHIFT) and not 0 <= gen.data[0] < n:
+            if gen.kind != SP and not 0 <= gen.data[0] < n:
                 raise IndexOutOfRange(f"pair index {gen.data[0]} out of range")
-            if gen.kind == SHIFT:
-                if not 0 <= gen.data[0] < g:
-                    raise IndexOutOfRange(
-                        f"generator index {gen.data[0]} out of range"
-                    )
-                for e in gen.data[1]:
-                    if len(e) != g:
-                        raise WrongArity("shift exponent tuples must cover all slots")
         self.kind = kind
         self.n = n
         self.gens = gens
@@ -147,9 +105,7 @@ class TameWord:
     def __eq__(self, other):
         if not isinstance(other, TameWord):
             return NotImplemented
-        return (
-            self.kind == other.kind and self.n == other.n and self.gens == other.gens
-        )
+        return self.n == other.n and self.gens == other.gens
 
     def __repr__(self):
         return f"TameWord({self.kind!r}, n={self.n}, len={len(self.gens)})"
@@ -160,45 +116,23 @@ def invert_word(word):
     return TameWord(word.kind, word.n, [g.inverse() for g in reversed(word.gens)])
 
 
-def transport(word):
-    """Reread a symplectic word on the other side.
-
-    Generator data is side-agnostic (p_i and d_i share a slot), so the
-    transported word carries identical data; only evaluate's side
-    argument changes what it means.
-    """
-    if word.kind != "symplectic":
-        raise NotSymplectic("only symplectic words move between sides")
-    return TameWord(word.kind, word.n, word.gens)
-
-
 def gen_endo(gen, side, flavor, field):
     """The endomorphism of one elementary generator."""
     cls = element_class(side)
     g = flavor.main_count
-    if gen.kind in (SP, LIN):
+    if gen.kind == SP:
         matrix = [[field.from_fraction(v) for v in row] for row in gen.data]
         return Endo.linear(side, flavor, field, matrix)
     images = [cls.generator(field, flavor, i) for i in range(g)]
-    if gen.kind in (XSHIFT, PSHIFT):
-        index, poly = gen.data
-        target = index if gen.kind == XSHIFT else flavor.conjugate_index(index)
-        var = flavor.conjugate_index(target)
-        shift = cls.from_terms(
-            field,
-            flavor,
-            [(flavor.gen_key(var, e), field.from_fraction(c)) for e, c in poly.items()],
-        )
-        images[target] = images[target] + shift
-    else:
-        index, poly = gen.data
-        terms = []
-        for e, c in poly.items():
-            key = list(flavor.unit_key())
-            for i, x in enumerate(e):
-                key[i] = x
-            terms.append((tuple(key), field.from_fraction(c)))
-        images[index] = images[index] + cls.from_terms(field, flavor, terms)
+    index, poly = gen.data
+    target = index if gen.kind == XSHIFT else flavor.conjugate_index(index)
+    var = flavor.conjugate_index(target)
+    shift = cls.from_terms(
+        field,
+        flavor,
+        [(flavor.gen_key(var, e), field.from_fraction(c)) for e, c in poly.items()],
+    )
+    images[target] = images[target] + shift
     return Endo(side, flavor, field, images)
 
 
@@ -211,11 +145,10 @@ def evaluate(word, side, flavor, field, maxdeg=None, start=None):
     word[:i])) equals evaluate(word) at every cut i.  The letters are
     read left to right on the images of start . g1 . .. . g(i-1):
 
-    - an sp or lin letter replaces them with linear combinations of
+    - an sp letter replaces them with linear combinations of
       themselves, with no products;
     - an xshift or pshift letter adds f(image of the conjugate slot) to
-      one image, by deg f - 1 products; the other images are shared;
-    - a gl shift letter adds its monomials in the current images.
+      one image, by deg f - 1 products; the other images are shared.
 
     Each new image is one elements.substitute call, which builds each
     power of an image once.  Every letter fixes h and the k symbols, so
@@ -227,8 +160,6 @@ def evaluate(word, side, flavor, field, maxdeg=None, start=None):
         raise WrongArity(f"word has {word.n} pairs, flavor has {flavor.pairs}")
     if not flavor.paired:
         raise SideMismatch("tame words act on paired flavors")
-    if word.kind == "gl" and side != "P":
-        raise SideMismatch("general-linear words act on the commutative side only")
     if start is None:
         start = Endo.identity(side, flavor, field)
     elif start.side != side:
@@ -250,7 +181,7 @@ def evaluate(word, side, flavor, field, maxdeg=None, start=None):
     g = flavor.main_count
     images, extra = images[:g], images[g:]
     for gen in word.gens:
-        if gen.kind in (SP, LIN):
+        if gen.kind == SP:
             rows = [[field.from_fraction(v) for v in row] for row in gen.data]
             images = [
                 substitute(
@@ -262,14 +193,9 @@ def evaluate(word, side, flavor, field, maxdeg=None, start=None):
             ]
             continue
         index, poly = gen.data
-        if gen.kind == SHIFT:
-            target = index
-            terms = [([(s, e) for s, e in enumerate(exps) if e], c) for exps, c in poly.items()]
-        else:
-            target = index if gen.kind == XSHIFT else flavor.conjugate_index(index)
-            var = flavor.conjugate_index(target)
-            terms = [([(var, e)], c) for e, c in sorted(poly.items())]
-        parts = [(None, factors, field.from_fraction(c)) for factors, c in terms]
+        target = index if gen.kind == XSHIFT else flavor.conjugate_index(index)
+        var = flavor.conjugate_index(target)
+        parts = [(None, [(var, e)], field.from_fraction(c)) for e, c in sorted(poly.items())]
         images[target] = substitute(images, parts, mul, images[target])
     return Endo.from_slots(side, flavor, field, images + extra)
 
@@ -324,16 +250,6 @@ def random_symplectic_matrix(n, rng):
     return acc
 
 
-def random_unimodular_matrix(g, rng):
-    acc = identity_matrix(QQ, g)
-    for _ in range(4):
-        i, j = rng.sample(range(g), 2)
-        m = rng.choice([-2, -1, 1, 2])
-        for col in range(g):
-            acc[i][col] += m * acc[j][col]
-    return acc
-
-
 def _random_univariate(rng, maxdeg):
     deg = rng.randrange(2, max(3, maxdeg + 1))
     poly = {deg: Fraction(rng.choice([-3, -2, -1, 1, 2, 3]))}
@@ -343,38 +259,24 @@ def _random_univariate(rng, maxdeg):
     return poly
 
 
-def random_tame(n, length, maxdeg, seed, kind="symplectic"):
-    """Deterministic pseudo-random word with small integral data."""
+def random_tame(n, length, maxdeg, seed):
+    """Deterministic pseudo-random symplectic word with small integral data.
+    Its sp letters and its endo hold about (2n)^2 entries each, which
+    EXPANSION_BOUND, read at call time, bounds at every length."""
+    from .elements import EXPANSION_BOUND
+
+    if (2 * n) ** 2 > EXPANSION_BOUND:
+        raise ExpansionBoundExceeded(
+            f"a word on n={n} pairs has {(2 * n) ** 2} matrix entries"
+            f" (bound {EXPANSION_BOUND})"
+        )
     rng = random.Random(seed)
     gens = []
     for _ in range(length):
         roll = rng.random()
-        if kind == "symplectic":
-            if roll < 0.4:
-                gens.append(ElementaryGen(SP, random_symplectic_matrix(n, rng)))
-            elif roll < 0.7:
-                gens.append(
-                    ElementaryGen(XSHIFT, (rng.randrange(n), _random_univariate(rng, maxdeg)))
-                )
-            else:
-                gens.append(
-                    ElementaryGen(PSHIFT, (rng.randrange(n), _random_univariate(rng, maxdeg)))
-                )
+        if roll < 0.4:
+            gens.append(ElementaryGen(SP, random_symplectic_matrix(n, rng)))
         else:
-            if roll < 0.35:
-                gens.append(ElementaryGen(LIN, random_unimodular_matrix(2 * n, rng)))
-            elif roll < 0.55:
-                gens.append(ElementaryGen(SP, random_symplectic_matrix(n, rng)))
-            else:
-                g = 2 * n
-                index = rng.randrange(g)
-                others = [i for i in range(g) if i != index]
-                poly = {}
-                for _ in range(rng.randrange(1, 3)):
-                    e = [0] * g
-                    total = rng.randrange(1, maxdeg + 1)
-                    for _ in range(total):
-                        e[rng.choice(others)] += 1
-                    poly[tuple(e)] = Fraction(rng.choice([-2, -1, 1, 2]))
-                gens.append(ElementaryGen(SHIFT, (index, poly)))
-    return TameWord(kind, n, gens)
+            kind = XSHIFT if roll < 0.7 else PSHIFT
+            gens.append(ElementaryGen(kind, (rng.randrange(n), _random_univariate(rng, maxdeg))))
+    return TameWord("symplectic", n, gens)

@@ -537,3 +537,15 @@ def random_poly(rng, field, flavor, cls=Poly, max_terms=4, max_deg=3):
         terms[key] = raw if prev is None else field.add(prev, raw)
     elem.terms = {k: v for k, v in terms.items() if not field.is_zero(v)}
     return elem
+
+
+def random_unimodular_matrix(g, rng):
+    """A g x g integer matrix of determinant one from four row operations:
+    on g > 2 slots most are not symplectic."""
+    acc = [[Fraction(int(r == c)) for c in range(g)] for r in range(g)]
+    for _ in range(4):
+        i, j = rng.sample(range(g), 2)
+        m = rng.choice([-2, -1, 1, 2])
+        for col in range(g):
+            acc[i][col] += m * acc[j][col]
+    return acc

@@ -30,7 +30,7 @@ from weylift.flavors import HAUG, SKEW, STANDARD
 from weylift.grammar import element_to_text
 from weylift.serialize import dump_json, endo_to_json
 from weylift.singlift import extend_to_aux, hn_scan, lift, lifted_commutation_check
-from weylift.tame import ElementaryGen, TameWord, evaluate, random_tame, transport
+from weylift.tame import ElementaryGen, TameWord, evaluate, random_tame
 from weylift.approx import approximate
 from weylift.weyl import WeylElt, center_coordinates
 
@@ -331,11 +331,11 @@ def test_07_ordered_lift_certificates():
             assert entry["status"] in ("exact", "fixture_match"), (p, entry)
             assert entry["reduction_consistency"] == "pass"
 
-        # the transported word also closes the h-augmented relations
+        # the word read on the W side also closes the h-augmented relations
         # exactly, and setting h to one lands on the plain lift
         haug = BracketFlavor(HAUG, n)
         approx_word, _ = approximate(sigma, 6)
-        ordered_h = evaluate(transport(approx_word), "W", haug, QQ)
+        ordered_h = evaluate(approx_word, "W", haug, QQ)
         table = lifted_commutation_check(ordered_h.images, haug)
         assert table["ok"], (word, table["violations"])
         specialized = ordered_h.specialize_h()
@@ -345,9 +345,8 @@ def test_07_ordered_lift_certificates():
 def test_08_h_specialization_round_trip():
     for n, word, flavor, sigma in _corpus():
         haug = BracketFlavor(HAUG, n)
-        ordered_word = transport(word)
-        with_h = evaluate(ordered_word, "W", haug, QQ)
-        without_h = evaluate(ordered_word, "W", flavor, QQ)
+        with_h = evaluate(word, "W", haug, QQ)
+        without_h = evaluate(word, "W", flavor, QQ)
         specialized = with_h.specialize_h()
         assert [str(a) for a in specialized.images] == [
             str(b) for b in without_h.images
@@ -361,7 +360,7 @@ def test_09_cli_round_trip_and_reproducibility(tmp_path):
             back = parse_element(text, QQ, flavor, "P")
             assert back == img
             assert element_to_text(back, "P") == text
-        ordered = evaluate(transport(word), "W", flavor, QQ)
+        ordered = evaluate(word, "W", flavor, QQ)
         for img in ordered.images:
             text = element_to_text(img, "W")
             back = parse_element(text, QQ, flavor, "W", cls=WeylElt)

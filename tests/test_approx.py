@@ -8,7 +8,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import oracle_is_symplectic, oracle_symplectic_completion
+from oracles import oracle_is_symplectic, oracle_symplectic_completion, random_unimodular_matrix
 from weylift import (
     BracketFlavor,
     Endo,
@@ -41,13 +41,7 @@ from weylift.errors import (
     ZeroCovector,
 )
 from weylift.linalg import is_symplectic, mat_mul, transpose
-from weylift.tame import (
-    evaluate,
-    gen_endo,
-    random_symplectic_matrix,
-    random_tame,
-    random_unimodular_matrix,
-)
+from weylift.tame import evaluate, gen_endo, random_symplectic_matrix, random_tame
 
 FL1 = BracketFlavor("standard", 1)
 FL2 = BracketFlavor("standard", 2)

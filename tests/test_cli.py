@@ -112,6 +112,11 @@ def test_usage_errors(tmp_path):
         ["singscan", "--in", "{huge_flavor_endo}", "--order", "2"],
         ["bracket", "--n", str(10**30), "--", "x1", "d1"],
         ["corpus", "--seed", "1", "--n", str(10**30)],
+        ["corpus", "--seed", "1", "--count", "1", "--n", "3000"],
+        ["invert", "--in", "{gl_word}"],
+        ["invert", "--in", "{stretch_word}"],
+        ["invert", "--in", "{zero_sp_word}"],
+        ["invert", "--in", "{half_index_word}"],
     ],
     ids=lambda argv: " ".join(argv),
 )
@@ -131,6 +136,10 @@ def test_bad_input_is_usage_error(tmp_path, argv):
         "deep_json": str(tmp_path / "deep.json"),
         "deep_image_endo": str(tmp_path / "deep_image_endo.json"),
         "huge_flavor_endo": str(tmp_path / "huge_flavor_endo.json"),
+        "gl_word": str(tmp_path / "gl_word.json"),
+        "stretch_word": str(tmp_path / "stretch_word.json"),
+        "zero_sp_word": str(tmp_path / "zero_sp_word.json"),
+        "half_index_word": str(tmp_path / "half_index_word.json"),
     }
     (tmp_path / "deep.json").write_text("[" * 100000 + "]" * 100000)
     doc = endo_to_json(Endo("P", FL1, QQ, [pelt("x1"), pelt("p1")]))
@@ -148,6 +157,14 @@ def test_bad_input_is_usage_error(tmp_path, argv):
     dump_json(word, paths["zero_den_word"])
     word["gens"][0]["poly"] = []
     dump_json(word, paths["list_poly_word"])
+    word["gens"][0] = {"kind": "xshift", "index": 0.5, "poly": {"2": "1"}}
+    dump_json(word, paths["half_index_word"])
+    word["gens"][0] = {"kind": "sp", "matrix": [["2", "0"], ["0", "1"]]}
+    dump_json(word, paths["stretch_word"])
+    word["gens"][0] = {"kind": "sp", "matrix": [["0", "0"], ["0", "0"]]}
+    dump_json(word, paths["zero_sp_word"])
+    word = {"kind": "gl", "n": 1, "gens": [{"kind": "lin", "matrix": [["1", "2"], ["0", "1"]]}]}
+    dump_json(word, paths["gl_word"])
     rep, code = run_command([arg.format(**paths) for arg in argv])
     assert code == 1
     assert set(rep) == {"schema", "error"}
