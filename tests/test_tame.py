@@ -128,6 +128,17 @@ def test_gen_inverses_compose_to_identity():
         assert e.compose(ei) == gen_endo(g, "P", FL2, QQ).identity("P", FL2, QQ)
 
 
+def test_shift_cannot_touch_own_generator():
+    # A shift polynomial is read in the conjugate variable alone, so the
+    # multivariate shift letter, whose exponents could name the shifted
+    # generator, is refused, and xshift leaves its own p untouched.
+    for exponents in ((0, 2), (2, 0)):
+        with pytest.raises(WeyliftError):
+            ElementaryGen("shift", (0, {exponents: 1}))
+    e = gen_endo(ElementaryGen("xshift", (1, {3: 1})), "P", FL2, QQ)
+    assert e.images[3] == e.identity("P", FL2, QQ).images[3]
+
+
 def test_shift_inverse_negates():
     g = ElementaryGen("xshift", (0, {2: 1, 3: -4}))
     assert g.inverse().data == (0, {2: Fraction(-1), 3: Fraction(4)})
@@ -176,13 +187,13 @@ def test_one_word_reads_on_both_sides():
     assert [str(a) for a in wendo.images] == [str(b) for b in pendo.images]
 
 
-def test_general_linear_kinds_rejected():
+def test_transport_rejects_gl():
+    # No general-linear word is left to transport to the W side: the "gl"
+    # kind and its "lin" letter are refused when built or read.
     with pytest.raises(WeyliftError):
         TameWord("gl", 1, [])
     with pytest.raises(WeyliftError):
         ElementaryGen("lin", [[1, 2], [0, 1]])
-    with pytest.raises(WeyliftError):
-        ElementaryGen("shift", (0, {(0, 2): 1}))
     with pytest.raises(WeyliftError):
         word_from_json({"kind": "gl", "n": 1, "gens": []})
 
