@@ -33,6 +33,7 @@ from .weyl import (
     center_coordinates,
     from_center_coordinates,
     pth_power,
+    weyl_commutator,
 )
 
 
@@ -155,7 +156,7 @@ def center_bracket(a, b, shifts=None):
     p = field.p
     sa, sb = shifts if shifts is not None else (None, None)
     la, lb = _lift_center(a, sa), _lift_center(b, sb)
-    comm = la * lb - lb * la
+    comm = weyl_commutator(la, lb)
     divided = {}
     for key, c in comm.terms.items():
         if c.denominator != 1 or c.numerator % p:

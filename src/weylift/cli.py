@@ -15,6 +15,7 @@ import os
 import sys
 import time
 
+from . import elements
 from .approx import approximate
 from .charp import phi_p
 from .endo import bracket_violations, truncated_inverse
@@ -243,6 +244,11 @@ def _cmd_corpus(args):
     field = Field("Q")
     # Only the flags set the size here, so a bound they exceed is a usage error.
     try:
+        if args.count > elements.EXPANSION_BOUND:
+            raise ExpansionBoundExceeded(
+                f"--count {args.count} asks for more words than the bound"
+                f" (bound {elements.EXPANSION_BOUND})"
+            )
         flavor = BracketFlavor("standard", args.n)
         items = []
         for i in range(args.count):

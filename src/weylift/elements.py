@@ -30,11 +30,6 @@ from .flavors import BracketFlavor
 EXPANSION_BOUND = 200_000
 
 
-def term_sort_key(flavor: BracketFlavor, key: tuple):
-    """Graded-lex ordering used for canonical printing and iteration."""
-    return (sum(key[: flavor.main_count]), key)
-
-
 def sweep(field: Field, terms: dict) -> dict:
     """The nonzero entries of a dict of summed raw values: the one way the
     core finishes a sum of terms.
@@ -339,7 +334,7 @@ class _WeightTable(dict):
         return entry
 
 
-def ordered_mul(a, b, pairs, maxdeg):
+def ordered_mul(a, b, pairs, maxdeg, contracted_only=False):
     """a * b in normal order, with the terms of graded degree above maxdeg
     dropped unless maxdeg is None.
 
@@ -377,6 +372,12 @@ def ordered_mul(a, b, pairs, maxdeg):
     operators instead of Field; over F_p the sums are then unreduced ints,
     reduced once by sweep.  Extensions F_{p^k}, k > 1, keep Field.mul and
     Field.add.  The right factor's weights are computed once.
+
+    With contracted_only the product keeps only the terms that at least
+    one contraction made: the term pairs no pair contracts are skipped,
+    and so is the leaf that no pair contracted.  The terms left out are
+    the commutative product, the same in a b and b a, so a commutator
+    takes two such passes and one subtraction (weyl.weyl_commutator).
     """
     flavor, field = a.flavor, a.field
     add, mul = (_add, _mul) if field.k == 1 else (field.add, field.mul)
@@ -409,7 +410,9 @@ def ordered_mul(a, b, pairs, maxdeg):
         for bit, j, _, _, _ in bits:
             if k1[j]:
                 left |= bit
-        for k2, c2, w2, held in right:
+        # A commutator pass meets only the right terms some pair contracts.
+        partners = [r for r in right if left & r[3]] if contracted_only else right
+        for k2, c2, w2, held in partners:
             if w2 > room:
                 continue
             hits = left & held
@@ -446,6 +449,10 @@ def ordered_mul(a, b, pairs, maxdeg):
                         else:
                             grown.append((key_k, mul(c, w), free1, free2))
                 leaves = grown
+            if contracted_only:
+                # The uncontracted leaf: each pair passed it on at k = 0,
+                # the last weight of an entry, so it is the last leaf.
+                leaves.pop()
             for key, c, _, _ in leaves:
                 key = tuple(key)
                 prev = terms.get(key)

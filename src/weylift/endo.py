@@ -279,11 +279,9 @@ def bracket_violations(endo, maxdeg=None):
         def bracket(a, b):
             out = poisson_bracket(a, b)
             return out if maxdeg is None else out.truncate(maxdeg)
-    elif maxdeg is None:
-        bracket = weyl_commutator
     else:
         def bracket(a, b):
-            return a.mul_truncated(b, maxdeg) - b.mul_truncated(a, maxdeg)
+            return weyl_commutator(a, b, maxdeg)
     cls = element_class(endo.side)
     out = []
     for i in range(flavor.main_count):

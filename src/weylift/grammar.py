@@ -6,6 +6,7 @@ Grammar:
     term   := factor ('*' factor)*
     factor := atom ['^' ['-'] INT]
     atom   := NAME | INT ['/' INT] | '(' expr ')'
+    INT    := [0-9]+  (ASCII digits only)
 
 Multiplication is order-preserving, so the same parser serves both the
 commutative and the normal-ordered side.  Negative exponents are only
@@ -18,9 +19,11 @@ slot order, so equal elements always produce byte-identical text.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
+from itertools import compress
 
 from . import elements
-from .elements import sum_terms, term_sort_key
+from .elements import sum_terms
 from .errors import ExprSyntaxError, UnknownGenerator
 
 
@@ -32,24 +35,34 @@ def _slot_names(flavor, side):
 
 
 def element_to_text(elem, side="P"):
+    """Canonical text.  The terms are sorted once on precomputed (main
+    degree, key) pairs, and each slot's factor text is built once per call
+    and exponent.  The sign and a unit coefficient are read off the
+    coefficient's own text (Field.format_raw), which starts with '-' only
+    for a negative rational and reads "1" only for one."""
     if elem.is_zero:
         return "0"
-    flavor, field = elem.flavor, elem.field
-    names = _slot_names(flavor, side)
-    items = sorted(
-        elem.terms.items(), key=lambda kv: term_sort_key(flavor, kv[0]), reverse=True
-    )
+    g = elem.flavor.main_count
+    format_raw = elem.field.format_raw
+    # powers[slot][e]: the text of the factor g_slot^e
+    powers = [{1: name} for name in _slot_names(elem.flavor, side)]
+    slots = range(elem.flavor.key_len)
     parts = []
-    for key, coeff in items:
+    for _, key, coeff in sorted(
+        ((sum(key[:g]), key, c) for key, c in elem.terms.items()), reverse=True
+    ):
         factors = []
-        for slot, e in enumerate(key):
-            if e == 0:
-                continue
-            factors.append(names[slot] if e == 1 else f"{names[slot]}^{e}")
-        negative = field.kind == "Q" and coeff < 0
-        mag = -coeff if negative else coeff
-        ctext = field.format_raw(mag)
-        if factors and mag == field.one():
+        for slot in compress(slots, key):
+            e = key[slot]
+            text = powers[slot].get(e)
+            if text is None:
+                text = powers[slot][e] = f"{powers[slot][1]}^{e}"
+            factors.append(text)
+        ctext = format_raw(coeff)
+        negative = ctext[0] == "-"
+        if negative:
+            ctext = ctext[1:]
+        if factors and ctext == "1":
             body = "*".join(factors)
         elif factors:
             body = ctext + "*" + "*".join(factors)
@@ -64,8 +77,10 @@ def element_to_text(elem, side="P"):
 
 _SYMBOLS = "+-*^()/"
 
-
 def _tokenize(text):
+    """(kind, text, position) tokens.  Numbers are ASCII digits only: int()
+    would also read other decimal digits, and '²' passes str.isdigit but
+    not int()."""
     tokens = []
     i, n = 0, len(text)
     while i < n:
@@ -77,9 +92,9 @@ def _tokenize(text):
             tokens.append((ch, ch, i))
             i += 1
             continue
-        if ch.isdigit():
+        if "0" <= ch <= "9":
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and "0" <= text[j] <= "9":
                 j += 1
             tokens.append(("INT", text[i:j], i))
             i = j
@@ -104,6 +119,13 @@ class _Parser:
         self.flavor = flavor
         self.cls = cls
         self.names = flavor.name_table(side)
+        self.one = field.one()
+        # blockers[i]: the main slots j with a contraction pair (j, i), one
+        # bit each.  A factor holding g_i after one holding such a g_j is
+        # reordered by the product; one that comes before it is not.
+        self.blockers = [0] * flavor.main_count
+        for j, i, _, _ in flavor.contractions:
+            self.blockers[i] |= 1 << j
 
     def peek(self):
         return self.tokens[self.pos]
@@ -142,11 +164,52 @@ class _Parser:
         return out
 
     def term(self):
-        out = self.factor()
-        while self.peek()[0] == "*":
+        """The product of the factors.  A run of single-term factors that
+        no contraction pair reorders, which is all of canonical text, is
+        one monomial: its keys are summed once and its coefficients other
+        than one multiplied once.  Every other factor, and each finished
+        run, goes through the element product."""
+        elem = self.factor()
+        if self.peek()[0] != "*":
+            return elem
+        blockers, one = self.blockers, self.one
+        main = range(len(blockers))
+        out = None  # the product of the factors before the run
+        keys, coeffs = [], []  # the run
+        held = 0  # the main slots the run holds, one bit each
+        while True:
+            if len(elem.terms) == 1:
+                [(key, c)] = elem.terms.items()
+                slots = blocked = 0
+                for slot in compress(main, key):
+                    slots |= 1 << slot
+                    blocked |= blockers[slot]
+                if held & blocked:
+                    out = self.times(out, keys, coeffs)
+                    keys, coeffs, held = [], [], 0
+                keys.append(key)
+                if c is not one:
+                    coeffs.append(c)
+                held |= slots
+            else:
+                out = self.times(out, keys, coeffs)
+                out = elem if out is None else out * elem
+                keys, coeffs, held = [], [], 0
+            if self.peek()[0] != "*":
+                return self.times(out, keys, coeffs)
             self.take()
-            out = out * self.factor()
-        return out
+            elem = self.factor()
+
+    def times(self, out, keys, coeffs):
+        """out times the monomial of a run (out None: the monomial alone)."""
+        if not keys:
+            return out
+        field = self.field
+        key = keys[0] if len(keys) == 1 else tuple(map(sum, zip(*keys)))
+        mono = self.cls(field, self.flavor)
+        # A product of nonzero field values is nonzero.
+        mono.terms = {key: reduce(field.mul, coeffs) if coeffs else self.one}
+        return mono if out is None else out * mono
 
     def factor(self):
         """An atom and its exponent.  A power of a single generator is read
@@ -178,7 +241,7 @@ class _Parser:
         key = list(self.flavor.unit_key())
         key[slot] = e
         elem = self.cls(self.field, self.flavor)
-        elem.terms = {tuple(key): self.field.one()}
+        elem.terms = {tuple(key): self.one}
         return elem
 
     def atom(self):

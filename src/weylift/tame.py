@@ -261,8 +261,10 @@ def _random_univariate(rng, maxdeg):
 
 def random_tame(n, length, maxdeg, seed):
     """Deterministic pseudo-random symplectic word with small integral data.
-    Its sp letters and its endo hold about (2n)^2 entries each, which
-    EXPANSION_BOUND, read at call time, bounds at every length."""
+    Its sp letters and its endo hold about (2n)^2 entries each, and each
+    shift letter raises the degree of the images at most max(2, maxdeg)
+    fold; EXPANSION_BOUND, read at call time, bounds both the entries and
+    the degree max(2, maxdeg)^length the images can reach."""
     from .elements import EXPANSION_BOUND
 
     if (2 * n) ** 2 > EXPANSION_BOUND:
@@ -270,6 +272,14 @@ def random_tame(n, length, maxdeg, seed):
             f"a word on n={n} pairs has {(2 * n) ** 2} matrix entries"
             f" (bound {EXPANSION_BOUND})"
         )
+    top, reach = max(2, maxdeg), 1
+    for _ in range(length):
+        reach *= top
+        if reach > EXPANSION_BOUND:
+            raise ExpansionBoundExceeded(
+                f"a word of {length} letters with shifts of degree up to {top}"
+                f" reaches degree {top}^{length} (bound {EXPANSION_BOUND})"
+            )
     rng = random.Random(seed)
     gens = []
     for _ in range(length):

@@ -1,10 +1,12 @@
 """Normal-ordered Weyl elements for all three bracket flavors.
 
 Products go through elements.ordered_mul with the flavor's contraction
-pairs.  Powers multiply by the base again and again rather than square:
-the right factor stays the short input, so each contraction order is
-capped by its degree, and a p-th power does fewer term products in all
-than by repeated squaring (Fateman, Stud. Appl. Math. 53, 1974).
+pairs; a commutator keeps only the contracted terms of its two products,
+since their commutative parts cancel (weyl_commutator).  Powers multiply
+by the base again and again rather than square: the right factor stays
+the short input, so each contraction order is capped by its degree, and
+a p-th power does fewer term products in all than by repeated squaring
+(Fateman, Stud. Appl. Math. 53, 1974).
 
 Over F_p, p-th powers take a closed form where Jacobson's formula
 (a + b)^p = a^p + b^p + sum_i s_i(a, b) collapses (Jacobson, Lie
@@ -67,15 +69,28 @@ class WeylElt(SparseElement):
         degree; the standard flavor's [d_i, x_i] = 1 lowers it by 2 and is
         refused."""
         self._check_compatible(other)
-        if self.flavor.kind == STANDARD:
-            raise WeyliftError(
-                "truncated Weyl products need the reordering-invariant grading"
-            )
+        _check_truncatable(self.flavor)
         return ordered_mul(self, other, self.flavor.contractions, maxdeg)
 
 
-def weyl_commutator(a: WeylElt, b: WeylElt) -> WeylElt:
-    return a * b - b * a
+def _check_truncatable(flavor):
+    if flavor.kind == STANDARD:
+        raise WeyliftError("truncated Weyl products need the reordering-invariant grading")
+
+
+def weyl_commutator(a: WeylElt, b: WeylElt, maxdeg=None) -> WeylElt:
+    """a b - b a, with the terms of graded degree above maxdeg dropped
+    unless maxdeg is None (haug and skew only, as in mul_truncated).
+
+    The terms that no contraction made are the commutative product, equal
+    in a b and b a, so each product keeps only its contracted terms
+    (ordered_mul with contracted_only) and the two are subtracted.
+    """
+    a._check_compatible(b)
+    if maxdeg is not None:
+        _check_truncatable(a.flavor)
+    pairs = a.flavor.contractions
+    return ordered_mul(a, b, pairs, maxdeg, True) - ordered_mul(b, a, pairs, maxdeg, True)
 
 
 def pth_power(a: WeylElt) -> WeylElt:

@@ -10,6 +10,7 @@ and the Poisson oracle builds {f, g} from partial-derivative elements
 and their products.
 The word oracle composes one endo per letter, rightmost first, and the
 center-along-a-word oracle composes phi_p of one letter at a time.  The
+commutator oracle builds both products and subtracts, the
 centrality oracle commutes with every generator, the completion oracle
 runs Gram-Schmidt through Field dispatch, the symplectic-matrix oracle
 multiplies out A^T J A with a dense J, and the scalar oracle reduces
@@ -199,6 +200,15 @@ def oracle_mul(a, b):
     return out
 
 
+def oracle_commutator(a, b, maxdeg=None):
+    """a b - b a from both whole products, whose commutative parts cancel
+    in the subtraction; with maxdeg, from both truncated products (haug
+    and skew only)."""
+    if maxdeg is None:
+        return a * b - b * a
+    return a.mul_truncated(b, maxdeg) - b.mul_truncated(a, maxdeg)
+
+
 def oracle_power(elem, e):
     acc = None
     for _ in range(e):
@@ -340,7 +350,7 @@ def oracle_is_central(a):
     flavor = a.flavor
     for i in range(flavor.main_count):
         gen = WeylElt.generator(a.field, flavor, i)
-        if not (a * gen - gen * a).is_zero:
+        if not oracle_commutator(a, gen).is_zero:
             return False
     return True
 

@@ -113,6 +113,13 @@ def test_usage_errors(tmp_path):
         ["bracket", "--n", str(10**30), "--", "x1", "d1"],
         ["corpus", "--seed", "1", "--n", str(10**30)],
         ["corpus", "--seed", "1", "--count", "1", "--n", "3000"],
+        ["corpus", "--seed", "1", "--count", "1", "--maxdeg", "1000000000"],
+        ["corpus", "--seed", "1", "--count", "1", "--length", "1000000000"],
+        ["corpus", "--seed", "1", "--count", "1", "--length", "18"],
+        ["corpus", "--seed", "1", "--count", "1000000000"],
+        ["bracket", "--", "x1^²", "x1"],
+        ["bracket", "--", "x1^١", "x1"],
+        ["bracket", "--", "²", "x1"],
         ["invert", "--in", "{gl_word}"],
         ["invert", "--in", "{stretch_word}"],
         ["invert", "--in", "{zero_sp_word}"],

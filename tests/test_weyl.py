@@ -8,12 +8,13 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import (
     oracle_binary_power,
+    oracle_commutator,
     oracle_is_central,
     oracle_mul,
     oracle_power,
     random_poly,
 )
-from weylift import BracketFlavor, Field, Poly, QQ
+from weylift import BracketFlavor, Field, Poly, QQ, element_to_text, parse_element
 from weylift.elements import leibniz_bracket
 from weylift.errors import (
     ExpansionBoundExceeded,
@@ -194,14 +195,18 @@ def test_commutator_with_central_power():
 
 
 @st.composite
-def _commutator_cases(draw):
-    """(F, l) on W: F random, l of main degree at most 1, both with h and
-    k factors where the flavor has them."""
+def _weyl_pairs(draw, ns=(1, 2), linear_right=False):
+    """(a, b) on W over standard, haug and skew, Q, F_7 and F_9, both with
+    h and k factors where the flavor has them; b has main degree at most
+    1 when linear_right."""
     kind = draw(st.sampled_from([STANDARD, HAUG, SKEW]))
-    flavor = BracketFlavor(kind, draw(st.sampled_from([1, 2])))
+    flavor = BracketFlavor(kind, draw(st.sampled_from(ns)))
     field = draw(st.sampled_from([QQ, Field("Fp", 7), F9]))
     g = flavor.main_count
     central = [flavor.h_slot] * flavor.has_h + list(range(flavor.k_start, flavor.t_slot))
+    # Skew n = 3 has 15 pairs sharing its six slots: lower exponents keep
+    # the number of contraction leaves small.
+    top = 3 if g < 6 else 2
 
     def coeff():
         if field.k > 1:
@@ -218,7 +223,7 @@ def _commutator_cases(draw):
         return WeylElt.from_terms(field, flavor, terms)
 
     def any_key():
-        return [draw(st.integers(0, 3)) for _ in range(g)]
+        return [draw(st.integers(0, top)) for _ in range(g)]
 
     def linear_key():
         key = [0] * g
@@ -227,11 +232,11 @@ def _commutator_cases(draw):
             key[slot] = 1
         return key
 
-    return element(any_key), element(linear_key)
+    return element(any_key), element(linear_key if linear_right else any_key)
 
 
 @settings(max_examples=120, deadline=None)
-@given(_commutator_cases())
+@given(_weyl_pairs(linear_right=True))
 def test_commutator_with_a_linear_element_matches_the_oracle(case):
     # ad(l) for l of main degree <= 1 is the Leibniz bracket of the
     # contraction pairs: the pass pth_power takes, against both rewritten
@@ -239,6 +244,74 @@ def test_commutator_with_a_linear_element_matches_the_oracle(case):
     f, ell = case
     want = oracle_mul(f, ell) - oracle_mul(ell, f)
     assert leibniz_bracket(f, ell, f.flavor.contractions) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(_weyl_pairs(ns=(1, 2, 3)), st.one_of(st.none(), st.integers(0, 10)))
+def test_commutator_matches_both_products(case, maxdeg):
+    # weyl_commutator builds only the contracted terms of a b and of b a;
+    # the oracle builds both products whole and subtracts.  Truncation
+    # (the bracket of endo.bracket_violations) is for haug and skew.
+    a, b = case
+    if a.flavor.kind == STANDARD and maxdeg is not None:
+        with pytest.raises(WeyliftError):
+            weyl_commutator(a, b, maxdeg)
+        maxdeg = None
+    assert weyl_commutator(a, b, maxdeg) == oracle_commutator(a, b, maxdeg)
+
+
+def _parse_w(text, field, flavor):
+    return parse_element(text, field, flavor, "W", WeylElt)
+
+
+@pytest.mark.parametrize("field", [QQ, Field("Fp", 7), F9], ids=repr)
+def test_parser_reads_canonical_and_reordered_text(field, monkeypatch):
+    rng = random.Random(f"parse {field!r}")
+    flavors = [BracketFlavor(kind, n) for kind in (STANDARD, HAUG, SKEW) for n in (1, 2, 3)]
+    # Canonical text reads back as the element it prints, and without a
+    # single product: each of its terms is one run of factors in order.
+    import weylift.weyl
+
+    products = []
+    ordered_mul = weylift.weyl.ordered_mul
+
+    def counted(*args):
+        products.append(args)
+        return ordered_mul(*args)
+
+    monkeypatch.setattr(weylift.weyl, "ordered_mul", counted)
+    for flavor in flavors:
+        for _ in range(6):
+            e = random_poly(rng, field, flavor, cls=WeylElt, max_terms=6, max_deg=5)
+            assert _parse_w(element_to_text(e, "W"), field, flavor) == e
+    assert products == []
+    monkeypatch.undo()
+    # Text not in normal order is multiplied out, as the rewriting oracle
+    # multiplies its letters.
+    fl = BracketFlavor(STANDARD, 1)
+    x, d = gens(field, fl)
+    assert _parse_w("d1*x1", field, fl) == oracle_mul(d, x) == x * d + WeylElt.one(field, fl)
+    sfl = BracketFlavor(SKEW, 1)
+    xi1, xi2 = gens(field, sfl)
+    hk = WeylElt(field, sfl, {sfl.h_key(1): field.one()}) * WeylElt.k_symbol(field, sfl, 0, 1)
+    assert _parse_w("xi2*xi1", field, sfl) == oracle_mul(xi2, xi1) == xi1 * xi2 - hk
+    # Random words, letters and central factors in any order, with
+    # coefficients and powers between them (n <= 2 for the oracle's sake).
+    for flavor in (fl for fl in flavors if fl.n < 3):
+        names = flavor.gen_names("W") + ["h"] * flavor.has_h
+        names += [f"k{i + 1}_{j + 1}" for i, j in flavor.k_pairs]
+        for _ in range(8):
+            factors, want = [], WeylElt.one(field, flavor)
+            for _ in range(rng.randrange(1, 6)):
+                name = rng.choice(names)
+                e = rng.randrange(1, 3)
+                c = rng.randrange(1, 3)  # nonzero in every field here
+                factors += [str(c), name if e == 1 else f"{name}^{e}"]
+                atom = _parse_w(name, field, flavor)
+                want = oracle_mul(want, atom.scale(field.from_int(c)))
+                for _ in range(e - 1):
+                    want = oracle_mul(want, atom)
+            assert _parse_w("*".join(factors), field, flavor) == want
 
 
 def test_is_central_over_q():
