@@ -21,7 +21,7 @@ from itertools import chain
 from math import factorial, gcd, prod
 
 from .elements import sum_terms
-from .endo import Endo, check_symplecto, endo_rank
+from .endo import Endo, check_symplecto
 from .errors import (
     DeviationNotHamiltonian,
     PositiveCharacteristic,
@@ -364,22 +364,17 @@ def _start(endo, n_target):
 def _walk(word_gens, residual, first, n_target, tie_break, report, alt=None):
     """Stages first .. n_target - 1: (word, report).  An empty alt list gets
     the alt result, forked at the first stage whose alt split differs."""
-    flavor, field = residual.flavor, residual.field
+    flavor = residual.flavor
     # The residual is the identity below degree rank, so those stages have
-    # nothing to do; past an identity residual (rank inf) none has.
-    rank = endo_rank(residual)
+    # nothing to do; past an identity residual (rank inf) none has.  A
+    # stage that works has k == rank, so some degree-k deviation is nonzero.
+    devs = residual.deviations()
+    rank = min(d.height() for d in devs)
     for k in range(first, n_target):
         if k < rank:
             report["stages"][k] = 0
             continue
-        devs = [
-            (img - Poly.generator(field, flavor, i)).homogeneous_part(k)
-            for i, img in enumerate(residual.images)
-        ]
-        if all(d.is_zero for d in devs):
-            report["stages"][k] = 0
-            continue
-        h = deviation_hamiltonian(devs, k)
+        h = deviation_hamiltonian([d.homogeneous_part(k) for d in devs], k)
         terms = waring_decompose(h, tie_break)
         if alt == [] and waring_decompose(h, "alt") != terms:
             fork = {"stages": dict(report["stages"]), "tie_break": "alt"}
@@ -388,7 +383,8 @@ def _walk(word_gens, residual, first, n_target, tie_break, report, alt=None):
         for term in terms:
             word_gens.extend(corrector(term, flavor))
             residual = undo_shift(residual, term, n_target - 1)
-        rank = endo_rank(residual)
+        devs = residual.deviations()
+        rank = min(d.height() for d in devs)
         if rank <= k:
             raise StageStall(f"stage {k} left a degree {rank} deviation")
     report["residual_height"] = None if rank == float("inf") else rank

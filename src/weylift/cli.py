@@ -15,9 +15,9 @@ import os
 import sys
 import time
 
-from . import elements
 from .approx import approximate
 from .charp import phi_p
+from .elements import check_size
 from .endo import bracket_violations, truncated_inverse
 from .errors import ExpansionBoundExceeded, ExprSyntaxError, UnknownGenerator, WeyliftError
 from .fields import Field
@@ -244,11 +244,7 @@ def _cmd_corpus(args):
     field = Field("Q")
     # Only the flags set the size here, so a bound they exceed is a usage error.
     try:
-        if args.count > elements.EXPANSION_BOUND:
-            raise ExpansionBoundExceeded(
-                f"--count {args.count} asks for more words than the bound"
-                f" (bound {elements.EXPANSION_BOUND})"
-            )
+        check_size(args.count, "--count {size} asks for more words than the bound")
         flavor = BracketFlavor("standard", args.n)
         items = []
         for i in range(args.count):

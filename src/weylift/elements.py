@@ -23,10 +23,9 @@ from .errors import (
     NegativeHExponent,
     SideMismatch,
 )
-from .fields import Field
-from .flavors import BracketFlavor
 
-#: Default cap on intermediate term counts in repeated products.
+#: Cap on term counts, exponents, key slots and word data; check_size is
+#: its one reader.
 EXPANSION_BOUND = 200_000
 
 
@@ -58,14 +57,28 @@ def sum_terms(field: Field, pairs) -> dict:
     return sweep(field, terms)
 
 
-def guard_expansion(elt):
-    """elt itself, or ExpansionBoundExceeded when it has more than
-    EXPANSION_BOUND terms (read at call time)."""
-    if len(elt.terms) > EXPANSION_BOUND:
+def check_size(size, what, *args):
+    """ExpansionBoundExceeded when size is above EXPANSION_BOUND, read at
+    call time: the one reader of the bound.  The message is
+    what.format(*args, size=size) and the bound, formatted only then."""
+    if size > EXPANSION_BOUND:
         raise ExpansionBoundExceeded(
-            f"intermediate expansion hit {len(elt.terms)} terms"
-            f" (bound {EXPANSION_BOUND})"
+            what.format(*args, size=size) + f" (bound {EXPANSION_BOUND})"
         )
+
+
+def check_exponent(e):
+    """InvalidExponent unless e is an int >= 0, ExpansionBoundExceeded when
+    e multiplications are past the bound: the cap on every power."""
+    if not isinstance(e, int) or e < 0:
+        raise InvalidExponent(f"exponent must be an int >= 0, got {e!r}")
+    check_size(e, "exponent {size} asks for more multiplications than the bound")
+
+
+def guard_expansion(elt):
+    """elt itself, or ExpansionBoundExceeded when it has more terms than
+    the bound."""
+    check_size(len(elt.terms), "intermediate expansion hit {size} terms")
     return elt
 
 
@@ -95,19 +108,16 @@ class SparseElement:
         return cls.constant(field, flavor, 1)
 
     @classmethod
-    def generator(cls, field, flavor, i, e: int = 1, coeff=None):
-        raw = field.one() if coeff is None else coeff
-        return cls(field, flavor, {flavor.gen_key(i, e): raw})
+    def generator(cls, field, flavor, i, e: int = 1):
+        return cls(field, flavor, {flavor.gen_key(i, e): field.one()})
 
     @classmethod
-    def h_power(cls, field, flavor, e: int = 1, coeff=None):
-        raw = field.one() if coeff is None else coeff
-        return cls(field, flavor, {flavor.h_key(e): raw})
+    def h_power(cls, field, flavor, e: int = 1):
+        return cls(field, flavor, {flavor.h_key(e): field.one()})
 
     @classmethod
-    def k_symbol(cls, field, flavor, i, j, coeff=None):
-        raw = field.one() if coeff is None else coeff
-        return cls(field, flavor, {flavor.k_key(i, j): raw})
+    def k_symbol(cls, field, flavor, i, j):
+        return cls(field, flavor, {flavor.k_key(i, j): field.one()})
 
     @classmethod
     def from_terms(cls, field, flavor, pairs):
@@ -193,13 +203,7 @@ class SparseElement:
         ExpansionBoundExceeded when e or an intermediate power's term count
         is above EXPANSION_BOUND, and InvalidExponent unless e is an int >= 0.
         """
-        if not isinstance(e, int) or e < 0:
-            raise InvalidExponent(f"exponent must be an int >= 0, got {e!r}")
-        if e > EXPANSION_BOUND:
-            raise ExpansionBoundExceeded(
-                f"exponent {e} asks for more multiplications than the bound"
-                f" (bound {EXPANSION_BOUND})"
-            )
+        check_exponent(e)
         acc = type(self).one(self.field, self.flavor)
         for _ in range(e):
             acc = guard_expansion(acc * self)

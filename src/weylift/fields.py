@@ -51,9 +51,9 @@ class Field:
             return
         if kind != "Fp":
             raise WeyliftError(f"unknown field kind {kind!r}")
-        if not isinstance(p, int) or not 2 <= p < _MAX_PRIME or not _is_prime(p):
+        if type(p) is not int or not 2 <= p < _MAX_PRIME or not _is_prime(p):
             raise WeyliftError(f"characteristic must be a prime below 2^31, got {p!r}")
-        if not isinstance(k, int) or not 1 <= k <= _MAX_EXT_DEGREE:
+        if type(k) is not int or not 1 <= k <= _MAX_EXT_DEGREE:
             raise NotFiniteField(f"extension degree must lie in 1..{_MAX_EXT_DEGREE}, got {k!r}")
         self.kind = "Fp"
         self.p = p
@@ -63,6 +63,8 @@ class Field:
         else:
             if modulus is None:
                 raise NotFiniteField("extension fields need an explicit monic modulus")
+            if any(type(c) is not int for c in modulus):
+                raise NotFiniteField(f"modulus coefficients must be integers, got {modulus!r}")
             mod = tuple(c % p for c in modulus)
             if len(mod) != k + 1 or mod[-1] != 1:
                 raise NotFiniteField("modulus must be monic of degree k")

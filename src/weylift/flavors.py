@@ -27,7 +27,8 @@ from __future__ import annotations
 
 from operator import mul as _mul
 
-from .errors import ExpansionBoundExceeded, IndexOutOfRange, WeyliftError
+from .elements import check_size
+from .errors import IndexOutOfRange, WeyliftError
 
 STANDARD = "standard"
 HAUG = "haug"
@@ -53,25 +54,20 @@ class BracketFlavor:
     def __init__(self, kind: str, n: int, aux: bool = False, names=None):
         if kind not in _KINDS:
             raise WeyliftError(f"unknown flavor kind {kind!r}")
-        if not isinstance(n, int) or n < 1:
+        if type(n) is not int or n < 1:
             raise WeyliftError(f"flavor needs at least one pair, got n={n!r}")
+        if type(aux) is not bool:
+            raise WeyliftError(f"aux must be true or false, got {aux!r}")
         # Count the key slots before building any per-slot tuple: a huge n
-        # would overflow or exhaust memory there.  elements imports this
-        # module, so the bound is read at call time.
-        from .elements import EXPANSION_BOUND
-
-        g = 2 * (n + bool(aux))
+        # would overflow or exhaust memory there.
+        g = 2 * (n + aux)
         key_len = g + (kind != STANDARD) + (g * (g - 1) // 2 if kind == SKEW else 0) + 1
-        if key_len > EXPANSION_BOUND:
-            raise ExpansionBoundExceeded(
-                f"a {kind} flavor with n={n} has {key_len} key slots"
-                f" (bound {EXPANSION_BOUND})"
-            )
+        check_size(key_len, "a {} flavor with n={} has {size} key slots", kind, n)
         self.kind = kind
         self.n = n
-        self.aux = bool(aux)
+        self.aux = aux
         self.names = names  # optional (x_name, p_name) override for paired kinds
-        self.pairs = n + (1 if aux else 0)
+        self.pairs = n + aux
         self.main_count = g
         self.has_h = kind in (HAUG, SKEW)
         self.has_k = kind == SKEW
@@ -161,9 +157,6 @@ class BracketFlavor:
 
     def h_exponent(self, key: tuple) -> int:
         return key[self.h_slot] if self.has_h else 0
-
-    def k_exponents(self, key: tuple) -> tuple:
-        return key[self.k_start : self.k_start + len(self.k_pairs)]
 
     def t_exponent(self, key: tuple) -> int:
         return key[self.t_slot]

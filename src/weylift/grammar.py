@@ -22,8 +22,7 @@ from fractions import Fraction
 from functools import reduce
 from itertools import compress
 
-from . import elements
-from .elements import sum_terms
+from .elements import check_exponent, sum_terms
 from .errors import ExprSyntaxError, UnknownGenerator
 
 
@@ -212,9 +211,10 @@ class _Parser:
         return mono if out is None else out * mono
 
     def factor(self):
-        """An atom and its exponent.  A power of a single generator is read
-        as one monomial; any other base is multiplied out by __pow__, which
-        also refuses an exponent past EXPANSION_BOUND."""
+        """An atom and its exponent.  The exponent passes the power cap
+        (elements.check_exponent); then a power of a single generator is
+        read as one monomial, and any other base is multiplied out by
+        __pow__."""
         kind, value, at = self.peek()
         slot = self.names.get(value) if kind == "NAME" else None
         out = self.atom()
@@ -233,9 +233,8 @@ class _Parser:
                     "negative exponents are only allowed on h or t", etok[2]
                 )
             return self.monomial(slot, -e)
-        if slot is None or e > elements.EXPANSION_BOUND:
-            return out**e
-        return self.monomial(slot, e)
+        check_exponent(e)
+        return out**e if slot is None else self.monomial(slot, e)
 
     def monomial(self, slot, e):
         key = list(self.flavor.unit_key())

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from .elements import SparseElement, leibniz_bracket, ordered_mul
-from .errors import IndexOutOfRange
 from .flavors import BracketFlavor
 
 
@@ -24,20 +23,6 @@ class Poly(SparseElement):
         """Product with terms of graded degree above maxdeg dropped."""
         self._check_compatible(other)
         return ordered_mul(self, other, (), maxdeg)
-
-    def partial(self, i: int) -> "Poly":
-        """Formal partial derivative in the i-th main generator."""
-        flavor = self.flavor
-        if not 0 <= i < flavor.main_count:
-            raise IndexOutOfRange(f"no main generator {i}")
-        field = self.field
-        # e -> e - 1 in one slot is injective, so no two terms meet.
-        terms = {
-            key[:i] + (e - 1,) + key[i + 1 :]: field.mul(c, field.from_int(e))
-            for key, c in self.terms.items()
-            if (e := key[i])
-        }
-        return Poly(field, flavor, terms)
 
 
 def structure_element(flavor: BracketFlavor, field, i: int, j: int, cls=Poly):

@@ -20,10 +20,9 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .elements import substitute
+from .elements import check_size, substitute
 from .endo import Endo, element_class
 from .errors import (
-    ExpansionBoundExceeded,
     FieldMismatch,
     FlavorMismatch,
     IndexOutOfRange,
@@ -88,6 +87,8 @@ class TameWord:
     def __init__(self, kind, n, gens):
         if kind != "symplectic":
             raise WeyliftError(f"unknown word kind {kind!r}")
+        if type(n) is not int or n < 1:
+            raise WeyliftError(f"a word's n must be an int >= 1, got {n!r}")
         gens = tuple(gens)
         g = 2 * n
         for gen in gens:
@@ -263,23 +264,18 @@ def random_tame(n, length, maxdeg, seed):
     """Deterministic pseudo-random symplectic word with small integral data.
     Its sp letters and its endo hold about (2n)^2 entries each, and each
     shift letter raises the degree of the images at most max(2, maxdeg)
-    fold; EXPANSION_BOUND, read at call time, bounds both the entries and
+    fold; the size bound (elements.check_size) caps both the entries and
     the degree max(2, maxdeg)^length the images can reach."""
-    from .elements import EXPANSION_BOUND
-
-    if (2 * n) ** 2 > EXPANSION_BOUND:
-        raise ExpansionBoundExceeded(
-            f"a word on n={n} pairs has {(2 * n) ** 2} matrix entries"
-            f" (bound {EXPANSION_BOUND})"
-        )
+    check_size((2 * n) ** 2, "a word on n={} pairs has {size} matrix entries", n)
     top, reach = max(2, maxdeg), 1
     for _ in range(length):
         reach *= top
-        if reach > EXPANSION_BOUND:
-            raise ExpansionBoundExceeded(
-                f"a word of {length} letters with shifts of degree up to {top}"
-                f" reaches degree {top}^{length} (bound {EXPANSION_BOUND})"
-            )
+        check_size(
+            reach,
+            "a word of {0} letters with shifts of degree up to {1} reaches degree {1}^{0}",
+            length,
+            top,
+        )
     rng = random.Random(seed)
     gens = []
     for _ in range(length):

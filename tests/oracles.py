@@ -133,6 +133,11 @@ def word_mul(flavor, a, b):
     return naive_normal_order(flavor, out)
 
 
+def _k_exponents(flavor, key):
+    """The k-symbol exponents of a key, in k_pairs order."""
+    return key[flavor.k_start : flavor.k_start + len(flavor.k_pairs)]
+
+
 def words_from_weyl(elem):
     """Raw word dict of a normal-ordered element (exact round trip)."""
     flavor = elem.flavor
@@ -149,7 +154,7 @@ def words_from_weyl(elem):
             for i in range(flavor.main_count):
                 letters += [("xi", i)] * key[i]
         h_e = key[flavor.h_slot] if flavor.has_h else 0
-        k_vec = tuple(flavor.k_exponents(key)) if flavor.has_k else ()
+        k_vec = tuple(_k_exponents(flavor, key)) if flavor.has_k else ()
         out[(tuple(letters), h_e, k_vec)] = Fraction(coeff)
     return out
 
@@ -255,13 +260,28 @@ def oracle_commutative_mul(a, b, maxdeg=None):
     return out
 
 
+def _partial(f, i):
+    """Formal partial derivative of the Poly f in the i-th main generator."""
+    flavor = f.flavor
+    if not 0 <= i < flavor.main_count:
+        raise IndexOutOfRange(f"no main generator {i}")
+    field = f.field
+    # e -> e - 1 in one slot is injective, so no two terms meet.
+    terms = {
+        key[:i] + (e - 1,) + key[i + 1 :]: field.mul(c, field.from_int(e))
+        for key, c in f.terms.items()
+        if (e := key[i])
+    }
+    return Poly(field, flavor, terms)
+
+
 def oracle_poisson_bracket(f, g):
     """{f, g} from the partial-derivative elements: for each contraction
     pair (j, i) with {g_j, g_i} = s z, the element s z times
     d_j f d_i g - d_i f d_j g, built by products and summed."""
     flavor, field = f.flavor, f.field
-    df = [f.partial(s) for s in range(flavor.main_count)]
-    dg = [g.partial(s) for s in range(flavor.main_count)]
+    df = [_partial(f, s) for s in range(flavor.main_count)]
+    dg = [_partial(g, s) for s in range(flavor.main_count)]
     result = Poly.zero(field, flavor)
     for j, i, central, sign in flavor.contractions:
         term = df[j] * dg[i] - df[i] * dg[j]

@@ -13,6 +13,7 @@ import pytest
 import weylift
 from weylift import BracketFlavor, Endo, Field, Poly, QQ, parse_element
 from weylift.cli import main, run_command
+from weylift.errors import ExpansionBoundExceeded
 from weylift.serialize import (
     canonical_json,
     digest,
@@ -124,6 +125,15 @@ def test_usage_errors(tmp_path):
         ["invert", "--in", "{stretch_word}"],
         ["invert", "--in", "{zero_sp_word}"],
         ["invert", "--in", "{half_index_word}"],
+        ["invert", "--in", "{half_n_word}"],
+        ["invert", "--in", "{half_n_letter_word}"],
+        ["invert", "--in", "{true_n_word}"],
+        ["invert", "--in", "{zero_n_word}"],
+        ["invert", "--in", "{negative_n_word}"],
+        ["compose", "{true_n_endo}", "{true_n_endo}"],
+        ["compose", "{true_k_endo}", "{true_k_endo}"],
+        ["compose", "{float_modulus_endo}", "{float_modulus_endo}"],
+        ["check", "--in", "{string_aux_endo}"],
     ],
     ids=lambda argv: " ".join(argv),
 )
@@ -147,6 +157,14 @@ def test_bad_input_is_usage_error(tmp_path, argv):
         "stretch_word": str(tmp_path / "stretch_word.json"),
         "zero_sp_word": str(tmp_path / "zero_sp_word.json"),
         "half_index_word": str(tmp_path / "half_index_word.json"),
+        **{
+            name: str(tmp_path / f"{name}.json")
+            for name in (
+                "half_n_word", "half_n_letter_word", "true_n_word", "zero_n_word",
+                "negative_n_word", "true_n_endo", "true_k_endo", "float_modulus_endo",
+                "string_aux_endo",
+            )
+        },
     }
     (tmp_path / "deep.json").write_text("[" * 100000 + "]" * 100000)
     doc = endo_to_json(Endo("P", FL1, QQ, [pelt("x1"), pelt("p1")]))
@@ -172,6 +190,26 @@ def test_bad_input_is_usage_error(tmp_path, argv):
     dump_json(word, paths["zero_sp_word"])
     word = {"kind": "gl", "n": 1, "gens": [{"kind": "lin", "matrix": [["1", "2"], ["0", "1"]]}]}
     dump_json(word, paths["gl_word"])
+    # Document integers are JSON integers: no float, no bool, and a word's n >= 1.
+    letter = {"kind": "xshift", "index": 0, "poly": {"2": "1"}}
+    for name, n, gens in (
+        ("half_n_word", 1.5, []),
+        ("half_n_letter_word", 1.5, [letter]),
+        ("true_n_word", True, [letter]),
+        ("zero_n_word", 0, []),
+        ("negative_n_word", -3, []),
+    ):
+        dump_json({"kind": "symplectic", "n": n, "gens": gens}, paths[name])
+    doc = endo_to_json(Endo.identity("P", FL1, QQ))
+    dump_json({**doc, "flavor": {"kind": "standard", "n": True}}, paths["true_n_endo"])
+    doc = endo_to_json(Endo.identity("P", FL1, Field("Fp", 7)))
+    dump_json({**doc, "field": {"kind": "Fp", "p": 7, "k": True}}, paths["true_k_endo"])
+    doc = endo_to_json(Endo.identity("P", FL1, Field("Fp", 2, 2, (1, 1, 1))))
+    doc["field"]["modulus"] = [1.0, 1, 1]
+    dump_json(doc, paths["float_modulus_endo"])
+    doc = endo_to_json(Endo.identity("P", BracketFlavor("standard", 1, aux=True), QQ))
+    doc["flavor"]["aux"] = "false"
+    dump_json(doc, paths["string_aux_endo"])
     rep, code = run_command([arg.format(**paths) for arg in argv])
     assert code == 1
     assert set(rep) == {"schema", "error"}
@@ -220,6 +258,47 @@ def test_power_past_the_expansion_bound_is_usage_error(monkeypatch):
         assert message.startswith("ExpansionBoundExceeded: ")
         assert guard in message
         assert "(bound 500)" in message
+
+
+_EXPONENT_11 = "exponent 11 asks for more multiplications than the bound (bound 10)"
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: (pelt("x1") + pelt("p1")) ** 10, "intermediate expansion hit 11 terms (bound 10)"),
+        (lambda: pelt("x1") ** 11, _EXPONENT_11),
+        (lambda: pelt("x1^11"), _EXPONENT_11),
+        (lambda: BracketFlavor("standard", 5), "a standard flavor with n=5 has 11 key slots (bound 10)"),
+        (lambda: random_tame(2, 1, 2, 1), "a word on n=2 pairs has 16 matrix entries (bound 10)"),
+        (
+            lambda: random_tame(1, 4, 2, 1),
+            "a word of 4 letters with shifts of degree up to 2 reaches degree 2^4 (bound 10)",
+        ),
+        (["corpus", "--seed", "1", "--count", "11"], "--count 11 asks for more words than the bound (bound 10)"),
+    ],
+    ids=[
+        "product terms",
+        "power exponent",
+        "parser exponent",
+        "flavor key slots",
+        "word matrix entries",
+        "word degree reach",
+        "corpus count",
+    ],
+)
+def test_size_guard_messages(monkeypatch, make, message):
+    # Every guard on EXPANSION_BOUND, its full message pinned.
+    import weylift.elements
+
+    monkeypatch.setattr(weylift.elements, "EXPANSION_BOUND", 10)
+    if isinstance(make, list):
+        rep, code = run_command(make)
+        assert (code, rep["error"]) == (1, {"usage": "ExpansionBoundExceeded: " + message})
+        return
+    with pytest.raises(ExpansionBoundExceeded) as info:
+        make()
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize(
