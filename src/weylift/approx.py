@@ -21,7 +21,7 @@ from itertools import chain
 from math import factorial, gcd, prod
 
 from .elements import sum_terms
-from .endo import Endo, check_symplecto
+from .endo import Endo, check_symplecto, refuse_constant_terms
 from .errors import (
     DeviationNotHamiltonian,
     PositiveCharacteristic,
@@ -329,7 +329,7 @@ def undo_shift(residual, term, maxdeg):
         out = Poly(field, flavor)
         out.terms = sum_terms(field, chain.from_iterable(parts))
         images.append(out)
-    return Endo("P", flavor, field, images, allow_free_term=True)
+    return Endo("P", flavor, field, images)
 
 
 def _start(endo, n_target):
@@ -350,6 +350,7 @@ def _start(endo, n_target):
     maxdeg = n_target - 1
     word_gens = []
     residual = Endo("P", flavor, field, [img.truncate(maxdeg) for img in endo.images])
+    refuse_constant_terms(residual)
     lin = endo.linear_part()
     ident = identity_matrix(field, flavor.main_count)
     if lin != ident:

@@ -42,47 +42,28 @@ def element_class(side):
 class Endo:
     """Flavor-preserving endomorphism, stored as one image per key slot
     before t, in key order: the main generators, then h, then the k
-    symbols (the exponent-key layout of flavors.py).  images, h_image and
-    k_images are read-only views of that list.
+    symbols (the exponent-key layout of flavors.py).  The constructor
+    takes the main images and fixes h and every k symbol; from_slots
+    takes every slot.  images, h_image and k_images are read-only views
+    of that list.
     """
 
     __slots__ = ("side", "flavor", "field", "slots")
 
-    def __init__(
-        self,
-        side,
-        flavor,
-        field,
-        images,
-        h_image=None,
-        k_images=None,
-        allow_free_term=False,
-    ):
+    def __init__(self, side, flavor, field, images):
         cls = element_class(side)
         slots = list(images)
         if len(slots) != flavor.main_count:
             raise WrongArity(f"expected {flavor.main_count} images, got {len(slots)}")
         if flavor.has_h:
-            slots.append(cls.h_power(field, flavor, 1) if h_image is None else h_image)
-        if flavor.has_k:
-            slots.extend(
-                [cls.k_symbol(field, flavor, i, j) for i, j in flavor.k_pairs]
-                if k_images is None
-                else k_images
-            )
+            slots.append(cls.h_power(field, flavor, 1))
+        slots.extend(cls.k_symbol(field, flavor, i, j) for i, j in flavor.k_pairs)
         self._fill(side, flavor, field, slots)
-        if not allow_free_term:
-            unit = flavor.unit_key()
-            for i, img in enumerate(self.images):
-                if unit in img.terms:
-                    raise WeyliftError(
-                        f"image of generator {i} has a constant term"
-                    )
 
     @classmethod
     def from_slots(cls, side, flavor, field, slots):
         """The endo with these images, one per key slot before t, in key
-        order; an image may have a constant term."""
+        order."""
         endo = cls.__new__(cls)
         endo._fill(side, flavor, field, list(slots))
         return endo
@@ -249,13 +230,16 @@ class Endo:
         images = [im.specialize_h() for im in self.images]
         if self.h_image != element_class(self.side).h_power(self.field, self.flavor, 1):
             raise WeyliftError("h image is not h; specialization is not well defined")
-        return Endo(
-            self.side,
-            self.flavor.without_h(),
-            self.field,
-            images,
-            allow_free_term=True,
-        )
+        return Endo(self.side, self.flavor.without_h(), self.field, images)
+
+
+def refuse_constant_terms(endo):
+    """Raise WeyliftError if a main image has a constant term: truncating
+    a composition is sound only on images without one."""
+    unit = endo.flavor.unit_key()
+    for i, img in enumerate(endo.images):
+        if unit in img.terms:
+            raise WeyliftError(f"image of generator {i} has a constant term")
 
 
 def _monomial_scale(elem, key):
@@ -355,14 +339,11 @@ def truncated_inverse(endo, n):
             raise StageStall(f"no progress past height {ht}")
         last = ht
         corrections = [linv_endo.apply(d, maxdeg=n) for d in devs]
-        psi = Endo(
-            endo.side,
-            flavor,
-            field,
-            [im - c for im, c in zip(psi.images, corrections)],
-            psi.h_image,
-            psi.k_images,
+        images = [im - c for im, c in zip(psi.images, corrections)]
+        psi = Endo.from_slots(
+            endo.side, flavor, field, images + psi.slots[flavor.main_count :]
         )
+        refuse_constant_terms(psi)
     else:
         raise StageStall("truncated inverse did not converge")
     back = psi.compose(endo, maxdeg=n)

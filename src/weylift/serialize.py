@@ -2,13 +2,15 @@
 
 Elements travel as canonical printed expressions, so files stay
 readable and the parser doubles as the round-trip check.  Word data
-travels as exact rational strings.  Digests hash the canonical JSON
+travels as exact rational strings and is read back in that form or as
+JSON integers, nothing looser.  Digests hash the canonical JSON
 encoding (sorted keys, tight separators) so equal objects hash equal.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 
 from .endo import Endo, element_class
@@ -66,7 +68,13 @@ def endo_from_json(doc):
     images = [parse(t) for t in doc["images"]]
     h_image = parse(doc["h_image"]) if "h_image" in doc else None
     k_images = [parse(t) for t in doc["k_images"]] if "k_images" in doc else None
-    return Endo(side, flavor, field, images, h_image, k_images, allow_free_term=True)
+    # A flavor without h or k ignores those keys.
+    slots = Endo(side, flavor, field, images).slots
+    if flavor.has_h and h_image is not None:
+        slots[flavor.h_slot] = h_image
+    if flavor.has_k and k_images is not None:
+        slots[flavor.k_start :] = k_images
+    return Endo.from_slots(side, flavor, field, slots)
 
 
 class _Texts(dict):
@@ -100,12 +108,30 @@ def _gen_to_json(gen, texts):
     return {"kind": gen.kind, "index": index, "poly": body}
 
 
+_EXPONENT = re.compile(r"[1-9][0-9]*")
+_VALUE = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
+def _exponent(text):
+    """A shift exponent key, the decimal text of an int >= 1 as str() writes it."""
+    if not _EXPONENT.fullmatch(text):
+        raise WeyliftError(f"shift exponent {text!r} is not an integer >= 1")
+    return int(text)
+
+
+def _value(v):
+    """A word value: a JSON integer or an exact rational string."""
+    if type(v) is int or (type(v) is str and _VALUE.fullmatch(v)):
+        return Fraction(v)
+    raise WeyliftError(f"word value {v!r} is not an integer or rational string")
+
+
 def _gen_from_json(doc):
     """One letter of a word document.  ElementaryGen leaves the check that
     an sp matrix is symplectic to its callers, so a document gets it here."""
     kind = doc["kind"]
     if kind == SP:
-        gen = ElementaryGen(kind, [[Fraction(v) for v in row] for row in doc["matrix"]])
+        gen = ElementaryGen(kind, [[_value(v) for v in row] for row in doc["matrix"]])
         if not is_symplectic(gen.data):
             raise NotSymplectic("an sp letter's matrix is not symplectic")
         return gen
@@ -114,7 +140,7 @@ def _gen_from_json(doc):
     index = doc["index"]
     if type(index) is not int:
         raise IndexOutOfRange(f"pair index {index!r} is not an integer")
-    poly = {int(e): Fraction(c) for e, c in doc["poly"].items()}
+    poly = {_exponent(e): _value(c) for e, c in doc["poly"].items()}
     return ElementaryGen(kind, (index, poly))
 
 

@@ -110,18 +110,14 @@ def position_reduction(endo, pos, lam, delta):
         raise IndexOutOfRange(f"position {pos} is not a reducible generator")
 
     def build(sign):
-        images = [Poly.generator(field, flavor, i) for i in range(g)]
-        extra = Poly.generator(field, flavor, u_slot).scale(
-            field.from_int(sign * lam)
-        ) + Poly.generator(field, flavor, v_slot).scale(field.from_int(sign * delta))
-        images[pos] = images[pos] + extra
-        k_images = None
-        if flavor.has_k:
-            k_images = [
-                poisson_bracket(images[a], images[b]).shift_h(-1)
-                for a, b in flavor.k_pairs
-            ]
-        return Endo("P", flavor, field, images, None, k_images)
+        slots = Endo.identity("P", flavor, field).slots
+        extra = slots[u_slot].scale(field.from_int(sign * lam)) + slots[v_slot].scale(
+            field.from_int(sign * delta)
+        )
+        slots[pos] = slots[pos] + extra
+        for s, (a, b) in enumerate(flavor.k_pairs, flavor.k_start):
+            slots[s] = poisson_bracket(slots[a], slots[b]).shift_h(-1)
+        return Endo.from_slots("P", flavor, field, slots)
 
     fwd, back = build(1), build(-1)
     return fwd.compose(endo).compose(back)
@@ -355,7 +351,7 @@ def _word_is_p_integral(word, p):
 
 def lifted_commutation_check(images, flavor):
     """The commutator table of ordered images (endo.bracket_violations)."""
-    endo = Endo("W", flavor, images[0].field, images, allow_free_term=True)
+    endo = Endo("W", flavor, images[0].field, images)
     violations = bracket_violations(endo)
     return {"ok": not violations, "violations": violations}
 
@@ -364,10 +360,8 @@ def lift(sigma, n, primes=()):
     """Ordered-side lift of a commutative symplectomorphism, with receipts.
 
     Returns (lifted, certificate).  The lifted endo is the exact
-    ordered (W-side) evaluation of the approximation word, and
-    certificate["representation"] is "exact": tame.evaluate never checks
-    EXPANSION_BOUND, so the graded h-truncated fallback
-    ("truncated_haug") is not reached.  The certificate also records
+    ordered (W-side) evaluation of the approximation word, so
+    certificate["representation"] is "exact".  The certificate also records
     stabilization between orders n-1 and n (the order n-1 word is a
     prefix of the order-n word, see approx.stage_prefix), per-prime
     comparison against the center morphism, canonicity under the
@@ -433,18 +427,10 @@ def lift(sigma, n, primes=()):
     if witness is not None:
         certificate["canonicity_witness"] = witness
 
-    exact = None
-    try:
-        exact = evaluate(word, "W", flavor, field)
-        certificate["representation"] = "exact"
-    except ExpansionBoundExceeded:
-        certificate["representation"] = "truncated_haug"
-
-    if exact is not None:
-        violations = lifted_commutation_check(exact.images, flavor)["violations"]
-        certificate["commutation_violations"] = len(violations)
-    else:
-        violations = bracket_violations(trunc_n, n)
+    exact = evaluate(word, "W", flavor, field)
+    certificate["representation"] = "exact"
+    violations = lifted_commutation_check(exact.images, flavor)["violations"]
+    certificate["commutation_violations"] = len(violations)
     certificate["commutation"] = "fail" if violations else "pass"
     if violations:
         certificate["commutation_witness"] = list(violations[0][:2])
@@ -486,7 +472,7 @@ def lift(sigma, n, primes=()):
             for e in certificate["primes"].values()
         )
     )
-    return (exact if exact is not None else trunc_n), certificate
+    return exact, certificate
 
 
 def _first_difference(a, b, height):
@@ -503,8 +489,6 @@ def _first_difference(a, b, height):
 def _prime_status(exact, sigma_p, word, flavor, fp):
     """Compare phi_p of the exact lift, reduced mod p, with sigma mod p:
     {"status": ...}, with the first differing image on a mismatch."""
-    if exact is None:
-        return {"status": "skipped_expansion_budget"}
     try:
         center = phi_p(exact, fp)
         # The center flavor has the key layout of sigma's flavor.

@@ -134,6 +134,11 @@ def test_usage_errors(tmp_path):
         ["compose", "{true_k_endo}", "{true_k_endo}"],
         ["compose", "{float_modulus_endo}", "{float_modulus_endo}"],
         ["check", "--in", "{string_aux_endo}"],
+        ["invert", "--in", "{arabic_exponent_word}"],
+        ["invert", "--in", "{spaced_exponent_word}"],
+        ["invert", "--in", "{float_value_word}"],
+        ["invert", "--in", "{true_value_word}"],
+        ["invert", "--in", "{float_sp_word}"],
     ],
     ids=lambda argv: " ".join(argv),
 )
@@ -162,7 +167,8 @@ def test_bad_input_is_usage_error(tmp_path, argv):
             for name in (
                 "half_n_word", "half_n_letter_word", "true_n_word", "zero_n_word",
                 "negative_n_word", "true_n_endo", "true_k_endo", "float_modulus_endo",
-                "string_aux_endo",
+                "string_aux_endo", "arabic_exponent_word", "spaced_exponent_word",
+                "float_value_word", "true_value_word", "float_sp_word",
             )
         },
     }
@@ -200,6 +206,16 @@ def test_bad_input_is_usage_error(tmp_path, argv):
         ("negative_n_word", -3, []),
     ):
         dump_json({"kind": "symplectic", "n": n, "gens": gens}, paths[name])
+    # Word values are JSON integers or exact rational strings, and an exponent
+    # key is the decimal text of an int >= 1, as word_to_json writes them.
+    for name, gen in (
+        ("arabic_exponent_word", {**letter, "poly": {"\u0661": "1"}}),
+        ("spaced_exponent_word", {**letter, "poly": {" 2": "1"}}),
+        ("float_value_word", {**letter, "poly": {"2": 0.1}}),
+        ("true_value_word", {**letter, "poly": {"2": True}}),
+        ("float_sp_word", {"kind": "sp", "matrix": [[0.5, 0], [0, 2]]}),
+    ):
+        dump_json({"kind": "symplectic", "n": 1, "gens": [gen]}, paths[name])
     doc = endo_to_json(Endo.identity("P", FL1, QQ))
     dump_json({**doc, "flavor": {"kind": "standard", "n": True}}, paths["true_n_endo"])
     doc = endo_to_json(Endo.identity("P", FL1, Field("Fp", 7)))
@@ -215,6 +231,62 @@ def test_bad_input_is_usage_error(tmp_path, argv):
     assert set(rep) == {"schema", "error"}
     assert set(rep["error"]) == {"usage"}
     assert isinstance(rep["error"]["usage"], str)
+
+
+def _endo_doc(flavor, images, extra=None):
+    return {**endo_to_json(Endo.identity("P", flavor, QQ)), "images": images, **(extra or {})}
+
+
+def test_constant_term_is_refused_where_a_truncation_reads_it(tmp_path):
+    refused = {"type": "WeyliftError", "message": "image of generator 0 has a constant term"}
+    for idx, images in enumerate((["x1 + 1", "p1"], ["x1 + p1^2 + 1", "p1"])):
+        path = str(tmp_path / f"translation{idx}.json")
+        dump_json(_endo_doc(FL1, images), path)
+        for argv in (
+            ["approximate", "--in", path, "--order", "4"],
+            ["lift", "--in", path, "--order", "4"],
+            ["invert", "--in", path, "--order", "3"],
+        ):
+            rep, code = run_command(argv)
+            assert (code, rep["error"]) == (2, refused), argv
+        for argv in (
+            ["check", "--in", path],
+            ["compose", path, path],
+            ["singscan", "--in", path, "--order", "2"],
+        ):
+            assert run_command(argv)[1] == 0, argv
+
+
+def test_endo_document_reads_only_the_slots_of_its_flavor(tmp_path):
+    def composed(doc):
+        path = str(tmp_path / "doc.json")
+        dump_json(doc, path)
+        return run_command(["compose", path, path])
+
+    haug, skew = BracketFlavor("haug", 1), BracketFlavor("skew", 1)
+    shear, hshear = ["x1 + p1^2", "p1"], ["x1 + p1^2*h", "p1"]
+    # h_image on a flavor without h, and k_images on one without k, are ignored.
+    for flavor, images, extra in (
+        (FL1, shear, {"h_image": "x1"}),
+        (haug, hshear, {"k_images": ["x1"]}),
+    ):
+        rep, code = composed(_endo_doc(flavor, images, extra))
+        plain, plain_code = composed(_endo_doc(flavor, images))
+        assert code == plain_code == 0
+        assert rep["result"] == plain["result"]
+    rep, code = composed(_endo_doc(haug, hshear, {"h_image": "2*h"}))
+    assert code == 0
+    assert rep["result"]["endo"]["h_image"] == "4*h"
+    for doc, message in (
+        (_endo_doc(FL1, [*shear, "x1"]), "expected 2 images, got 3"),
+        (
+            _endo_doc(skew, ["xi1", "xi2"], {"k_images": ["k1_2", "k1_2"]}),
+            "expected 4 slot images, got 5",
+        ),
+    ):
+        rep, code = composed(doc)
+        assert code == 1
+        assert rep["error"]["usage"].endswith(message)
 
 
 def test_extension_field_endo_reads_back(tmp_path):

@@ -207,7 +207,7 @@ HAUG1 = BracketFlavor("haug", 1)
 def test_negative_h_power_needs_a_monomial_h_image():
     x, p = (element_class("P").generator(QQ, HAUG1, i) for i in range(2))
     h = element_class("P").h_power(QQ, HAUG1, 1)
-    bent = Endo("P", HAUG1, QQ, [x, p], h + x * p)
+    bent = Endo.from_slots("P", HAUG1, QQ, [x, p, h + x * p])
     with pytest.raises(NegativeHExponent):
         bent.apply(x * element_class("P").h_power(QQ, HAUG1, -1))
 
@@ -217,7 +217,7 @@ def test_negative_h_power_under_a_scaled_h(side):
     cls = element_class(side)
     x, p = (cls.generator(QQ, HAUG1, i) for i in range(2))
     two_h = cls.h_power(QQ, HAUG1, 1).scale(Fraction(2))
-    scaled = Endo(side, HAUG1, QQ, [x, p], two_h)
+    scaled = Endo.from_slots(side, HAUG1, QQ, [x, p, two_h])
     h_inv = cls.h_power(QQ, HAUG1, -1)
     assert scaled.apply(h_inv) == h_inv.scale(Fraction(1, 2))
     assert scaled.apply(p * h_inv) == p * h_inv.scale(Fraction(1, 2))
@@ -253,7 +253,7 @@ def test_slots_follow_the_key_layout(flavor, side):
         gen + random_poly(rng, QQ, flavor, cls=cls, max_terms=2, max_deg=2)
         for gen in ident.images
     ]
-    e = Endo(side, flavor, QQ, images, allow_free_term=True)
+    e = Endo(side, flavor, QQ, images)
     assert e.images == e.slots[: flavor.main_count]
     assert e.h_image == (ident.slots[flavor.h_slot] if flavor.has_h else None)
     assert e.k_images == (ident.slots[flavor.k_start :] if flavor.has_k else None)
@@ -269,8 +269,9 @@ def test_compose_and_map_coefficients_keep_k_images(side):
         return [cls.k_symbol(QQ, flavor, i, j).scale(Fraction(c)) for i, j in flavor.k_pairs]
 
     xi1, xi2 = (cls.generator(QQ, flavor, i) for i in range(2))
-    a = Endo(side, flavor, QQ, [xi1, xi2], k_images=scaled_k(2))
-    b = Endo(side, flavor, QQ, [xi1 + xi2 * xi2, xi2], k_images=scaled_k(3))
+    h = cls.h_power(QQ, flavor, 1)
+    a = Endo.from_slots(side, flavor, QQ, [xi1, xi2, h, *scaled_k(2)])
+    b = Endo.from_slots(side, flavor, QQ, [xi1 + xi2 * xi2, xi2, h, *scaled_k(3)])
     assert a.compose(b).k_images == scaled_k(6)
     assert b.compose(a).images == [xi1 + xi2 * xi2, xi2]
     assert a.map_coefficients(lambda c: 5 * c).k_images == scaled_k(10)
@@ -373,7 +374,8 @@ def test_truncated_inverse_inverts_a_skew_k_image():
     def elt(text):
         return parse_element(text, QQ, flavor, "P")
 
-    endo = Endo("P", flavor, QQ, [elt("xi1 + xi2^2"), elt("xi2")], k_images=[elt("2*k1_2")])
+    texts = ("xi1 + xi2^2", "xi2", "h", "2*k1_2")
+    endo = Endo.from_slots("P", flavor, QQ, [elt(t) for t in texts])
     inv = truncated_inverse(endo, 4)
     assert [str(s) for s in inv.slots] == ["-xi2^2 + xi1", "xi2", "h", "1/2*k1_2"]
     assert endo.compose(inv, maxdeg=4) == Endo.identity("P", flavor, QQ)
@@ -416,7 +418,7 @@ def test_truncated_apply_matches_exact_then_truncate(side):
     compared = 0
     for _ in range(12):
         images = [g + random_poly(rng, QQ, HAUG1, cls=cls, max_terms=2) for g in gens]
-        e = Endo(side, HAUG1, QQ, images, allow_free_term=True)
+        e = Endo(side, HAUG1, QQ, images)
         for power in (-1, -2):
             elem = random_poly(rng, QQ, HAUG1, cls=cls) * cls.h_power(QQ, HAUG1, power)
             for maxdeg in (2, 4):

@@ -490,7 +490,7 @@ def test_prime_mismatch_names_the_image(monkeypatch):
         out = real(wword, flavor, fp)
         z_img, w_img = out.images
         images = [z_img, w_img.scale(fp.from_int(2))]
-        return Endo("P", out.flavor, fp, images, allow_free_term=True)
+        return Endo("P", out.flavor, fp, images)
 
     monkeypatch.setattr(weylift.singlift, "phi_p_along_word", off)
     _, cert = lift(shear(), 4, primes=(3,))
@@ -551,12 +551,13 @@ def _rescaling(flavor, slot, weights, sign=1):
         return Poly(QQ, flavor, {tuple(key): QQ.one()})
 
     g = flavor.main_count
-    images = [scaled(flavor.gen_key(s), weights[s]) for s in range(g)]
-    h_image = scaled(flavor.h_key(), weights[g]) if flavor.has_h else None
-    k_images = [
+    slots = [scaled(flavor.gen_key(s), weights[s]) for s in range(g)]
+    if flavor.has_h:
+        slots.append(scaled(flavor.h_key(), weights[g]))
+    slots.extend(
         scaled(flavor.k_key(a, b), weights[a] + weights[b]) for a, b in flavor.k_pairs
-    ] or None
-    return Endo("P", flavor, QQ, images, h_image, k_images)
+    )
+    return Endo.from_slots("P", flavor, QQ, slots)
 
 
 def _random_endo(rng, flavor):
@@ -575,9 +576,12 @@ def _random_endo(rng, flavor):
             terms[tuple(key)] = QQ.from_int(rng.choice((-2, -1, 1, 2)))
         return Poly(QQ, flavor, terms)
 
-    images = [noisy(flavor.gen_key(s)) for s in range(flavor.main_count)]
-    k_images = [noisy(flavor.k_key(a, b)) for a, b in flavor.k_pairs] or None
-    return Endo("P", flavor, QQ, images, None, k_images)
+    slots = Endo.identity("P", flavor, QQ).slots
+    for s in range(flavor.main_count):
+        slots[s] = noisy(flavor.gen_key(s))
+    for s, (a, b) in enumerate(flavor.k_pairs, flavor.k_start):
+        slots[s] = noisy(flavor.k_key(a, b))
+    return Endo.from_slots("P", flavor, QQ, slots)
 
 
 def _conjugated(phi, slot, weights):
