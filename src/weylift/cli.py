@@ -18,12 +18,11 @@ import time
 from .approx import approximate
 from .charp import phi_p
 from .elements import check_size
-from .endo import bracket_violations, truncated_inverse
+from .endo import bracket, bracket_violations, truncated_inverse
 from .errors import ExpansionBoundExceeded, ExprSyntaxError, UnknownGenerator, WeyliftError
 from .fields import Field
 from .flavors import STANDARD, BracketFlavor
 from .grammar import element_to_text, parse_element
-from .poly import Poly, poisson_bracket
 from .serialize import (
     SCHEMA,
     digest,
@@ -36,7 +35,6 @@ from .serialize import (
 )
 from .singlift import hn_scan, lift
 from .tame import evaluate, invert_word, random_tame
-from .weyl import WeylElt, weyl_commutator
 
 
 class UsageError(Exception):
@@ -71,6 +69,15 @@ def _int_at_least(floor):
         return value
 
     return parse
+
+
+def _check_flag(flag, size, what):
+    """elements.check_size on a flag value: only the flags set that size,
+    so a bound they exceed is a usage error."""
+    try:
+        check_size(size, "{} {size} asks for more {} than the bound", flag, what)
+    except ExpansionBoundExceeded as exc:
+        raise UsageError(f"ExpansionBoundExceeded: {exc}") from exc
 
 
 def _parse_field(text):
@@ -145,6 +152,7 @@ def _cmd_invert(args):
     endo = loaded
     if args.order is None:
         raise UsageError("--order is required to invert an endomorphism")
+    _check_flag("--order", args.order, "degrees")
     inv = truncated_inverse(endo, args.order)
     payload = endo_to_json(inv)
     _maybe_out(args, payload)
@@ -153,6 +161,7 @@ def _cmd_invert(args):
 
 
 def _cmd_approximate(args):
+    _check_flag("--order", args.order, "degrees")
     doc, endo = _load(args.endo, endo_from_json)
     word, report = approximate(endo, args.order, tie_break=args.tie_break)
     payload = word_to_json(word)
@@ -183,6 +192,7 @@ def _cmd_phi_p(args):
 
 
 def _cmd_lift(args):
+    _check_flag("--order", args.order, "degrees")
     doc, endo = _load(args.endo, endo_from_json)
     if args.order < 2:
         raise UsageError(f"lift needs --order 2 or more, got {args.order}")
@@ -217,16 +227,14 @@ def _cmd_singscan(args):
 
 def _cmd_bracket(args):
     field = _parse_field(args.field)
-    cls = WeylElt if args.side == "W" else Poly
     try:
         flavor = BracketFlavor(args.flavor, args.n)
-        a = parse_element(args.exprs[0], field, flavor, args.side, cls)
-        b = parse_element(args.exprs[1], field, flavor, args.side, cls)
+        a, b = (parse_element(text, field, flavor, args.side) for text in args.exprs)
     except (ExprSyntaxError, UnknownGenerator, RecursionError) as exc:
         raise UsageError(str(exc)) from exc
     except ExpansionBoundExceeded as exc:
         raise UsageError(f"ExpansionBoundExceeded: {exc}") from exc
-    out = weyl_commutator(a, b) if args.side == "W" else poisson_bracket(a, b)
+    out = bracket(a, b)
     inputs = {
         "a": args.exprs[0],
         "b": args.exprs[1],
@@ -242,9 +250,9 @@ def _cmd_corpus(args):
     if args.seed is None:
         raise UsageError("--seed is required")
     field = Field("Q")
+    _check_flag("--count", args.count, "words")
     # Only the flags set the size here, so a bound they exceed is a usage error.
     try:
-        check_size(args.count, "--count {size} asks for more words than the bound")
         flavor = BracketFlavor("standard", args.n)
         items = []
         for i in range(args.count):

@@ -6,9 +6,10 @@ the flavor has them (the exponent-key layout of flavors.py).  The t
 symbol is always fixed.  Composition and application truncate by the
 flavor's graded degree when asked: sound commutatively and, on the
 normal-ordered side, for the haug and skew flavors, whose reordering
-keeps the degree (see weyl.mul_truncated).  bracket_violations is the
-one bracket-preservation check for both sides: the Poisson bracket on
-P, the commutator on W.
+keeps the degree (see weyl.mul_truncated).  element_class is the one
+reading of a side, bracket the one bracket of both sides (the Poisson
+bracket on P, the commutator on W), and SparseElement._check_compatible
+the one check that operands agree on side, flavor and field.
 """
 
 from __future__ import annotations
@@ -16,11 +17,9 @@ from __future__ import annotations
 import math
 from operator import mul as _mul
 
-from .elements import SparseElement, substitute
+from .elements import substitute
 from .errors import (
     DimensionMismatch,
-    FieldMismatch,
-    FlavorMismatch,
     NegativeHExponent,
     NotSymplectic,
     SideMismatch,
@@ -32,11 +31,24 @@ from .linalg import mat_inv
 from .poly import Poly, poisson_bracket, structure_element
 from .weyl import WeylElt, weyl_commutator
 
-_SIDES = ("P", "W")
-
 
 def element_class(side):
-    return Poly if side == "P" else WeylElt
+    """Poly on side "P", WeylElt on side "W": the one reading of a side."""
+    if side == "P":
+        return Poly
+    if side == "W":
+        return WeylElt
+    raise SideMismatch("side must be one of ('P', 'W')")
+
+
+def bracket(a, b, maxdeg=None):
+    """The Poisson bracket on P, the commutator on W, chosen by the
+    operands' class; with maxdeg, terms of graded degree above it are
+    dropped (truncated products on W)."""
+    if isinstance(a, WeylElt):
+        return weyl_commutator(a, b, maxdeg)
+    out = poisson_bracket(a, b)
+    return out if maxdeg is None else out.truncate(maxdeg)
 
 
 class Endo:
@@ -69,18 +81,11 @@ class Endo:
         return endo
 
     def _fill(self, side, flavor, field, slots):
-        if side not in _SIDES:
-            raise SideMismatch(f"side must be one of {_SIDES}")
+        empty = element_class(side)(field, flavor)
         if len(slots) != flavor.t_slot:
             raise WrongArity(f"expected {flavor.t_slot} slot images, got {len(slots)}")
-        cls = element_class(side)
         for img in slots:
-            if not isinstance(img, cls):
-                raise SideMismatch(f"image {img!r} is not a {cls.__name__}")
-            if img.flavor is not flavor and img.flavor != flavor:
-                raise FlavorMismatch("image flavor differs from endo flavor")
-            if img.field is not field and img.field != field:
-                raise FieldMismatch("image field differs from endo field")
+            empty._check_compatible(img)
         self.side = side
         self.flavor = flavor
         self.field = field
@@ -126,12 +131,8 @@ class Endo:
     def __eq__(self, other):
         if not isinstance(other, Endo):
             return NotImplemented
-        return (
-            self.side == other.side
-            and self.flavor == other.flavor
-            and self.field == other.field
-            and self.slots == other.slots
-        )
+        # Equal elements share side, flavor and field.
+        return self.slots == other.slots
 
     def __repr__(self):
         imgs = ", ".join(str(i) for i in self.images)
@@ -139,17 +140,8 @@ class Endo:
 
     def apply(self, elem, maxdeg=None):
         """Substitute generator images into elem, optionally truncated."""
-        if not isinstance(elem, SparseElement):
-            raise SideMismatch("apply expects an algebra element")
-        if elem.flavor != self.flavor:
-            raise FlavorMismatch("element flavor differs from endo flavor")
-        if elem.field != self.field:
-            raise FieldMismatch("element field differs from endo field")
-        cls = element_class(self.side)
-        if not isinstance(elem, cls):
-            raise SideMismatch(
-                f"endo acts on {cls.__name__} elements, got {type(elem).__name__}"
-            )
+        self.slots[0]._check_compatible(elem)
+        cls = type(elem)
         flavor, field = self.flavor, self.field
         t_slot = flavor.t_slot
 
@@ -188,13 +180,8 @@ class Endo:
         return out
 
     def compose(self, other, maxdeg=None):
-        """self after other: (self.compose(other))(g) = self(other(g))."""
-        if self.side != other.side:
-            raise SideMismatch("cannot compose endos of different sides")
-        if self.flavor != other.flavor:
-            raise FlavorMismatch("cannot compose endos of different flavors")
-        if self.field != other.field:
-            raise FieldMismatch("cannot compose endos over different fields")
+        """self after other: (self.compose(other))(g) = self(other(g)).
+        apply checks each image of other against self."""
         return Endo.from_slots(
             self.side,
             self.flavor,
@@ -259,19 +246,12 @@ def bracket_violations(endo, maxdeg=None):
     (truncated products on W).
     """
     flavor, field, images = endo.flavor, endo.field, endo.images
-    if endo.side == "P":
-        def bracket(a, b):
-            out = poisson_bracket(a, b)
-            return out if maxdeg is None else out.truncate(maxdeg)
-    else:
-        def bracket(a, b):
-            return weyl_commutator(a, b, maxdeg)
     cls = element_class(endo.side)
     out = []
     for i in range(flavor.main_count):
         for j in range(i + 1, flavor.main_count):
             rhs = endo.apply(structure_element(flavor, field, i, j, cls), maxdeg)
-            diff = bracket(images[i], images[j]) - rhs
+            diff = bracket(images[i], images[j], maxdeg) - rhs
             if not diff.is_zero:
                 out.append((i, j, diff))
     return out

@@ -58,6 +58,8 @@ class BracketFlavor:
             raise WeyliftError(f"flavor needs at least one pair, got n={n!r}")
         if type(aux) is not bool:
             raise WeyliftError(f"aux must be true or false, got {aux!r}")
+        if names not in (None, ("z", "w")):
+            raise WeyliftError(f"names must be absent or ('z', 'w'), got {names!r}")
         # Count the key slots before building any per-slot tuple: a huge n
         # would overflow or exhaust memory there.
         g = 2 * (n + aux)
@@ -66,7 +68,7 @@ class BracketFlavor:
         self.kind = kind
         self.n = n
         self.aux = aux
-        self.names = names  # optional (x_name, p_name) override for paired kinds
+        self.names = names  # ("z", "w") names the center coordinates (center_flavor)
         self.pairs = n + aux
         self.main_count = g
         self.has_h = kind in (HAUG, SKEW)
@@ -238,11 +240,12 @@ class BracketFlavor:
 
     @staticmethod
     def from_json(doc) -> "BracketFlavor":
+        names = doc.get("names")
         return BracketFlavor(
             doc["kind"],
             doc["n"],
             aux=doc.get("aux", False),
-            names=tuple(doc["names"]) if doc.get("names") else None,
+            names=tuple(names) if type(names) is list else names,
         )
 
 

@@ -275,9 +275,10 @@ class _Parser:
 
 
 def parse_element(text, field, flavor, side="P", cls=None):
-    """Parse canonical text into an element; cls picks the product rule."""
+    """Parse canonical text into an element of cls, by default the class
+    of the side (endo.element_class)."""
     if cls is None:
-        from .poly import Poly
+        from .endo import element_class
 
-        cls = Poly
+        cls = element_class(side)
     return _Parser(text, field, flavor, side, cls).parse()

@@ -13,7 +13,7 @@ import json
 import re
 from fractions import Fraction
 
-from .endo import Endo, element_class
+from .endo import Endo
 from .errors import IndexOutOfRange, NotSymplectic, WeyliftError
 from .fields import Field
 from .flavors import BracketFlavor
@@ -56,18 +56,29 @@ def endo_to_json(endo):
     return doc
 
 
+def _array(value, what):
+    """value, required to be a JSON array (a list, or the tuple
+    word_to_json shares): a string would be read one character at a time."""
+    if type(value) not in (list, tuple):
+        raise WeyliftError(f"{what} must be a JSON array, got {value!r}")
+    return value
+
+
 def endo_from_json(doc):
     field = Field.from_json(doc["field"])
     flavor = BracketFlavor.from_json(doc["flavor"])
     side = doc["side"]
-    cls = element_class(side)
 
     def parse(text):
-        return parse_element(text, field, flavor, side, cls)
+        if type(text) is not str:
+            raise WeyliftError(f"an image must be an expression string, got {text!r}")
+        return parse_element(text, field, flavor, side)
 
-    images = [parse(t) for t in doc["images"]]
+    images = [parse(t) for t in _array(doc["images"], "images")]
     h_image = parse(doc["h_image"]) if "h_image" in doc else None
-    k_images = [parse(t) for t in doc["k_images"]] if "k_images" in doc else None
+    k_images = (
+        [parse(t) for t in _array(doc["k_images"], "k_images")] if "k_images" in doc else None
+    )
     # A flavor without h or k ignores those keys.
     slots = Endo(side, flavor, field, images).slots
     if flavor.has_h and h_image is not None:
@@ -131,7 +142,8 @@ def _gen_from_json(doc):
     an sp matrix is symplectic to its callers, so a document gets it here."""
     kind = doc["kind"]
     if kind == SP:
-        gen = ElementaryGen(kind, [[_value(v) for v in row] for row in doc["matrix"]])
+        rows = [_array(row, "a matrix row") for row in _array(doc["matrix"], "matrix")]
+        gen = ElementaryGen(kind, [[_value(v) for v in row] for row in rows])
         if not is_symplectic(gen.data):
             raise NotSymplectic("an sp letter's matrix is not symplectic")
         return gen
@@ -154,7 +166,8 @@ def word_to_json(word):
 
 
 def word_from_json(doc):
-    return TameWord(doc["kind"], doc["n"], [_gen_from_json(g) for g in doc["gens"]])
+    gens = [_gen_from_json(g) for g in _array(doc["gens"], "gens")]
+    return TameWord(doc["kind"], doc["n"], gens)
 
 
 def load_json(path):

@@ -22,14 +22,7 @@ from fractions import Fraction
 
 from .elements import check_size, substitute
 from .endo import Endo, element_class
-from .errors import (
-    FieldMismatch,
-    FlavorMismatch,
-    IndexOutOfRange,
-    SideMismatch,
-    WeyliftError,
-    WrongArity,
-)
+from .errors import IndexOutOfRange, SideMismatch, WeyliftError, WrongArity
 from .fields import QQ
 from .linalg import identity_matrix, mat_mul, symplectic_inverse
 
@@ -161,15 +154,11 @@ def evaluate(word, side, flavor, field, maxdeg=None, start=None):
         raise WrongArity(f"word has {word.n} pairs, flavor has {flavor.pairs}")
     if not flavor.paired:
         raise SideMismatch("tame words act on paired flavors")
+    cls = element_class(side)
     if start is None:
         start = Endo.identity(side, flavor, field)
-    elif start.side != side:
-        raise SideMismatch("start acts on the other side")
-    elif start.flavor != flavor:
-        raise FlavorMismatch("start flavor differs from the evaluation flavor")
-    elif start.field != field:
-        raise FieldMismatch("start field differs from the evaluation field")
-    cls = element_class(side)
+    else:
+        cls(field, flavor)._check_compatible(start.slots[0])
     images = start.slots
     if maxdeg is None:
         mul = cls.__mul__

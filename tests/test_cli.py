@@ -139,6 +139,14 @@ def test_usage_errors(tmp_path):
         ["invert", "--in", "{float_value_word}"],
         ["invert", "--in", "{true_value_word}"],
         ["invert", "--in", "{float_sp_word}"],
+        ["compose", "{string_images_endo}", "{string_images_endo}"],
+        ["compose", "{string_k_images_endo}", "{string_k_images_endo}"],
+        ["invert", "--in", "{string_rows_word}"],
+        ["check", "--in", "{string_names_endo}"],
+        ["compose", "{repeated_names_endo}", "{repeated_names_endo}"],
+        ["approximate", "--in", "{shear}", "--order", "1000000000"],
+        ["lift", "--in", "{shear}", "--order", "1000000000"],
+        ["invert", "--in", "{inverse_endo}", "--order", "1000000000"],
     ],
     ids=lambda argv: " ".join(argv),
 )
@@ -169,6 +177,8 @@ def test_bad_input_is_usage_error(tmp_path, argv):
                 "negative_n_word", "true_n_endo", "true_k_endo", "float_modulus_endo",
                 "string_aux_endo", "arabic_exponent_word", "spaced_exponent_word",
                 "float_value_word", "true_value_word", "float_sp_word",
+                "string_images_endo", "string_k_images_endo", "string_rows_word",
+                "string_names_endo", "repeated_names_endo", "inverse_endo",
             )
         },
     }
@@ -214,8 +224,26 @@ def test_bad_input_is_usage_error(tmp_path, argv):
         ("float_value_word", {**letter, "poly": {"2": 0.1}}),
         ("true_value_word", {**letter, "poly": {"2": True}}),
         ("float_sp_word", {"kind": "sp", "matrix": [[0.5, 0], [0, 2]]}),
+        # Arrays are JSON arrays: a string would be read one character at a time.
+        ("string_rows_word", {"kind": "sp", "matrix": ["10", "01"]}),
     ):
         dump_json({"kind": "symplectic", "n": 1, "gens": [gen]}, paths[name])
+    haug, skew = BracketFlavor("haug", 1), BracketFlavor("skew", 1)
+    for name, doc in (
+        ("string_images_endo", _endo_doc(FL1, "12")),
+        ("string_k_images_endo", _endo_doc(skew, ["xi1", "xi2"], {"k_images": "h"})),
+        # A flavor's names are absent or ["z", "w"], as center_flavor writes them.
+        (
+            "string_names_endo",
+            _endo_doc(FL1, ["z1", "w1"], {"flavor": {**FL1.to_json(), "names": "zw"}}),
+        ),
+        (
+            "repeated_names_endo",
+            _endo_doc(haug, ["x1 + h", "x1 + 2*h"], {"flavor": {**haug.to_json(), "names": ["x", "x"]}}),
+        ),
+        ("inverse_endo", _endo_doc(FL1, ["x1 + x1^2", "p1"])),
+    ):
+        dump_json(doc, paths[name])
     doc = endo_to_json(Endo.identity("P", FL1, QQ))
     dump_json({**doc, "flavor": {"kind": "standard", "n": True}}, paths["true_n_endo"])
     doc = endo_to_json(Endo.identity("P", FL1, Field("Fp", 7)))
@@ -279,6 +307,7 @@ def test_endo_document_reads_only_the_slots_of_its_flavor(tmp_path):
     assert rep["result"]["endo"]["h_image"] == "4*h"
     for doc, message in (
         (_endo_doc(FL1, [*shear, "x1"]), "expected 2 images, got 3"),
+        (_endo_doc(haug, hshear, {"h_image": 2}), "an image must be an expression string, got 2"),
         (
             _endo_doc(skew, ["xi1", "xi2"], {"k_images": ["k1_2", "k1_2"]}),
             "expected 4 slot images, got 5",
@@ -348,6 +377,10 @@ _EXPONENT_11 = "exponent 11 asks for more multiplications than the bound (bound 
             "a word of 4 letters with shifts of degree up to 2 reaches degree 2^4 (bound 10)",
         ),
         (["corpus", "--seed", "1", "--count", "11"], "--count 11 asks for more words than the bound (bound 10)"),
+        (
+            ["approximate", "--in", "missing.json", "--order", "11"],
+            "--order 11 asks for more degrees than the bound (bound 10)",
+        ),
     ],
     ids=[
         "product terms",
@@ -357,6 +390,7 @@ _EXPONENT_11 = "exponent 11 asks for more multiplications than the bound (bound 
         "word matrix entries",
         "word degree reach",
         "corpus count",
+        "approximate order",
     ],
 )
 def test_size_guard_messages(monkeypatch, make, message):

@@ -199,6 +199,8 @@ def test_print_parse_round_trip_weyl_side():
             f = random_poly(rng, QQ, flavor, cls=WeylElt)
             text = element_to_text(f, "W")
             assert parse_element(text, QQ, flavor, "W", cls=WeylElt) == f
+            # Without cls the side picks the class.
+            assert type(parse_element(text, QQ, flavor, "W")) is WeylElt
 
 
 HAUG1 = BracketFlavor("haug", 1)

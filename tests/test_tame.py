@@ -25,7 +25,13 @@ from weylift.errors import (
     WrongArity,
 )
 from weylift.linalg import mat_inv
-from weylift.serialize import canonical_json, word_from_json, word_to_json
+from weylift.serialize import (
+    canonical_json,
+    endo_from_json,
+    endo_to_json,
+    word_from_json,
+    word_to_json,
+)
 from weylift.tame import (
     SP,
     XSHIFT,
@@ -87,14 +93,33 @@ def test_empty_word_is_the_identity():
 
 
 def test_start_must_match_side_flavor_and_field():
+    # Every entry point that takes an endo or an element of another side,
+    # flavor or field refuses it through SparseElement._check_compatible.
     word = random_tame(1, 2, 2, seed=1)
-    for start, error in (
+    base = Endo.identity("P", FL1, QQ)
+    entries = {
+        "from_slots": lambda other: Endo.from_slots("P", FL1, QQ, other.slots),
+        "apply": lambda other: base.apply(other.images[0]),
+        "compose": base.compose,
+        "evaluate": lambda other: evaluate(word, "P", FL1, QQ, start=other),
+    }
+    # The center flavor has the key layout of FL1 and other names.
+    for other, error in (
         (Endo.identity("W", FL1, QQ), SideMismatch),
-        (Endo.identity("P", BracketFlavor("haug", 1), QQ), FlavorMismatch),
+        (Endo.identity("P", FL1.center_flavor(), QQ), FlavorMismatch),
         (Endo.identity("P", FL1, Field("Fp", 5)), FieldMismatch),
     ):
-        with pytest.raises(error):
-            evaluate(word, "P", FL1, QQ, start=start)
+        for entry in entries.values():
+            with pytest.raises(error):
+                entry(other)
+    doc = {**endo_to_json(base), "side": "Q"}
+    for make in (
+        lambda: Endo("Q", FL1, QQ, base.images),
+        lambda: Endo.from_slots("Q", FL1, QQ, base.slots),
+        lambda: endo_from_json(doc),
+    ):
+        with pytest.raises(SideMismatch, match=r"^side must be one of \('P', 'W'\)$"):
+            make()
 
 
 def test_two_letter_fixture():
