@@ -58,8 +58,8 @@ class BracketFlavor:
             raise WeyliftError(f"flavor needs at least one pair, got n={n!r}")
         if type(aux) is not bool:
             raise WeyliftError(f"aux must be true or false, got {aux!r}")
-        if names not in (None, ("z", "w")):
-            raise WeyliftError(f"names must be absent or ('z', 'w'), got {names!r}")
+        if names not in (None, ("z", "w")) or (names and kind == SKEW):
+            raise WeyliftError(f"names must be absent or ('z', 'w') on a paired flavor, got {names!r}")
         # Count the key slots before building any per-slot tuple: a huge n
         # would overflow or exhaust memory there.
         g = 2 * (n + aux)
@@ -117,7 +117,8 @@ class BracketFlavor:
 
     def __repr__(self):
         aux = ", aux" if self.aux else ""
-        return f"BracketFlavor({self.kind}, n={self.n}{aux})"
+        names = f", names={'/'.join(self.names)}" if self.names else ""
+        return f"BracketFlavor({self.kind}, n={self.n}{aux}{names})"
 
     # -- key construction --------------------------------------------------
 

@@ -341,12 +341,18 @@ def hn_scan(endo, n, sample_curves=0, seed=0):
     return ScanVerdict("consistent")
 
 
-def _word_is_p_integral(word, p):
-    return not any(
-        v.denominator % p == 0
+def _sigma_mod_p(sigma, word, fp):
+    """sigma over F_p when sigma and the word are p-integral, else None."""
+    if any(
+        v.denominator % fp.p == 0
         for gen in word.gens
         for v in (chain(*gen.data) if gen.kind == SP else gen.data[1].values())
-    )
+    ):
+        return None
+    try:
+        return sigma.map_coefficients(fp.from_fraction, fp)
+    except NotPIntegral:
+        return None
 
 
 def lifted_commutation_check(images, flavor):
@@ -361,13 +367,12 @@ def lift(sigma, n, primes=()):
 
     Returns (lifted, certificate).  The lifted endo is the exact
     ordered (W-side) evaluation of the approximation word, so
-    certificate["representation"] is "exact".  The certificate also records
-    stabilization between orders n-1 and n (the order n-1 word is a
-    prefix of the order-n word, see approx.stage_prefix), per-prime
-    comparison against the center morphism, canonicity under the
-    alternate corrector ordering, and the commutation table.  One walk
-    (approx.approximate_both) gives both words; a fixture_match prime is
-    checked by charp.phi_p_along_word.
+    certificate["representation"] is "exact".  One walk
+    (approx.approximate_both) gives the word and its alternate.  The
+    steps record stabilization between orders n-1 and n, canonicity under
+    the alternate corrector ordering, the commutation table, and each
+    prime against the center morphism; each writes its entries and
+    returns its verdict, and certificate["pass"] is their conjunction.
     """
     flavor, field = sigma.flavor, sigma.field
     if flavor.kind != STANDARD or flavor.aux:
@@ -382,97 +387,107 @@ def lift(sigma, n, primes=()):
         raise WeyliftError(
             "lift expects identity linear part; peel it with a tame word"
         )
-    hflavor = BracketFlavor(HAUG, flavor.pairs)
+    certificate = {"order": n, "word_length": len(word), "stages": report["stages"]}
+    trunc_n = _stabilization(certificate, sigma, word, report, n)
+    ok = _canonicity(certificate, trunc_n, word, word_alt, n)
+    exact = evaluate(word, "W", flavor, field)
+    certificate["representation"] = "exact"
+    ok = _commutation(certificate, exact) and ok
+    certificate["primes"] = {}
+    # Reduction mod p commutes with evaluating a p-integral word, so the
+    # evaluation over Q, made at the first such prime, serves every prime.
+    ev_q = None
+    for p in primes:
+        fp = Field("Fp", p)
+        sigma_p = _sigma_mod_p(sigma, word, fp)
+        if sigma_p is not None and ev_q is None:
+            ev_q = evaluate(word, "P", flavor, field, maxdeg=n - 1)
+        entry = certificate["primes"][str(p)] = {}
+        ok = _prime(entry, fp, sigma_p, ev_q, exact, word, n) and ok
+    certificate["pass"] = ok
+    return exact, certificate
+
+
+def _truncated(word, n, field, start=None):
+    """The haug W evaluation of word to graded degree n."""
+    return evaluate(word, "W", BracketFlavor(HAUG, word.n), field, maxdeg=n, start=start)
+
+
+def _stabilization(certificate, sigma, word, report, n):
+    """The order-n truncated haug lift of word.  From n = 3 on, it continues
+    the lift of the order n-1 prefix and must agree with it at heights up
+    to stable_height, or StabilizationFailure is raised."""
     deg_sigma = max(img.degree() for img in sigma.images)
     stable_height = max(1, min(n - 2, 2 * deg_sigma + STABILIZATION_MARGIN))
-
-    def truncated(gens, start=None):
-        return evaluate(
-            TameWord(word.kind, word.n, gens),
-            "W",
-            hflavor,
-            field,
-            maxdeg=n,
-            start=start,
-        )
-
-    certificate = {
-        "order": n,
-        "word_length": len(word),
-        "stages": report["stages"],
-        "stable_height": stable_height,
-    }
-
-    if n >= 3:
-        # The order n-1 word is a prefix: its evaluation continues into
-        # the order-n one.
-        cut = len(stage_prefix(word, report, n - 1))
-        trunc_prev = truncated(word.gens[:cut])
-        trunc_n = truncated(word.gens[cut:], start=trunc_prev)
-        witness = _first_difference(trunc_n.images, trunc_prev.images, stable_height)
-        certificate["stabilization"] = "pass" if witness is None else "fail"
-        if witness is not None:
-            raise StabilizationFailure(
-                f"lifted coefficients at heights up to {stable_height} changed "
-                f"between orders {n - 1} and {n}: image {witness['image']} "
-                f"first differs at height {witness['height']}"
-            )
-    else:
-        trunc_n = truncated(word.gens)
+    certificate["stable_height"] = stable_height
+    if n < 3:
         certificate["stabilization"] = "trivial"
+        return _truncated(word, n, sigma.field)
+    prefix = stage_prefix(word, report, n - 1)
+    trunc_prev = _truncated(prefix, n, sigma.field)
+    rest = TameWord(word.kind, word.n, word.gens[len(prefix) :])
+    trunc_n = _truncated(rest, n, sigma.field, start=trunc_prev)
+    witness = _first_difference(trunc_n.images, trunc_prev.images, stable_height)
+    if witness is not None:
+        raise StabilizationFailure(
+            f"lifted coefficients at heights up to {stable_height} changed "
+            f"between orders {n - 1} and {n}: image {witness['image']} "
+            f"first differs at height {witness['height']}"
+        )
+    certificate["stabilization"] = "pass"
+    return trunc_n
 
-    trunc_alt = trunc_n if word_alt == word else truncated(word_alt.gens)
+
+def _canonicity(certificate, trunc_n, word, word_alt, n):
+    """Whether the alternate word lifts as word does (trunc_n) at heights
+    up to n - 1."""
+    trunc_alt = trunc_n if word_alt == word else _truncated(word_alt, n, trunc_n.field)
     witness = _first_difference(trunc_n.images, trunc_alt.images, n - 1)
     certificate["canonicity"] = "pass" if witness is None else "fail"
     if witness is not None:
         certificate["canonicity_witness"] = witness
+    return witness is None
 
-    exact = evaluate(word, "W", flavor, field)
-    certificate["representation"] = "exact"
-    violations = lifted_commutation_check(exact.images, flavor)["violations"]
+
+def _commutation(certificate, exact):
+    """Whether the exact lift keeps every commutator of the Weyl algebra."""
+    violations = lifted_commutation_check(exact.images, exact.flavor)["violations"]
     certificate["commutation_violations"] = len(violations)
     certificate["commutation"] = "fail" if violations else "pass"
     if violations:
         certificate["commutation_witness"] = list(violations[0][:2])
+    return not violations
 
-    certificate["primes"] = {}
-    # Reduction mod p commutes with evaluating a p-integral word, so the
-    # evaluations over Q serve every prime.
-    ev_q = None
-    for p in primes:
-        fp = Field("Fp", p)
-        entry = {}
-        sigma_p = None
-        if _word_is_p_integral(word, p):
-            try:
-                sigma_p = sigma.map_coefficients(fp.from_fraction, fp)
-            except NotPIntegral:
-                pass
-        if sigma_p is None:
-            entry["status"] = "inapplicable_not_p_integral"
-            certificate["primes"][str(p)] = entry
-            continue
-        if ev_q is None:
-            ev_q = evaluate(word, "P", flavor, field, maxdeg=n - 1)
-        ev_p = [img.map_coefficients(fp.from_fraction, fp) for img in ev_q.images]
-        target_p = [img.truncate(n - 1) for img in sigma_p.images]
-        consistent = ev_p == target_p
-        entry["reduction_consistency"] = "pass" if consistent else "fail"
-        if not consistent:
-            entry["reduction_witness"] = _first_difference(ev_p, target_p, n - 1)
-        entry.update(_prime_status(exact, sigma_p, word, flavor, fp))
-        certificate["primes"][str(p)] = entry
-    certificate["pass"] = (
-        certificate["stabilization"] != "fail"
-        and certificate["canonicity"] == "pass"
-        and certificate["commutation"] == "pass"
-        and all(
-            e.get("status") != "mismatch"
-            and e.get("reduction_consistency", "pass") == "pass"
-            for e in certificate["primes"].values()
-        )
-    )
-    return exact, certificate
+
+def _prime(entry, fp, sigma_p, ev_q, exact, word, n):
+    """Whether prime fp passes: inapplicable without sigma_p (sigma mod p);
+    else ev_q, the P evaluation to order n - 1, reduces to sigma_p, and
+    phi_p of the exact lift is sigma_p ("exact") or the center morphism
+    along the word ("fixture_match"), unless it is past the bound."""
+    if sigma_p is None:
+        entry["status"] = "inapplicable_not_p_integral"
+        return True
+    ev_p = [img.map_coefficients(fp.from_fraction, fp) for img in ev_q.images]
+    target_p = [img.truncate(n - 1) for img in sigma_p.images]
+    consistent = ev_p == target_p
+    entry["reduction_consistency"] = "pass" if consistent else "fail"
+    if not consistent:
+        entry["reduction_witness"] = _first_difference(ev_p, target_p, n - 1)
+    try:
+        center = phi_p(exact, fp)
+        # The center flavor has the key layout of sigma's flavor.
+        same = [img.terms for img in center.images] == [img.terms for img in sigma_p.images]
+        expected = center if same else phi_p_along_word(word, exact.flavor, fp)
+    except ExpansionBoundExceeded:
+        entry["status"] = "skipped_expansion_budget"
+        return consistent
+    if not same and center != expected:
+        entry["status"] = "mismatch"
+        image = next(i for i, (x, y) in enumerate(zip(center.slots, expected.slots)) if x != y)
+        entry["mismatch_witness"] = {"image": image}
+        return False
+    entry["status"] = "exact" if same else "fixture_match"
+    return consistent
 
 
 def _first_difference(a, b, height):
@@ -484,23 +499,6 @@ def _first_difference(a, b, height):
         if not diff.is_zero:
             return {"image": i, "height": diff.height()}
     return None
-
-
-def _prime_status(exact, sigma_p, word, flavor, fp):
-    """Compare phi_p of the exact lift, reduced mod p, with sigma mod p:
-    {"status": ...}, with the first differing image on a mismatch."""
-    try:
-        center = phi_p(exact, fp)
-        # The center flavor has the key layout of sigma's flavor.
-        if [img.terms for img in center.images] == [img.terms for img in sigma_p.images]:
-            return {"status": "exact"}
-        expected = phi_p_along_word(word, flavor, fp)
-    except ExpansionBoundExceeded:
-        return {"status": "skipped_expansion_budget"}
-    if center == expected:
-        return {"status": "fixture_match"}
-    image = next(i for i, (x, y) in enumerate(zip(center.slots, expected.slots)) if x != y)
-    return {"status": "mismatch", "mismatch_witness": {"image": image}}
 
 
 def extend_to_aux(endo):

@@ -165,6 +165,18 @@ def test_phi_p_along_word_matches_letter_by_letter_oracle():
     assert [str(img) for img in images] == ["z1 + w1 + 1", "w1"]
 
 
+def test_phi_p_of_a_haug_lift_specializes_h():
+    # phi_p sets h = 1 first, so the haug and standard lifts of a word agree.
+    haug = BracketFlavor("haug", 1)
+    for seed in range(1, 6):
+        word = random_tame(1, 3, 3, seed)
+        for p in (3, 5, 7):
+            field = Field("Fp", p)
+            got = phi_p(evaluate(word, "W", haug, QQ), field)
+            assert got == phi_p_along_word(word, FL1, field), (seed, p)
+            assert got == phi_p(evaluate(word, "W", FL1, QQ), field), (seed, p)
+
+
 def test_phi_p_images_are_symplectic():
     for p in (2, 3, 5):
         field = Field("Fp", p)

@@ -144,6 +144,7 @@ def test_usage_errors(tmp_path):
         ["invert", "--in", "{string_rows_word}"],
         ["check", "--in", "{string_names_endo}"],
         ["compose", "{repeated_names_endo}", "{repeated_names_endo}"],
+        ["check", "--in", "{skew_names_endo}"],
         ["approximate", "--in", "{shear}", "--order", "1000000000"],
         ["lift", "--in", "{shear}", "--order", "1000000000"],
         ["invert", "--in", "{inverse_endo}", "--order", "1000000000"],
@@ -178,7 +179,8 @@ def test_bad_input_is_usage_error(tmp_path, argv):
                 "string_aux_endo", "arabic_exponent_word", "spaced_exponent_word",
                 "float_value_word", "true_value_word", "float_sp_word",
                 "string_images_endo", "string_k_images_endo", "string_rows_word",
-                "string_names_endo", "repeated_names_endo", "inverse_endo",
+                "string_names_endo", "repeated_names_endo", "skew_names_endo",
+                "inverse_endo",
             )
         },
     }
@@ -240,6 +242,11 @@ def test_bad_input_is_usage_error(tmp_path, argv):
         (
             "repeated_names_endo",
             _endo_doc(haug, ["x1 + h", "x1 + 2*h"], {"flavor": {**haug.to_json(), "names": ["x", "x"]}}),
+        ),
+        # A skew flavor's generators are xi whatever the names say.
+        (
+            "skew_names_endo",
+            _endo_doc(skew, ["xi1", "xi2"], {"flavor": {**skew.to_json(), "names": ["z", "w"]}}),
         ),
         ("inverse_endo", _endo_doc(FL1, ["x1 + x1^2", "p1"])),
     ):

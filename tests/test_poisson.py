@@ -23,7 +23,7 @@ from weylift import (
     parse_element,
     poisson_bracket,
 )
-from weylift.errors import ExpansionBoundExceeded, FlavorMismatch
+from weylift.errors import ExpansionBoundExceeded, FlavorMismatch, WeyliftError
 from weylift.flavors import HAUG, SKEW, STANDARD, Grading
 
 FLAVORS = [
@@ -194,6 +194,17 @@ def test_flavor_mismatch_rejected():
     b = Poly.generator(QQ, BracketFlavor(STANDARD, 2), 0)
     with pytest.raises(FlavorMismatch):
         a + b
+
+
+def test_flavor_mismatch_shows_the_names():
+    # The center flavor differs from its flavor by its names alone.
+    named = BracketFlavor(STANDARD, 1).center_flavor()
+    a, b = (Poly.generator(QQ, fl, 0) for fl in (named, BracketFlavor(STANDARD, 1)))
+    want = r"^BracketFlavor\(standard, n=1, names=z/w\) vs BracketFlavor\(standard, n=1\)$"
+    with pytest.raises(FlavorMismatch, match=want):
+        a + b
+    with pytest.raises(WeyliftError, match=r"on a paired flavor, got \('z', 'w'\)$"):
+        BracketFlavor(SKEW, 1, names=("z", "w"))
 
 
 def test_finite_field_arithmetic():

@@ -19,14 +19,17 @@ from weylift import (
     endo_rank,
     parse_element,
 )
+from weylift.cli import run_command
 from weylift.endo import diagonal_conjugate, element_class
 from weylift.errors import (
     DimensionMismatch,
+    ExpansionBoundExceeded,
     NotSymplectic,
     SideMismatch,
     StabilizationFailure,
     WeyliftError,
 )
+from weylift.serialize import dump_json, endo_to_json
 from weylift.singlift import (
     DiagonalCurve,
     _box_spans,
@@ -141,6 +144,18 @@ def test_extend_to_aux():
     assert ext.flavor == AUX1
     assert [str(i) for i in ext.images] == ["p1^2 + x1", "u", "p1", "v"]
     assert not bracket_violations(ext)
+
+
+def test_position_reduction_on_skew_is_undone_by_its_opposite():
+    # On skew flavors the change recomputes the k images from the bracket.
+    skew = BracketFlavor("skew", 1, aux=True)
+    endo = Endo("P", skew, QQ, [pelt(t, skew) for t in ("xi1 + xi1*xi2^2", "xi2", "u", "v")])
+    ident = Endo.identity("P", skew, QQ)
+    for pos in (0, 1):
+        moved = position_reduction(endo, pos, 2, 3)
+        assert moved != endo
+        assert position_reduction(moved, pos, -2, -3) == endo
+        assert position_reduction(ident, pos, 2, 3) == ident
 
 
 def test_special_position_needs_reduction():
@@ -423,6 +438,48 @@ def test_canonicity_failure_names_image_and_height(monkeypatch):
     assert cert["canonicity"] == "fail"
     assert cert["canonicity_witness"] == {"image": 0, "height": 2}
     assert not cert["pass"]
+
+
+def test_prime_past_the_expansion_bound_is_skipped(monkeypatch):
+    import weylift.singlift
+
+    def over(endo, fp):
+        raise ExpansionBoundExceeded("past the bound")
+
+    monkeypatch.setattr(weylift.singlift, "phi_p", over)
+    _, cert = lift(shear(), 4, primes=(5,))
+    assert cert["primes"]["5"] == {
+        "reduction_consistency": "pass",
+        "status": "skipped_expansion_budget",
+    }
+    assert cert["pass"]
+
+
+def test_mixed_word_fails_canonicity_at_order_6(tmp_path):
+    # The smallest mixed word of ROADMAP item 1: an x-shift by p1^2, then a
+    # p-shift by x1^2/2.  Its lex and alternate lifts part at order 6.
+    word = TameWord(
+        "symplectic",
+        1,
+        [ElementaryGen(XSHIFT, (0, {2: 1})), ElementaryGen(PSHIFT, (0, {2: Fraction(1, 2)}))],
+    )
+    sigma = evaluate(word, "P", FL1, QQ)
+    assert [str(img) for img in sigma.images] == [
+        "p1^2 + x1",
+        "1/2*p1^4 + x1*p1^2 + 1/2*x1^2 + p1",
+    ]
+    _, cert = lift(sigma, 5, primes=(3, 5))
+    assert cert["pass"]
+    _, cert = lift(sigma, 6, primes=(3, 5))
+    assert cert["canonicity"] == "fail"
+    assert cert["canonicity_witness"] == {"image": 0, "height": 5}
+    statuses = {k: v["status"] for k, v in cert["primes"].items()}
+    assert statuses == {"3": "fixture_match", "5": "exact"}
+    assert not cert["pass"]
+    path = str(tmp_path / "mixed_word.json")
+    dump_json(endo_to_json(sigma), path)
+    _, code = run_command(["lift", "--in", path, "--order", "6", "--primes", "3,5"])
+    assert code == 2
 
 
 def test_lift_checks_sigma_before_its_linear_part():
