@@ -27,7 +27,6 @@ from .endo import (
     Endo,
     bracket_violations,
     check_symplecto,
-    endo_rank,
     truncated_inverse,
 )
 from .errors import WeyliftError
@@ -92,7 +91,6 @@ __all__ = [
     "corrector",
     "deviation_hamiltonian",
     "element_to_text",
-    "endo_rank",
     "evaluate",
     "extend_to_aux",
     "frobenius_twist",

@@ -12,6 +12,17 @@ shift of its potential, so each stage pushes the residual one degree
 higher.  The residual moves past each corrector by the Taylor series of
 the undo shift along its constant direction (undo_shift), not by
 composing the shift into every monomial.
+
+The word is the linear letter, when the linear part is not the
+identity, then one block of letters per stage.  A stage passes each
+corrector [A^-1, shift, A] through its exactness check and then fuses it
+into its block (_fuse): the A of one corrector and the A^-1 of the next
+become one sp letter, an identity sp letter goes, and so does a shift
+whose summed polynomial vanishes.  Fusing never crosses a block, so the
+word of a lower order is a prefix (stage_prefix).  Only a stage that did
+work gets report entries: "stages" holds its number of corrector terms
+and "letters" the number of letters in its block.  The stages below the
+residual's rank have nothing to do and get none.
 """
 
 from __future__ import annotations
@@ -34,7 +45,7 @@ from .fields import QQ
 from .flavors import STANDARD
 from .poly import Poly, poisson_bracket
 from .tame import SP, XSHIFT, ElementaryGen, TameWord, evaluate, gen_endo
-from .linalg import identity_matrix, symplectic_completion
+from .linalg import identity_matrix, mat_mul, symplectic_completion
 
 
 def hamiltonian_field(h):
@@ -246,10 +257,6 @@ def waring_decompose(h, tie_break="lex"):
     return terms
 
 
-#: Letters in one corrector word: conjugate, shift, conjugate back.
-CORRECTOR_LETTERS = 3
-
-
 def corrector(term, flavor):
     """Word evaluating exactly to the unit shift of the term over Q.
 
@@ -362,28 +369,64 @@ def _start(endo, n_target):
     return word_gens, residual
 
 
+def _fuse(block, gens, ident):
+    """Push the letters gens onto block, a stage's fused letters as
+    (kind, data) with an sp letter's matrix in Q raw values.
+
+    Adjacent sp letters become one product matrix, the later letter on
+    the left as evaluate reads them; adjacent shifts of one kind and pair
+    add their polynomials; a letter that comes out as the identity is
+    dropped.  Both merges give the same endo on every side, so the block
+    evaluates as the unfused letters do.
+    """
+    for gen in gens:
+        top = block[-1] if block else None
+        if gen.kind == SP:
+            data = [[QQ.from_fraction(v) for v in row] for row in gen.data]
+            if top is not None and top[0] == SP:
+                block.pop()
+                data = mat_mul(data, top[1])
+            if data != ident:
+                block.append((SP, data))
+            continue
+        index, poly = gen.data
+        if top is not None and top[0] == gen.kind and top[1][0] == index:
+            block.pop()
+            summed = dict(top[1][1])
+            for e, c in poly.items():
+                summed[e] = summed.get(e, 0) + c
+            poly = {e: c for e, c in summed.items() if c}
+        if poly:
+            block.append((gen.kind, (index, poly)))
+
+
 def _walk(word_gens, residual, first, n_target, tie_break, report, alt=None):
     """Stages first .. n_target - 1: (word, report).  An empty alt list gets
     the alt result, forked at the first stage whose alt split differs."""
     flavor = residual.flavor
+    ident = identity_matrix(QQ, flavor.main_count)
     # The residual is the identity below degree rank, so those stages have
-    # nothing to do; past an identity residual (rank inf) none has.  A
-    # stage that works has k == rank, so some degree-k deviation is nonzero.
+    # nothing to do and get no entry; past an identity residual (rank inf)
+    # none has.  A stage that works has k == rank, so some degree-k
+    # deviation is nonzero.
     devs = residual.deviations()
     rank = min(d.height() for d in devs)
     for k in range(first, n_target):
         if k < rank:
-            report["stages"][k] = 0
             continue
         h = deviation_hamiltonian([d.homogeneous_part(k) for d in devs], k)
         terms = waring_decompose(h, tie_break)
         if alt == [] and waring_decompose(h, "alt") != terms:
-            fork = {"stages": dict(report["stages"]), "tie_break": "alt"}
+            fork = {key: dict(report[key]) for key in ("stages", "letters")}
+            fork["tie_break"] = "alt"
             alt.append(_walk(list(word_gens), residual, k, n_target, "alt", fork))
-        report["stages"][k] = len(terms)
+        block = []
         for term in terms:
-            word_gens.extend(corrector(term, flavor))
+            _fuse(block, corrector(term, flavor), ident)
             residual = undo_shift(residual, term, n_target - 1)
+        word_gens += [ElementaryGen(kind, data) for kind, data in block]
+        report["stages"][k] = len(terms)
+        report["letters"][k] = len(block)
         devs = residual.deviations()
         rank = min(d.height() for d in devs)
         if rank <= k:
@@ -395,10 +438,11 @@ def _walk(word_gens, residual, first, n_target, tie_break, report, alt=None):
 def approximate(endo, n_target, tie_break="lex"):
     """Tame word agreeing with the endo below degree n_target.
 
-    Returns (word, report).  The report lists the number of corrector
-    terms per stage and the final residual height.
+    Returns (word, report).  The report maps each stage that did work to
+    its number of corrector terms ("stages") and to the number of fused
+    letters it emitted ("letters"), and gives the final residual height.
     """
-    report = {"stages": {}, "tie_break": tie_break}
+    report = {"stages": {}, "letters": {}, "tie_break": tie_break}
     return _walk(*_start(endo, n_target), 2, n_target, tie_break, report)
 
 
@@ -406,7 +450,7 @@ def approximate_both(endo, n_target):
     """(approximate(endo, n_target), approximate(endo, n_target, "alt")) from
     one validation and one lex walk: equal Waring terms give equal correctors
     and residuals, so the alt stages fork off at the first differing split."""
-    alt, report = [], {"stages": {}, "tie_break": "lex"}
+    alt, report = [], {"stages": {}, "letters": {}, "tie_break": "lex"}
     lex = _walk(*_start(endo, n_target), 2, n_target, "lex", report, alt)
     return lex, alt[0] if alt else (lex[0], {**report, "tie_break": "alt"})
 
@@ -417,9 +461,11 @@ def stage_prefix(word, report, n_target):
 
     Stage k reads only the degree-k residual, so the stages below
     n_target run alike at both orders: the prefix is the linear letter,
-    if there is one, then the correctors of those stages.
+    if there is one, then the letters of those stages, which
+    report["letters"] counts.  Fusing stays within a stage, so the cut
+    falls between two blocks.
     """
-    stages = report["stages"]
-    linear = len(word) - CORRECTOR_LETTERS * sum(stages.values())
-    kept = sum(count for k, count in stages.items() if k < n_target)
-    return TameWord(word.kind, word.n, word.gens[: linear + CORRECTOR_LETTERS * kept])
+    letters = report["letters"]
+    linear = len(word) - sum(letters.values())
+    kept = sum(count for k, count in letters.items() if k < n_target)
+    return TameWord(word.kind, word.n, word.gens[: linear + kept])

@@ -12,8 +12,6 @@ the paired convention on the plain commutative side.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .endo import Endo
 from .errors import (
     InternalCentralityFailure,
@@ -123,7 +121,7 @@ def phi_p_along_word(word, flavor, field):
 
 
 def _lift_coefficient(field, c, shift):
-    return Fraction(int(c) + field.p * shift)
+    return int(c) + field.p * shift
 
 
 def _lift_center(poly, shifts=None):
@@ -161,7 +159,7 @@ def center_bracket(a, b, shifts=None):
     for key, c in comm.terms.items():
         if c.denominator != 1 or c.numerator % p:
             raise NotDivisibleByP(f"commutator coefficient {c} is not divisible by {p}")
-        divided[key] = Fraction(c.numerator // p)
+        divided[key] = c.numerator // p
     reduced = WeylElt(
         field, la.flavor, {key: field.from_fraction(c) for key, c in divided.items()}
     )

@@ -34,9 +34,10 @@ def sweep(field: Field, terms: dict) -> dict:
     core finishes a sum of terms.
 
     Over F_p the sums may be unreduced ints, taken with the plain
-    operators; each is reduced mod p here, once.  A zero Fraction is
-    falsy.  Extensions F_{p^k}, k > 1, sum with Field.add and compare
-    with zero.
+    operators; each is reduced mod p here, once.  Over Q a sum of
+    Fractions can be integral, and it becomes an int here, so every raw
+    value stays an int or a Fraction with denominator above 1 (fields).
+    Extensions F_{p^k}, k > 1, sum with Field.add and compare with zero.
     """
     if field.k > 1:
         zero = field.zero()
@@ -44,7 +45,11 @@ def sweep(field: Field, terms: dict) -> dict:
     p = field.char
     if p:
         return {key: r for key, c in terms.items() if (r := c % p)}
-    return {key: c for key, c in terms.items() if c}
+    return {
+        key: c if type(c) is int or c.denominator != 1 else c.numerator
+        for key, c in terms.items()
+        if c
+    }
 
 
 def sum_terms(field: Field, pairs) -> dict:

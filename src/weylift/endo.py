@@ -269,12 +269,6 @@ def check_symplecto(endo):
         )
 
 
-def endo_rank(endo):
-    """Least graded degree where the endo deviates from the identity."""
-    heights = [d.height() for d in endo.deviations()]
-    return min(heights) if heights else math.inf
-
-
 def truncated_inverse(endo, n):
     """Endo psi with compose(endo, psi) = Id modulo degrees above n.
 

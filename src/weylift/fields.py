@@ -1,9 +1,16 @@
 """Exact coefficient fields: the rationals and F_{p^k} for k <= 3.
 
 A Field object performs arithmetic on raw values and never wraps them:
-rationals are Fraction, prime fields are int in [0, p), and extensions
-are coefficient tuples of length k over the modulus basis 1, a, ..,
-a^(k-1).
+prime fields are int in [0, p), and extensions are coefficient tuples of
+length k over the modulus basis 1, a, .., a^(k-1).
+
+A rational is an int when it is integral and a Fraction with denominator
+above 1 otherwise, so the product and bracket kernels, which take the
+plain operators on raw values, run on machine ints wherever they can.
+Every Q method returns a value of that form: add, sub and mul turn an
+integral Fraction result back into an int, and inv, div and pow_int go
+through Fraction, since int / int would give a float.  elements.sweep
+does the same for the sums the kernels build.
 """
 
 from __future__ import annotations
@@ -19,7 +26,11 @@ from .errors import (
 
 _MAX_PRIME = 2**31
 _MAX_EXT_DEGREE = 3
-_Q_ZERO, _Q_ONE = Fraction(0), Fraction(1)  # immutable, so shared
+
+
+def _rational(q):
+    """q as a Q raw value: its numerator when it is integral, else q."""
+    return q if type(q) is int or q.denominator != 1 else q.numerator
 
 
 def _is_prime(p: int) -> bool:
@@ -111,17 +122,17 @@ class Field:
 
     def zero(self):
         if self.kind == "Q":
-            return _Q_ZERO
+            return 0
         return 0 if self.k == 1 else (0,) * self.k
 
     def one(self):
         if self.kind == "Q":
-            return _Q_ONE
+            return 1
         return 1 if self.k == 1 else (1,) + (0,) * (self.k - 1)
 
     def from_int(self, n: int):
         if self.kind == "Q":
-            return Fraction(n)
+            return n
         if self.k == 1:
             return n % self.p
         return (n % self.p,) + (0,) * (self.k - 1)
@@ -130,7 +141,7 @@ class Field:
         """The raw value of an int or Fraction q, read off its numerator
         and denominator; over F_{p^k} that is its reduction mod p."""
         if self.kind == "Q":
-            return q if isinstance(q, Fraction) else Fraction(q)
+            return _rational(q)
         den = q.denominator
         if den % self.p == 0:
             raise NotPIntegral(f"{q} has denominator divisible by {self.p}")
@@ -152,14 +163,14 @@ class Field:
 
     def add(self, a, b):
         if self.kind == "Q":
-            return a + b
+            return _rational(a + b)
         if self.k == 1:
             return (a + b) % self.p
         return tuple((x + y) % self.p for x, y in zip(a, b))
 
     def sub(self, a, b):
         if self.kind == "Q":
-            return a - b
+            return _rational(a - b)
         if self.k == 1:
             return (a - b) % self.p
         return tuple((x - y) % self.p for x, y in zip(a, b))
@@ -173,7 +184,7 @@ class Field:
 
     def mul(self, a, b):
         if self.kind == "Q":
-            return a * b
+            return _rational(a * b)
         if self.k == 1:
             return (a * b) % self.p
         return self._reduce_poly([
@@ -204,7 +215,7 @@ class Field:
         if self.is_zero(a):
             raise DivisionByZero("inverse of zero")
         if self.kind == "Q":
-            return 1 / a
+            return _rational(1 / Fraction(a))
         if self.k == 1:
             return pow(a, self.p - 2, self.p)
         return self.pow_int(a, self.order - 2)
@@ -213,14 +224,14 @@ class Field:
         if self.is_zero(b):
             raise DivisionByZero("division by zero")
         if self.kind == "Q":
-            return a / b
+            return _rational(Fraction(a) / b)
         return self.mul(a, self.inv(b))
 
     def pow_int(self, a, e: int):
         if e < 0:
             return self.pow_int(self.inv(a), -e)
         if self.kind == "Q":
-            return a**e
+            return _rational(a**e)
         if self.k == 1:
             return pow(a, e, self.p)
         acc = self.one()

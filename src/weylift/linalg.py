@@ -1,18 +1,21 @@
 """The one matrix module: dense matrices and the symplectic form J.
 
 Matrices are plain lists of rows of at most a few dozen entries.
-identity_matrix, transpose, mat_mul and mat_inv (Gauss-Jordan, first
-nonzero pivot) work on raw values of any field.  is_symplectic,
+identity_matrix, transpose and mat_inv (Gauss-Jordan, first nonzero
+pivot) work on raw values of any field.  mat_mul, is_symplectic,
 symplectic_inverse and symplectic_completion work on Q values with the
-plain operators and read J as the signed permutation of flavors.partner:
-row i holds sign_i at column s_i, so a^T J b = sum_i sign_i a_i b_(s_i).
+plain operators; the last three read J as the signed permutation of
+flavors.partner: row i holds sign_i at column s_i, so
+a^T J b = sum_i sign_i a_i b_(s_i).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul as _mul
 
 from .errors import SingularLinearPart, WeyliftError, ZeroCovector
+from .fields import QQ
 from .flavors import partner
 
 
@@ -25,20 +28,10 @@ def transpose(a):
     return [list(col) for col in zip(*a)]
 
 
-def mat_mul(field, a, b):
-    n, k, m = len(a), len(b), len(b[0])
-    out = [[field.zero()] * m for _ in range(n)]
-    for i in range(n):
-        row = a[i]
-        acc = out[i]
-        for t in range(k):
-            x = row[t]
-            if field.is_zero(x):
-                continue
-            brow = b[t]
-            for j in range(m):
-                acc[j] = field.add(acc[j], field.mul(x, brow[j]))
-    return out
+def mat_mul(a, b):
+    """a b with the plain operators, its entries Q raw values (fields)."""
+    cols = list(zip(*b))
+    return [[QQ.from_fraction(sum(map(_mul, row, col))) for col in cols] for row in a]
 
 
 def mat_inv(field, a):
@@ -98,8 +91,9 @@ def symplectic_completion(covector):
     """Matrix A with A symplectic and apply(linear(A), c . g) = first momentum.
 
     Builds a symplectic basis B whose first momentum column is the
-    covector and returns (B^T)^(-1) as Fractions.  The steps run on
-    Python ints, leaving them only where the scale divides inexactly.
+    covector and returns (B^T)^(-1) as Q raw values (fields): the steps
+    run on Python ints, leaving them for a Fraction only where the scale
+    divides inexactly.
     """
     c = list(covector)
     if not any(c):
@@ -137,4 +131,4 @@ def symplectic_completion(covector):
     cols = basis_u + basis_v
     if not is_symplectic(transpose(cols)):
         raise WeyliftError("completion produced a non-symplectic basis")
-    return [[Fraction(x) for x in row] for row in symplectic_inverse(cols)]
+    return [[QQ.from_fraction(x) for x in row] for row in symplectic_inverse(cols)]

@@ -236,7 +236,7 @@ def random_symplectic_matrix(n, rng):
         else:
             i, j = rng.sample(range(n), 2)
             factor = _cross_transvection(n, i, j, rng.choice([-2, -1, 1, 2]))
-        acc = mat_mul(QQ, acc, factor)
+        acc = mat_mul(acc, factor)
     return acc
 
 

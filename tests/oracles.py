@@ -8,7 +8,8 @@ placed by u b a = (u a) b + u [b, a], [b, a] being central, and each
 (u, a) result is cached per flavor.  The commutative oracles go through sympy,
 and the Poisson oracle builds {f, g} from partial-derivative elements
 and their products.
-The word oracle composes one endo per letter, rightmost first, and the
+The word oracle composes one endo per letter, rightmost first, endo_rank
+reads the least height of the deviations, and the
 center-along-a-word oracle composes phi_p of one letter at a time.  The
 commutator oracle builds both products and subtracts, the
 centrality oracle commutes with every generator, the completion oracle
@@ -18,6 +19,7 @@ rationals through a Fraction round trip.  The pole-scan oracle walks every
 witness and sampled curve and tests each on every key of the images.
 """
 
+import math
 import random
 from fractions import Fraction
 from operator import add, mul
@@ -351,6 +353,12 @@ def sympy_jacobian(images, syms):
 
 # ---------------------------------------------------------------- scalars
 
+def is_q_raw(c):
+    """Whether c has the form of a Q raw value: an int, or a Fraction with
+    denominator above 1."""
+    return type(c) is int or (type(c) is Fraction and c.denominator > 1)
+
+
 def oracle_from_fraction(field, q):
     """A rational as a raw field value, through a Fraction round trip and
     Field.div."""
@@ -447,10 +455,16 @@ def _dense_omega(field, flavor):
 def oracle_is_symplectic(a, flavor):
     """A^T J A == J with J dense from flavor.omega and products from mat_mul."""
     j = _dense_omega(QQ, flavor)
-    return mat_mul(QQ, mat_mul(QQ, transpose(a), j), a) == j
+    return mat_mul(mat_mul(transpose(a), j), a) == j
 
 
 # ------------------------------------------------------------- tame words
+
+def endo_rank(endo):
+    """Least graded degree where the endo deviates from the identity."""
+    heights = [d.height() for d in endo.deviations()]
+    return min(heights) if heights else math.inf
+
 
 def oracle_evaluate(word, side, flavor, field, maxdeg=None):
     """g1 . .. . gk by composing gen_endo(g) after the accumulated endo,

@@ -11,7 +11,7 @@ import time
 from fractions import Fraction
 from functools import lru_cache
 
-from oracles import oracle_mul, oracle_power, random_poly
+from oracles import endo_rank, oracle_mul, oracle_power, random_poly
 from weylift import (
     BracketFlavor,
     Endo,
@@ -24,7 +24,6 @@ from weylift import (
 )
 from weylift.charp import center_bracket, phi_p
 from weylift.cli import run_command
-from weylift.endo import endo_rank
 from weylift.errors import NotPIntegral
 from weylift.flavors import HAUG, SKEW, STANDARD
 from weylift.grammar import element_to_text
@@ -265,7 +264,9 @@ def test_05_tame_approximation_corpus():
         approx_word, report = approximate(sigma, 6)
         height = report["residual_height"]
         assert height is None or height >= 6, (word, report)
-        assert sorted(report["stages"]) == [2, 3, 4, 5]
+        # Only the stages that did work are listed, each with its letters.
+        assert set(report["stages"]) <= {2, 3, 4, 5} and all(report["stages"].values())
+        assert report["letters"].keys() == report["stages"].keys()
         # progress is monotone: the order-4 word already matches below 4,
         # the order-6 word matches below 6
         for order, w in ((4, approximate(sigma, 4)[0]), (6, approx_word)):

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import random_poly
+from oracles import endo_rank, random_poly
 from weylift import (
     BracketFlavor,
     Endo,
@@ -15,7 +15,6 @@ from weylift import (
     bracket_violations,
     check_symplecto,
     element_to_text,
-    endo_rank,
     parse_element,
     truncated_inverse,
 )

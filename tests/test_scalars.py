@@ -3,13 +3,25 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from oracles import oracle_from_fraction
-from weylift import Field, QQ
+from oracles import (
+    is_q_raw,
+    oracle_commutative_mul,
+    oracle_from_fraction,
+    oracle_mul,
+    oracle_poisson_bracket,
+    random_poly,
+)
+from weylift import BracketFlavor, Endo, Field, Poly, QQ
+from weylift.approx import WaringTerm, hamiltonian_shift_endo, undo_shift
+from weylift.elements import leibniz_bracket, ordered_mul, substitute
+from weylift.endo import element_class
 from weylift.errors import DivisionByZero, NotFiniteField, NotPIntegral
+from weylift.flavors import HAUG, SKEW, STANDARD
 
 rationals = st.fractions(max_denominator=10**4)
+FL1, FL2 = BracketFlavor(STANDARD, 1), BracketFlavor(STANDARD, 2)
 
 
 @given(rationals, rationals)
@@ -121,8 +133,119 @@ def test_from_fraction_matches_fraction_round_trip(field):
 def test_from_fraction_over_q_keeps_fractions():
     q = Fraction(-7, 3)
     assert QQ.from_fraction(q) is q
-    for n in (-2, 0, 5):
+    # An integral value is an int, whatever it comes in as.
+    for n in (-2, 0, 5, Fraction(-2), Fraction(0), Fraction(10, 2)):
         got = QQ.from_fraction(n)
-        assert got == oracle_from_fraction(QQ, n) and type(got) is Fraction
-    assert QQ.zero() is QQ.zero() and QQ.zero() == Fraction(0)
-    assert QQ.one() is QQ.one() and QQ.one() == Fraction(1)
+        assert got == oracle_from_fraction(QQ, n) and type(got) is int
+    consts = (QQ.zero(), QQ.one(), QQ.from_int(-3))
+    assert consts == (0, 1, -3) and [type(v) for v in consts] == [int] * 3
+
+
+def test_q_division_stays_exact():
+    # int / int would be a float: inv, div and pow_int go through Fraction.
+    got = [QQ.inv(3), QQ.div(1, 3), QQ.pow_int(2, -1), QQ.from_fraction(Fraction(6, 3))]
+    assert got == [Fraction(1, 3), Fraction(1, 3), Fraction(1, 2), 2]
+    assert [type(v) for v in got] == [Fraction, Fraction, Fraction, int]
+    assert all(is_q_raw(v) for v in got)
+    assert type(QQ.div(6, 3)) is int and type(QQ.inv(Fraction(1, 4))) is int
+    assert type(QQ.pow_int(Fraction(1, 2), 0)) is int
+
+
+@given(rationals, rationals)
+def test_q_results_are_raw_values(a, b):
+    a, b = QQ.from_fraction(a), QQ.from_fraction(b)
+    results = [QQ.add(a, b), QQ.sub(a, b), QQ.mul(a, b), QQ.neg(a), QQ.pow_int(a, 3)]
+    if b != 0:
+        results += [QQ.div(a, b), QQ.inv(b), QQ.pow_int(b, -2)]
+    assert all(is_q_raw(v) for v in results), results
+
+
+@st.composite
+def _q_elements(draw):
+    """(a, b, ell) on one side and flavor over Q, with integral and
+    fractional coefficients; ell has main degree at most 1."""
+    side = draw(st.sampled_from("PW"))
+    flavor = BracketFlavor(draw(st.sampled_from([STANDARD, HAUG, SKEW])), draw(st.sampled_from([1, 2])))
+    cls, g = element_class(side), flavor.main_count
+    central = [flavor.h_slot] * flavor.has_h + list(range(flavor.k_start, flavor.t_slot))
+
+    def element(main_key):
+        terms = []
+        for _ in range(draw(st.integers(1, 4))):
+            key = main_key() + [0] * (flavor.key_len - g)
+            for slot in central:
+                key[slot] = draw(st.integers(0, 1))
+            c = Fraction(draw(st.integers(-6, 6)), draw(st.sampled_from([1, 1, 2, 3])))
+            terms.append((tuple(key), QQ.from_fraction(c)))
+        return cls.from_terms(QQ, flavor, terms)
+
+    def any_key():
+        return [draw(st.integers(0, 2)) for _ in range(g)]
+
+    def linear_key():
+        key = [0] * g
+        slot = draw(st.integers(-1, g - 1))
+        if slot >= 0:
+            key[slot] = 1
+        return key
+
+    return element(any_key), element(any_key), element(linear_key)
+
+
+def _assert_q_values(got, want):
+    assert got == want
+    assert all(is_q_raw(c) for c in got.terms.values()), got.terms
+
+
+@settings(max_examples=150, deadline=None)
+@given(_q_elements(), st.one_of(st.none(), st.integers(0, 6)))
+def test_q_kernels_keep_raw_values(case, maxdeg):
+    # Products, brackets and substitutions over Q hold ints and Fractions
+    # with denominator above 1 only, and equal the oracles' values.
+    a, b, ell = case
+    flavor = a.flavor
+    weyl = type(a) is not Poly
+    if weyl and flavor.kind == STANDARD:
+        maxdeg = None  # the standard Weyl product has no graded truncation
+    pairs = flavor.contractions if weyl else ()
+
+    def oracle_product(x, y):
+        exact = oracle_mul(x, y) if weyl else oracle_commutative_mul(x, y)
+        return exact if maxdeg is None else exact.truncate(maxdeg)
+
+    _assert_q_values(ordered_mul(a, b, pairs, maxdeg), oracle_product(a, b))
+    if weyl:
+        want = oracle_mul(a, ell) - oracle_mul(ell, a)
+        _assert_q_values(leibniz_bracket(a, ell, flavor.contractions), want)
+    else:
+        _assert_q_values(leibniz_bracket(a, b, flavor.contractions), oracle_poisson_bracket(a, b))
+    c = QQ.from_fraction(Fraction(-3, 2))
+    parts = [(None, [(0, 2), (1, 1)], c), (None, [(1, 1)], 2)]
+    got = substitute([a, b], parts, lambda x, y: ordered_mul(x, y, pairs, maxdeg))
+    _assert_q_values(got, oracle_product(oracle_product(a, a), b).scale(c) + b.scale(2))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([FL1, FL2]),
+    st.lists(st.integers(-2, 2), min_size=4, max_size=4),
+    st.fractions(max_denominator=4),
+    st.integers(2, 4),
+    st.integers(2, 6),
+    st.randoms(use_true_random=False),
+)
+def test_undo_shift_keeps_raw_values(flavor, covector, lam, d, maxdeg, rng):
+    # undo_shift against the substitution of the shift into every monomial,
+    # on a residual without constant terms, truncated as approximate keeps it.
+    g = flavor.main_count
+    covector = covector[:g] if any(covector[:g]) else [1] * g
+    images = []
+    for i in range(g):
+        extra = random_poly(rng, QQ, flavor, max_deg=3).scale(Fraction(1, rng.randint(1, 3)))
+        extra = (extra - extra.homogeneous_part(0)).truncate(maxdeg)
+        images.append(Poly.generator(QQ, flavor, i) + extra)
+    term = WaringTerm(lam or Fraction(1, 2), covector, d)
+    got = undo_shift(Endo("P", flavor, QQ, images), term, maxdeg)
+    undo = hamiltonian_shift_endo(-term.potential(QQ, flavor))
+    for img, want in zip(got.images, undo.compose(Endo("P", flavor, QQ, images), maxdeg).images):
+        _assert_q_values(img, want)
