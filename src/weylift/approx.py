@@ -11,7 +11,10 @@ power's covector.  Every corrector word evaluates exactly to the unit
 shift of its potential, so each stage pushes the residual one degree
 higher.  The residual moves past each corrector by the Taylor series of
 the undo shift along its constant direction (undo_shift), not by
-composing the shift into every monomial.
+composing the shift into every monomial.  From _start to the end of
+the walk the residual is scaled, int numerators over one denominator
+per image (undo_shift), so the walk runs on machine ints; only the
+degree-k deviation handed to deviation_hamiltonian is divided.
 
 The word is the linear letter, when the linear part is not the
 identity, then one block of letters per stage.  A stage passes each
@@ -28,8 +31,7 @@ residual's rank have nothing to do and get none.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
-from math import factorial, gcd, prod
+from math import factorial, gcd, lcm, prod
 
 from .elements import sum_terms
 from .endo import Endo, check_symplecto, refuse_constant_terms
@@ -100,12 +102,13 @@ def deviation_hamiltonian(deviations, k):
 class WaringTerm:
     """lam * (covector . generators)^degree with a primitive covector.
 
-    The expanded potential is kept on the term after its first use: the
+    The power L^(degree - 1) of the form L and the expanded potential
+    L^(degree - 1) L lam are kept on the term after their first use: the
     re-expansion check, the corrector's exactness check and the undo
-    shift all read it.
+    shift all read them.
     """
 
-    __slots__ = ("lam", "covector", "degree", "_expanded")
+    __slots__ = ("lam", "covector", "degree", "_power", "_expanded")
 
     def __init__(self, lam, covector, degree):
         if all(v == 0 for v in covector):
@@ -113,7 +116,7 @@ class WaringTerm:
         self.lam = lam
         self.covector = tuple(int(v) for v in covector)
         self.degree = int(degree)
-        self._expanded = None
+        self._power = self._expanded = None
 
     def __repr__(self):
         return f"WaringTerm({self.lam}, {self.covector}, {self.degree})"
@@ -139,13 +142,19 @@ class WaringTerm:
             ],
         )
 
+    def power(self, field, flavor):
+        """L^(degree - 1), L the form."""
+        cached = self._power
+        if cached is None or cached.field != field or cached.flavor != flavor:
+            cached = self._power = self.form(field, flavor) ** (self.degree - 1)
+        return cached
+
     def potential(self, field, flavor):
         cached = self._expanded
-        if cached is not None and cached.field == field and cached.flavor == flavor:
-            return cached
-        form = self.form(field, flavor)
-        self._expanded = (form ** self.degree).scale(field.from_fraction(self.lam))
-        return self._expanded
+        if cached is None or cached.field != field or cached.flavor != flavor:
+            product = self.power(field, flavor) * self.form(field, flavor)
+            cached = self._expanded = product.scale(field.from_fraction(self.lam))
+        return cached
 
 
 def _canonical_covector(vec, d):
@@ -159,7 +168,7 @@ def _canonical_covector(vec, d):
     if lead < 0:
         sign = -1
         vec = tuple(-v for v in vec)
-    return Fraction(sign * g) ** d, vec
+    return (sign * g) ** d, vec
 
 
 def _lattice(u, d):
@@ -226,26 +235,30 @@ def waring_decompose(h, tie_break="lex"):
     used = [i for i in range(g) if any(e[i] for e in exps.values())]
     alt = tie_break == "alt"
     signs = [(-1) ** i if alt else 1 for i in range(len(used))]
-    # c_b = h_b / multinomial(d; b), times signs^b on the alternating basis.
+    # c_b = h_b / multinomial(d; b) = h_b prod(b!) / d!, times signs^b on
+    # the alternating basis: ints over the one denominator den d!.
+    fd = factorial(d)
+    den = lcm(*(c.denominator for c in h.terms.values()))
     rhs = {}
     for key, coeff in h.terms.items():
         b = tuple(exps[key][i] for i in used)
-        c = Fraction(coeff) / (factorial(d) // prod(factorial(e) for e in b))
+        c = coeff.numerator * (den // coeff.denominator) * prod(map(factorial, b))
         rhs[b] = -c if alt and sum(b[1::2]) % 2 else c
+    # lam_a = sum_b numer_b c_b / (d^d prod(a!)), over den d! d! d^d.
     acc = {}
     for a in _lattice(len(used), d):
         numer = _lagrange_numerator(a, d)
         lam = sum(numer.get(b, 0) * c for b, c in rhs.items())
         if not lam:
             continue
-        lam /= d ** d * prod(factorial(e) for e in a)
         vec = [0] * g
         for i, s, e in zip(used, signs, a):
             vec[i] = s * e
         scale, vec = _canonical_covector(vec, d)
-        acc[vec] = acc.get(vec, Fraction(0)) + lam * scale
+        acc[vec] = acc.get(vec, 0) + lam * scale * (fd // prod(map(factorial, a)))
+    den *= fd * fd * d**d
     terms = [
-        WaringTerm(lam, vec, d) for vec, lam in sorted(acc.items()) if lam
+        WaringTerm(Fraction(lam, den), vec, d) for vec, lam in sorted(acc.items()) if lam
     ]
     if alt:
         terms.reverse()
@@ -269,7 +282,7 @@ def corrector(term, flavor):
         raise WeyliftError("corrector terms need degree at least 2")
     a = symplectic_completion(term.covector)
     shift = ElementaryGen(XSHIFT, (0, {d - 1: term.lam * d}))
-    gen_a = ElementaryGen(SP, tuple(map(tuple, a)))
+    gen_a = ElementaryGen(SP, a)
     inv_a = gen_a.inverse()
     gens = [inv_a, shift, gen_a]
     got = evaluate(TameWord("symplectic", n, gens), "P", flavor, QQ)
@@ -293,54 +306,91 @@ def _derivative_along(elem, v):
     return out
 
 
-def undo_shift(residual, term, maxdeg):
-    """The residual after the shift by minus the term's potential, to maxdeg.
+def _scaled(img):
+    """(N, D) with N = D img, D the lcm of img's denominators."""
+    den = lcm(*(c.denominator for c in img.terms.values()))
+    num = Poly(img.field, img.flavor)
+    num.terms = {key: c.numerator * (den // c.denominator) for key, c in img.terms.items()}
+    return num, den
 
-    The corrector of lam L^d, L = c . g, evaluates to the shift by that
-    potential; the shift by minus it, g -> g + s L^(d-1) v with s = -lam d
-    and v_j = omega(c(j), j) c_c(j), undoes it.  X_h kills L, so L stays
-    put along the move and each image is its Taylor series along v:
+
+def undo_shift(residual, term, maxdeg):
+    """The scaled residual after the shift by minus the term's potential,
+    to maxdeg.
+
+    A scaled residual holds one pair (N_j, D_j) per image R_j = N_j / D_j:
+    N_j with int coefficients and an int D_j >= 1 prime to their gcd, so
+    D_j is the lcm of R_j's denominators.  The corrector of lam L^d,
+    L = c . g, evaluates to the shift by that potential; the shift by
+    minus it, g -> g + s L^(d-1) v with s = -lam d and
+    v_j = omega(c(j), j) c_c(j), undoes it.  X_h kills L, so L stays put
+    along the move and each image is its Taylor series along v:
 
         R_j(g + s L^(d-1) v) = sum_m (s L^(d-1))^m / m! d_v^m R_j,
 
     exact and finite over characteristic 0.  This equals
     hamiltonian_shift_endo(-potential).compose(residual, maxdeg)
-    and skips substituting the shift into every monomial.  The factors
-    F_m = (s L^(d-1))^m / m! are shared by all images and built only
-    when some image still has a nonzero m-th derivative along v; the
-    series stops at the first factor that truncates to zero.
+    and skips substituting the shift into every monomial.  With s = a / b
+    and M the last m an image uses, the sum of a^m b^(M-m) M!/m!
+    L^(m(d-1)) d_v^m N_j over D_j b^M M!, both divided by their gcd, is
+    the new pair.  The powers L^(m(d-1)) are shared by all images and
+    built only when some image still has a nonzero m-th derivative along
+    v; the series stops at the first power that truncates to zero.
     """
-    flavor, field = residual.flavor, residual.field
+    num, _ = residual[0]
+    flavor, field = num.flavor, num.field
     v = []
     for j in range(flavor.main_count):
-        a = flavor.conjugate_index(j)
-        if term.covector[a]:
-            v.append((j, flavor.omega(a, j) * term.covector[a]))
-    d = term.degree
-    step = (term.form(field, flavor) ** (d - 1)).truncate(maxdeg)
-    step = step.scale(field.from_fraction(-term.lam * d))
-    factors = [step]
-    images = []
-    for img in residual.images:
-        parts = [img.terms.items()]
-        deriv, m = _derivative_along(img, v), 1
+        cj = flavor.conjugate_index(j)
+        if term.covector[cj]:
+            v.append((j, flavor.omega(cj, j) * term.covector[cj]))
+    step = term.power(field, flavor).truncate(maxdeg)
+    s = -term.lam * term.degree
+    a, b = s.numerator, s.denominator
+    powers = [step]
+    out = []
+    for num, den in residual:
+        series = [num]
+        deriv = _derivative_along(num, v)
         while not deriv.is_zero:
-            if m > len(factors):
-                factors.append(
-                    factors[-1].mul_truncated(step, maxdeg).scale(field.inv(field.from_int(m)))
-                )
-            if factors[m - 1].is_zero:
+            m = len(series)
+            if m > len(powers):
+                powers.append(powers[-1].mul_truncated(step, maxdeg))
+            if powers[m - 1].is_zero:
                 break
-            parts.append(factors[m - 1].mul_truncated(deriv, maxdeg).terms.items())
-            deriv, m = _derivative_along(deriv, v), m + 1
-        out = Poly(field, flavor)
-        out.terms = sum_terms(field, chain.from_iterable(parts))
-        images.append(out)
-    return Endo("P", flavor, field, images)
+            series.append(powers[m - 1].mul_truncated(deriv, maxdeg))
+            deriv = _derivative_along(deriv, v)
+        top = len(series) - 1
+        if not top:
+            out.append((num, den))
+            continue
+        fact = factorial(top)
+        weights = [a**m * b ** (top - m) * (fact // factorial(m)) for m in range(top + 1)]
+        img = Poly(field, flavor)
+        img.terms = sum_terms(field, (
+            (key, c * w) for poly, w in zip(series, weights) for key, c in poly.terms.items()
+        ))
+        den *= b**top * fact
+        g = gcd(den, *img.terms.values())
+        if g > 1:
+            img.terms = {key: c // g for key, c in img.terms.items()}
+            den //= g
+        out.append((img, den))
+    return out
+
+
+def _deviations(residual):
+    """The pairs (N_j - D_j g_j, D_j) of the scaled residual, and their rank."""
+    flavor = residual[0][0].flavor
+    devs = [
+        (num - Poly(num.field, flavor, {flavor.gen_key(j, 1): den}), den)
+        for j, (num, den) in enumerate(residual)
+    ]
+    return devs, min(dev.height() for dev, _ in devs)
 
 
 def _start(endo, n_target):
-    """Validate the endo: (first letters, residual the stages start from)."""
+    """Validate the endo: (first letters, scaled residual the stages start from)."""
     flavor, field = endo.flavor, endo.field
     if endo.side != "P":
         raise SideMismatch("approximation reads commutative images")
@@ -359,19 +409,17 @@ def _start(endo, n_target):
     residual = Endo("P", flavor, field, [img.truncate(maxdeg) for img in endo.images])
     refuse_constant_terms(residual)
     lin = endo.linear_part()
-    ident = identity_matrix(field, flavor.main_count)
-    if lin != ident:
-        lin_fracs = tuple(tuple(Fraction(v) for v in row) for row in lin)
-        gen_lin = ElementaryGen(SP, lin_fracs)
+    if lin != identity_matrix(field, flavor.main_count):
+        gen_lin = ElementaryGen(SP, lin)
         word_gens.append(gen_lin)
         inv_endo = gen_endo(gen_lin.inverse(), "P", flavor, field)
         residual = inv_endo.compose(residual, maxdeg)
-    return word_gens, residual
+    return word_gens, [_scaled(img) for img in residual.images]
 
 
 def _fuse(block, gens, ident):
     """Push the letters gens onto block, a stage's fused letters as
-    (kind, data) with an sp letter's matrix in Q raw values.
+    (kind, data); ident is the identity matrix as a tuple of rows.
 
     Adjacent sp letters become one product matrix, the later letter on
     the left as evaluate reads them; adjacent shifts of one kind and pair
@@ -382,10 +430,10 @@ def _fuse(block, gens, ident):
     for gen in gens:
         top = block[-1] if block else None
         if gen.kind == SP:
-            data = [[QQ.from_fraction(v) for v in row] for row in gen.data]
+            data = gen.data
             if top is not None and top[0] == SP:
                 block.pop()
-                data = mat_mul(data, top[1])
+                data = tuple(map(tuple, mat_mul(data, top[1])))
             if data != ident:
                 block.append((SP, data))
             continue
@@ -401,20 +449,21 @@ def _fuse(block, gens, ident):
 
 
 def _walk(word_gens, residual, first, n_target, tie_break, report, alt=None):
-    """Stages first .. n_target - 1: (word, report).  An empty alt list gets
-    the alt result, forked at the first stage whose alt split differs."""
-    flavor = residual.flavor
-    ident = identity_matrix(QQ, flavor.main_count)
+    """Stages first .. n_target - 1 from the scaled residual: (word, report).
+    An empty alt list gets the alt result, forked at the first stage whose
+    alt split differs."""
+    flavor = residual[0][0].flavor
+    ident = tuple(map(tuple, identity_matrix(QQ, flavor.main_count)))
     # The residual is the identity below degree rank, so those stages have
     # nothing to do and get no entry; past an identity residual (rank inf)
     # none has.  A stage that works has k == rank, so some degree-k
     # deviation is nonzero.
-    devs = residual.deviations()
-    rank = min(d.height() for d in devs)
+    devs, rank = _deviations(residual)
     for k in range(first, n_target):
         if k < rank:
             continue
-        h = deviation_hamiltonian([d.homogeneous_part(k) for d in devs], k)
+        degree_k = [dev.homogeneous_part(k).scale(QQ.inv(den)) for dev, den in devs]
+        h = deviation_hamiltonian(degree_k, k)
         terms = waring_decompose(h, tie_break)
         if alt == [] and waring_decompose(h, "alt") != terms:
             fork = {key: dict(report[key]) for key in ("stages", "letters")}
@@ -427,8 +476,7 @@ def _walk(word_gens, residual, first, n_target, tie_break, report, alt=None):
         word_gens += [ElementaryGen(kind, data) for kind, data in block]
         report["stages"][k] = len(terms)
         report["letters"][k] = len(block)
-        devs = residual.deviations()
-        rank = min(d.height() for d in devs)
+        devs, rank = _deviations(residual)
         if rank <= k:
             raise StageStall(f"stage {k} left a degree {rank} deviation")
     report["residual_height"] = None if rank == float("inf") else rank

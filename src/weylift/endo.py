@@ -189,11 +189,6 @@ class Endo:
             [self.apply(im, maxdeg) for im in other.slots],
         )
 
-    def deviations(self):
-        """phi(g) - g for every generator, including h and k symbols."""
-        ident = Endo.identity(self.side, self.flavor, self.field)
-        return [img - gen for img, gen in zip(self.slots, ident.slots)]
-
     def linear_part(self):
         """Matrix L with row i = degree-one main part of images[i]."""
         flavor, field = self.flavor, self.field

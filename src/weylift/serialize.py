@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import re
-from fractions import Fraction
 
 from .endo import Endo
 from .errors import IndexOutOfRange, NotSymplectic, WeyliftError
@@ -131,9 +130,10 @@ def _exponent(text):
 
 
 def _value(v):
-    """A word value: a JSON integer or an exact rational string."""
+    """A word value: a JSON integer or an exact rational string, which
+    ElementaryGen reads as a Q raw value."""
     if type(v) is int or (type(v) is str and _VALUE.fullmatch(v)):
-        return Fraction(v)
+        return v
     raise WeyliftError(f"word value {v!r} is not an integer or rational string")
 
 

@@ -11,8 +11,8 @@ the conjugate variable.  Such shifts preserve the bracket exactly and
 also define endomorphisms of the ordered algebra, so one word, with
 the same data, is read on either side by evaluate's side argument.
 
-Generator data is stored over Z (or Q), so one word can be reduced and
-evaluated over any coefficient field.
+Generator data is stored as Q raw values (fields), an int where
+integral, and is read into the coefficient field on evaluation.
 """
 
 from __future__ import annotations
@@ -31,10 +31,23 @@ XSHIFT = "xshift"
 PSHIFT = "pshift"
 
 
+def _q_raw(v):
+    """An int, Fraction or exact rational string as a Q raw value; a float
+    would be rounded and is refused."""
+    if type(v) is int:
+        return v
+    if isinstance(v, (Fraction, str)):
+        try:
+            return QQ.from_fraction(Fraction(v))
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise WeyliftError(f"word value {v!r} is not an int, a Fraction or an exact rational")
+
+
 class ElementaryGen:
     """One step of a tame word.
 
-    sp carries a square matrix over Z or Q in data.
+    sp carries a square matrix of Q raw values in data.
     xshift / pshift carry (index, {exponent: coefficient}) with the
     polynomial read in the conjugate variable of the indexed pair.
     """
@@ -43,16 +56,15 @@ class ElementaryGen:
 
     def __init__(self, kind, data):
         if kind == SP:
-            matrix = tuple(tuple(Fraction(v) for v in row) for row in data)
+            matrix = tuple(tuple(map(_q_raw, row)) for row in data)
             if any(len(row) != len(matrix) for row in matrix):
                 raise WrongArity("matrix generator must be square")
             self.data = matrix
         elif kind in (XSHIFT, PSHIFT):
             index, poly = data
-            poly = {int(e): Fraction(c) for e, c in poly.items() if c}
-            if any(e < 1 for e in poly):
-                raise WeyliftError("shift polynomials need positive exponents")
-            self.data = (int(index), poly)
+            if type(index) is not int or any(type(e) is not int or e < 1 for e in poly):
+                raise WeyliftError("a shift needs an int pair index and int exponents >= 1")
+            self.data = (index, {e: r for e, c in poly.items() if (r := _q_raw(c))})
         else:
             raise WeyliftError(f"unknown generator kind {kind!r}")
         self.kind = kind
@@ -204,8 +216,8 @@ def _random_sl2(rng):
 def _embed_sl2(n, i, abcd):
     a, b, c, d = abcd
     out = identity_matrix(QQ, 2 * n)
-    out[i][i], out[i][n + i] = Fraction(a), Fraction(b)
-    out[n + i][i], out[n + i][n + i] = Fraction(c), Fraction(d)
+    out[i][i], out[i][n + i] = a, b
+    out[n + i][i], out[n + i][n + i] = c, d
     return out
 
 
@@ -219,8 +231,8 @@ def _pair_swap(n, i, j):
 def _cross_transvection(n, i, j, m):
     # x_i += m x_j and p_j -= m p_i preserve the pairing.
     out = identity_matrix(QQ, 2 * n)
-    out[i][j] = Fraction(m)
-    out[n + j][n + i] = Fraction(-m)
+    out[i][j] = m
+    out[n + j][n + i] = -m
     return out
 
 
@@ -242,10 +254,10 @@ def random_symplectic_matrix(n, rng):
 
 def _random_univariate(rng, maxdeg):
     deg = rng.randrange(2, max(3, maxdeg + 1))
-    poly = {deg: Fraction(rng.choice([-3, -2, -1, 1, 2, 3]))}
+    poly = {deg: rng.choice([-3, -2, -1, 1, 2, 3])}
     for e in range(2, deg):
         if rng.random() < 0.4:
-            poly[e] = Fraction(rng.choice([-2, -1, 1, 2]))
+            poly[e] = rng.choice([-2, -1, 1, 2])
     return poly
 
 

@@ -17,6 +17,9 @@ runs Gram-Schmidt through Field dispatch, the symplectic-matrix oracle
 multiplies out A^T J A with a dense J, and the scalar oracle reduces
 rationals through a Fraction round trip.  The pole-scan oracle walks every
 witness and sampled curve and tests each on every key of the images.
+The Waring oracle solves over the lattice basis with one Fraction per
+coefficient, and scaled_image writes an image as an int numerator over
+the lcm of its denominators.
 """
 
 import math
@@ -26,7 +29,8 @@ from operator import add, mul
 
 import sympy
 
-from weylift import Endo, Poly, QQ, WeylElt
+from weylift import Endo, Poly, QQ, WaringTerm, WeylElt
+from weylift.approx import _canonical_covector, _lagrange_numerator, _lattice
 from weylift.charp import phi_p
 from weylift.errors import IndexOutOfRange, NotPIntegral, WeyliftError, ZeroCovector
 from weylift.flavors import HAUG, SKEW
@@ -370,6 +374,46 @@ def oracle_from_fraction(field, q):
     return field.div(field.from_int(q.numerator), field.from_int(q.denominator))
 
 
+def scaled_image(img):
+    """(N, D) with img = N / D: D the lcm of the coefficients' denominators
+    and N the Poly of int numerators, through Fractions."""
+    den = math.lcm(*(Fraction(c).denominator for c in img.terms.values()))
+    num = Poly(img.field, img.flavor)
+    num.terms = {key: int(Fraction(c) * den) for key, c in img.terms.items()}
+    return num, den
+
+
+# ------------------------------------------------------------- waring
+
+def oracle_waring_decompose(h, tie_break="lex"):
+    """waring_decompose's terms, solved with one Fraction per right-hand
+    side entry and per lattice point, without the re-expansion check."""
+    flavor, d = h.flavor, h.degree()
+    exps = {key: flavor.main_exponents(key) for key in h.terms}
+    used = [i for i in range(flavor.main_count) if any(e[i] for e in exps.values())]
+    alt = tie_break == "alt"
+    signs = [(-1) ** i if alt else 1 for i in range(len(used))]
+    rhs = {}
+    for key, coeff in h.terms.items():
+        b = tuple(exps[key][i] for i in used)
+        c = Fraction(coeff) / (math.factorial(d) // math.prod(map(math.factorial, b)))
+        rhs[b] = -c if alt and sum(b[1::2]) % 2 else c
+    acc = {}
+    for a in _lattice(len(used), d):
+        numer = _lagrange_numerator(a, d)
+        lam = sum(numer.get(b, 0) * c for b, c in rhs.items())
+        if not lam:
+            continue
+        lam /= d**d * math.prod(map(math.factorial, a))
+        vec = [0] * flavor.main_count
+        for i, s, e in zip(used, signs, a):
+            vec[i] = s * e
+        scale, vec = _canonical_covector(vec, d)
+        acc[vec] = acc.get(vec, Fraction(0)) + lam * scale
+    terms = [WaringTerm(lam, vec, d) for vec, lam in sorted(acc.items()) if lam]
+    return terms[::-1] if alt else terms
+
+
 # ------------------------------------------------------------- centrality
 
 def oracle_is_central(a):
@@ -462,7 +506,8 @@ def oracle_is_symplectic(a, flavor):
 
 def endo_rank(endo):
     """Least graded degree where the endo deviates from the identity."""
-    heights = [d.height() for d in endo.deviations()]
+    ident = Endo.identity(endo.side, endo.flavor, endo.field)
+    heights = [(img - gen).height() for img, gen in zip(endo.slots, ident.slots)]
     return min(heights) if heights else math.inf
 
 

@@ -1,6 +1,7 @@
 """Tame approximation: Hamiltonians, Waring terms, correctors, the full loop."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 from math import comb
@@ -14,7 +15,9 @@ from oracles import (
     is_q_raw,
     oracle_is_symplectic,
     oracle_symplectic_completion,
+    oracle_waring_decompose,
     random_unimodular_matrix,
+    scaled_image,
 )
 from weylift import (
     BracketFlavor,
@@ -79,14 +82,14 @@ def reconstitute(terms, flavor):
     return total
 
 
-def random_homogeneous(rng, flavor, degree):
+def random_homogeneous(rng, flavor, degree, dens=(1,)):
     g = flavor.main_count
     total = Poly.zero(QQ, flavor)
     for _ in range(4):
         key = [0] * len(flavor.unit_key())
         for _ in range(degree):
             key[rng.randrange(g)] += 1
-        coeff = QQ.from_fraction(Fraction(rng.randint(-4, 4)))
+        coeff = QQ.from_fraction(Fraction(rng.randint(-4, 4), rng.choice(dens)))
         total = total + Poly.from_terms(QQ, flavor, [(tuple(key), coeff)])
     return total
 
@@ -197,6 +200,36 @@ def test_waring_tie_breaks_differ():
     assert reconstitute(lex, FL2) == h
     assert reconstitute(alt, FL2) == h
     assert [t.covector for t in lex] != [t.covector for t in alt]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([FL1, FL2]),
+    st.integers(1, 5),
+    st.lists(
+        st.tuples(st.integers(0, 10**6), st.fractions(max_denominator=36).filter(bool)),
+        min_size=1,
+        max_size=5,
+    ),
+    st.sampled_from(["lex", "alt"]),
+)
+def test_waring_matches_the_fraction_solve(flavor, degree, draws, tie_break):
+    # The common-denominator solve gives the terms of the one-Fraction-per-
+    # entry solve: the same lam, covectors and order, on both tie breaks.
+    g = flavor.main_count
+    terms = []
+    for seed, coeff in draws:
+        key = [0] * len(flavor.unit_key())
+        for _ in range(degree):
+            key[seed % g] += 1
+            seed //= g
+        terms.append((tuple(key), QQ.from_fraction(coeff)))
+    h = Poly.from_terms(QQ, flavor, terms)
+    if h.is_zero:
+        return
+    got = waring_decompose(h, tie_break)
+    assert got == oracle_waring_decompose(h, tie_break)
+    assert all(type(t.lam) is Fraction for t in got)
 
 
 def test_symplectic_completion_is_symplectic():
@@ -390,8 +423,11 @@ def test_undo_shift_matches_compose():
     # Oracle: substitute the shift by minus the potential into every
     # monomial.  With deg L^(d-1) = d - 1, the series term m survives the
     # truncation when m (d - 1) <= maxdeg, so d = 3 reaches m = 3 at
-    # maxdeg 6 and 7, and d = 4 reaches m = 2 at maxdeg 6 and 7.
+    # maxdeg 6 and 7, and d = 4 reaches m = 2 at maxdeg 6 and 7.  The
+    # residual's coefficients have denominators, so its scaled form
+    # (N_j, D_j), R_j = N_j / D_j, has D_j above 1.
     rng = random.Random(23)
+    scaled_dens = 0
     for flavor in (FL1, FL2):
         for d in (3, 4, 5):
             for maxdeg in range(3, 8):
@@ -399,7 +435,7 @@ def test_undo_shift_matches_compose():
                     images = [
                         Poly.generator(QQ, flavor, i)
                         + sum(
-                            (random_homogeneous(rng, flavor, k)
+                            (random_homogeneous(rng, flavor, k, (1, 2, 3, 4, 6))
                              for k in range(2, maxdeg + 1)),
                             Poly.zero(QQ, flavor),
                         )
@@ -413,9 +449,16 @@ def test_undo_shift_matches_compose():
                     term = WaringTerm(lam, covector, d)
                     undo = hamiltonian_shift_endo(-term.potential(QQ, flavor))
                     want = undo.compose(residual, maxdeg)
-                    assert undo_shift(residual, term, maxdeg) == want, (
-                        term, maxdeg, residual,
-                    )
+                    got = undo_shift([scaled_image(img) for img in images], term, maxdeg)
+                    assert len(got) == len(want.images)
+                    for (num, den), img in zip(got, want.images):
+                        values = list(num.terms.values())
+                        assert all(type(c) is int for c in values), num
+                        assert type(den) is int and den >= 1
+                        assert math.gcd(den, *values) == 1, (num, den)
+                        assert num == img.scale(den), (term, maxdeg, residual)
+                        scaled_dens += den > 1
+    assert scaled_dens > 50
 
 
 def test_undo_shift_builds_only_the_factors_it_uses(monkeypatch):
@@ -487,7 +530,7 @@ def test_fuse_merges_across_letters_that_vanish():
     from weylift.approx import _fuse
 
     a = ElementaryGen(SP, [[1, 1], [0, 1]])
-    ident = [[1, 0], [0, 1]]
+    ident = ((1, 0), (0, 1))
 
     def shift(poly):
         return ElementaryGen(XSHIFT, (0, poly))

@@ -12,6 +12,7 @@ from oracles import (
     oracle_mul,
     oracle_poisson_bracket,
     random_poly,
+    scaled_image,
 )
 from weylift import BracketFlavor, Endo, Field, Poly, QQ
 from weylift.approx import WaringTerm, hamiltonian_shift_endo, undo_shift
@@ -237,6 +238,8 @@ def test_q_kernels_keep_raw_values(case, maxdeg):
 def test_undo_shift_keeps_raw_values(flavor, covector, lam, d, maxdeg, rng):
     # undo_shift against the substitution of the shift into every monomial,
     # on a residual without constant terms, truncated as approximate keeps it.
+    # The scaled images hold int numerators; over their denominators they
+    # are the oracle's Q raw values.
     g = flavor.main_count
     covector = covector[:g] if any(covector[:g]) else [1] * g
     images = []
@@ -245,7 +248,8 @@ def test_undo_shift_keeps_raw_values(flavor, covector, lam, d, maxdeg, rng):
         extra = (extra - extra.homogeneous_part(0)).truncate(maxdeg)
         images.append(Poly.generator(QQ, flavor, i) + extra)
     term = WaringTerm(lam or Fraction(1, 2), covector, d)
-    got = undo_shift(Endo("P", flavor, QQ, images), term, maxdeg)
+    got = undo_shift([scaled_image(img) for img in images], term, maxdeg)
     undo = hamiltonian_shift_endo(-term.potential(QQ, flavor))
-    for img, want in zip(got.images, undo.compose(Endo("P", flavor, QQ, images), maxdeg).images):
-        _assert_q_values(img, want)
+    for (num, den), want in zip(got, undo.compose(Endo("P", flavor, QQ, images), maxdeg).images):
+        assert all(type(c) is int for c in num.terms.values()), num.terms
+        _assert_q_values(num.scale(QQ.inv(den)), want)

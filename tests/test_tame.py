@@ -296,3 +296,48 @@ def test_word_json_shares_equal_matrices():
     assert first == (("1", "1/2"), ("0", "1"))
     assert canonical_json(doc) == canonical_json(json.loads(json.dumps(doc)))
     assert word_from_json(doc) == word
+
+
+def test_letters_hold_q_raw_values():
+    # An integral value is stored as an int, the rest as Fractions with
+    # denominator above 1; inverse keeps that form, and the JSON of a word
+    # does not see how its values were given.
+    def raw(gen):
+        values = gen.data[1].values() if gen.kind != SP else [v for row in gen.data for v in row]
+        return all(type(v) is int or (type(v) is Fraction and v.denominator > 1) for v in values)
+
+    shift = ElementaryGen(XSHIFT, (0, {2: Fraction(4, 2), 3: Fraction(1, 2), 4: "6/3"}))
+    assert shift.data == (0, {2: 2, 3: Fraction(1, 2), 4: 2})
+    assert type(shift.data[1][2]) is int and type(shift.data[1][4]) is int
+    a = ElementaryGen(SP, [[Fraction(2, 2), Fraction(1, 2)], [0, "1"]])
+    assert a.data == ((1, Fraction(1, 2)), (0, 1))
+    for gen in (shift, a):
+        assert raw(gen) and raw(gen.inverse())
+    fracs = TameWord("symplectic", 1, [
+        ElementaryGen(SP, [[Fraction(1), Fraction(2)], [Fraction(0), Fraction(1)]]),
+        ElementaryGen(XSHIFT, (0, {2: Fraction(3), 3: Fraction(-1, 2)})),
+    ])
+    ints = TameWord("symplectic", 1, [
+        ElementaryGen(SP, [[1, 2], [0, 1]]),
+        ElementaryGen(XSHIFT, (0, {2: 3, 3: "-1/2"})),
+    ])
+    assert canonical_json(word_to_json(fracs)) == canonical_json(word_to_json(ints))
+    assert all(raw(g) for word in (fracs, ints) for g in word.gens)
+    assert all(raw(g) for g in random_tame(2, 6, 3, seed=5).gens)
+
+
+def test_letters_refuse_data_they_would_round():
+    # A float would be stored rounded (0.1 as 3602879701896397/2^55), and an
+    # exponent like 2.5 would be read as 2.
+    for poly in ({2: 0.1}, {2: 1.0}, {2: "0.1.2"}, {2: "1/0"}, {2: None}):
+        with pytest.raises(WeyliftError):
+            ElementaryGen(XSHIFT, (0, poly))
+    for poly in ({2.5: 1}, {2.0: 1}, {"2": 1}, {0: 1}, {-1: 1}, {True: 1}):
+        with pytest.raises(WeyliftError):
+            ElementaryGen(XSHIFT, (0, poly))
+    with pytest.raises(WeyliftError):
+        ElementaryGen(SP, [[1, 0.5], [0, 1]])
+    # A pair index is not rounded either: 0.9 was read as pair 0.
+    with pytest.raises(WeyliftError):
+        ElementaryGen(XSHIFT, (0.9, {2: 1}))
+    assert ElementaryGen(XSHIFT, (0, {2: "1/2", 3: 0})).data == (0, {2: Fraction(1, 2)})
