@@ -5,16 +5,19 @@ commutative paired algebra over Q, produce a tame word agreeing with
 phi below a requested degree.  Stage k reads the lowest (degree k)
 deviation of the residual, recognizes it as a Hamiltonian field of a
 homogeneous potential via the Euler formula, splits the potential into
-powers of linear forms, and cancels each power with a single-coordinate
-shift conjugated by linalg.symplectic_completion's matrix for the
-power's covector.  Every corrector word evaluates exactly to the unit
-shift of its potential, so each stage pushes the residual one degree
-higher.  The residual moves past each corrector by the Taylor series of
-the undo shift along its constant direction (undo_shift), not by
-composing the shift into every monomial.  From _start to the end of
-the walk the residual is scaled, int numerators over one denominator
-per image (undo_shift), so the walk runs on machine ints; only the
-degree-k deviation handed to deviation_hamiltonian is divided.
+powers of linear forms, one WaringTerm per distinct covector, and
+cancels each power with a single-coordinate shift conjugated by
+linalg.symplectic_completion's matrix for the power's covector.  A term
+is built once, over Q on the walk's flavor, with the power L^(d-1) and
+the potential that the checks and the undo shift read.  Every corrector
+word evaluates exactly to the unit shift of its potential, so each
+stage pushes the residual one degree higher.  The residual moves past
+each corrector by the Taylor series of the undo shift along its
+constant direction (undo_shift), not by composing the shift into every
+monomial.  From _start to the end of the walk the residual is scaled,
+int numerators over one denominator per image (undo_shift), so the walk
+runs on machine ints; only the degree-k deviation handed to
+deviation_hamiltonian is divided.
 
 The word is the linear letter, when the linear part is not the
 identity, then one block of letters per stage.  A stage passes each
@@ -41,6 +44,7 @@ from .errors import (
     SideMismatch,
     StageStall,
     WeyliftError,
+    WrongArity,
     ZeroCovector,
 )
 from .fields import QQ
@@ -100,23 +104,30 @@ def deviation_hamiltonian(deviations, k):
 
 
 class WaringTerm:
-    """lam * (covector . generators)^degree with a primitive covector.
+    """lam * L^degree over Q on flavor, L = covector . generators with a
+    primitive covector.
 
-    The power L^(degree - 1) of the form L and the expanded potential
-    L^(degree - 1) L lam are kept on the term after their first use: the
-    re-expansion check, the corrector's exactness check and the undo
-    shift all read them.
+    The form L is built once, and the term keeps power = L^(degree - 1)
+    and potential = lam L^degree: the re-expansion check, the corrector's
+    exactness check and the undo shift all read them.
     """
 
-    __slots__ = ("lam", "covector", "degree", "_power", "_expanded")
+    __slots__ = ("lam", "covector", "degree", "flavor", "power", "potential")
 
-    def __init__(self, lam, covector, degree):
-        if all(v == 0 for v in covector):
+    def __init__(self, lam, covector, degree, flavor):
+        covector = tuple(covector)
+        if any(type(v) is not int for v in (*covector, degree)):
+            raise WeyliftError("a Waring term needs an int covector and an int degree")
+        if len(covector) != flavor.main_count:
+            raise WrongArity(f"a covector on {flavor} needs {flavor.main_count} entries")
+        if not any(covector):
             raise ZeroCovector("covector must be nonzero")
-        self.lam = lam
-        self.covector = tuple(int(v) for v in covector)
-        self.degree = int(degree)
-        self._power = self._expanded = None
+        self.lam, self.covector, self.degree, self.flavor = lam, covector, degree, flavor
+        form = Poly.from_terms(
+            QQ, flavor, [(flavor.gen_key(i, 1), v) for i, v in enumerate(covector) if v]
+        )
+        self.power = form ** (degree - 1)
+        self.potential = (self.power * form).scale(QQ.from_fraction(lam))
 
     def __repr__(self):
         return f"WaringTerm({self.lam}, {self.covector}, {self.degree})"
@@ -124,51 +135,16 @@ class WaringTerm:
     def __eq__(self, other):
         if not isinstance(other, WaringTerm):
             return NotImplemented
-        return (
-            self.lam == other.lam
-            and self.covector == other.covector
-            and self.degree == other.degree
+        return (self.lam, self.covector, self.degree, self.flavor) == (
+            other.lam, other.covector, other.degree, other.flavor
         )
-
-    def form(self, field, flavor):
-        """The linear form covector . generators."""
-        return Poly.from_terms(
-            field,
-            flavor,
-            [
-                (flavor.gen_key(i, 1), field.from_int(v))
-                for i, v in enumerate(self.covector)
-                if v
-            ],
-        )
-
-    def power(self, field, flavor):
-        """L^(degree - 1), L the form."""
-        cached = self._power
-        if cached is None or cached.field != field or cached.flavor != flavor:
-            cached = self._power = self.form(field, flavor) ** (self.degree - 1)
-        return cached
-
-    def potential(self, field, flavor):
-        cached = self._expanded
-        if cached is None or cached.field != field or cached.flavor != flavor:
-            product = self.power(field, flavor) * self.form(field, flavor)
-            cached = self._expanded = product.scale(field.from_fraction(self.lam))
-        return cached
 
 
 def _canonical_covector(vec, d):
     """Primitive vector with positive leading entry; returns (scale, vector)."""
-    g = gcd(*[abs(v) for v in vec]) if len(vec) > 1 else abs(vec[0])
-    if g == 0:
-        return None
-    vec = tuple(v // g for v in vec)
-    lead = next(v for v in vec if v)
-    sign = 1
-    if lead < 0:
-        sign = -1
-        vec = tuple(-v for v in vec)
-    return (sign * g) ** d, vec
+    g = gcd(*vec)
+    sign = 1 if next(v for v in vec if v) > 0 else -1
+    return (sign * g) ** d, tuple(sign * v // g for v in vec)
 
 
 def _lattice(u, d):
@@ -216,9 +192,11 @@ def waring_decompose(h, tie_break="lex"):
     Chung & Yao, SIAM J. Numer. Anal. 14, 1977).  The tie break "alt"
     uses the basis with alternating signs on the used generators,
     a_i -> (-1)^i a_i, and lists the terms in reverse, so it gives a
-    really different word.  Covectors are canonicalized to primitive
-    integer vectors and equal covectors merge.  The result re-expands
-    to h exactly (checked) in a deterministic order.
+    really different word.  Each nonzero lambda gives one term, its
+    covector the primitive integer vector with positive leading entry:
+    distinct lattice points give distinct covectors, so no two terms
+    merge.  The terms are sorted by covector, descending for "alt", and
+    re-expand to h exactly (checked).
     """
     if h.field.char != 0:
         raise PositiveCharacteristic("splitting into powers needs characteristic 0")
@@ -245,48 +223,39 @@ def waring_decompose(h, tie_break="lex"):
         c = coeff.numerator * (den // coeff.denominator) * prod(map(factorial, b))
         rhs[b] = -c if alt and sum(b[1::2]) % 2 else c
     # lam_a = sum_b numer_b c_b / (d^d prod(a!)), over den d! d! d^d.
-    acc = {}
+    den *= fd * fd * d**d
+    terms = []
     for a in _lattice(len(used), d):
         numer = _lagrange_numerator(a, d)
         lam = sum(numer.get(b, 0) * c for b, c in rhs.items())
-        if not lam:
-            continue
-        vec = [0] * g
-        for i, s, e in zip(used, signs, a):
-            vec[i] = s * e
-        scale, vec = _canonical_covector(vec, d)
-        acc[vec] = acc.get(vec, 0) + lam * scale * (fd // prod(map(factorial, a)))
-    den *= fd * fd * d**d
-    terms = [
-        WaringTerm(Fraction(lam, den), vec, d) for vec, lam in sorted(acc.items()) if lam
-    ]
-    if alt:
-        terms.reverse()
-    total = Poly.zero(field, flavor)
-    for t in terms:
-        total = total + t.potential(field, flavor)
-    if total != h:
+        if lam:
+            vec = [0] * g
+            for i, s, e in zip(used, signs, a):
+                vec[i] = s * e
+            scale, vec = _canonical_covector(vec, d)
+            lam *= scale * (fd // prod(map(factorial, a)))
+            terms.append(WaringTerm(Fraction(lam, den), vec, d, flavor))
+    terms.sort(key=lambda t: t.covector, reverse=alt)
+    if sum((t.potential for t in terms), Poly.zero(field, flavor)) != h:
         raise WeyliftError("power decomposition failed to re-expand")
     return terms
 
 
-def corrector(term, flavor):
+def corrector(term):
     """Word evaluating exactly to the unit shift of the term over Q.
 
     The conjugating matrix moves the covector form onto the first
     momentum, where the potential becomes a single-coordinate shift.
     """
-    n = flavor.pairs
-    d = term.degree
+    flavor, d = term.flavor, term.degree
     if d < 2:
         raise WeyliftError("corrector terms need degree at least 2")
     a = symplectic_completion(term.covector)
     shift = ElementaryGen(XSHIFT, (0, {d - 1: term.lam * d}))
     gen_a = ElementaryGen(SP, a)
-    inv_a = gen_a.inverse()
-    gens = [inv_a, shift, gen_a]
-    got = evaluate(TameWord("symplectic", n, gens), "P", flavor, QQ)
-    if got != hamiltonian_shift_endo(term.potential(QQ, flavor)):
+    gens = [gen_a.inverse(), shift, gen_a]
+    got = evaluate(TameWord("symplectic", flavor.pairs, gens), "P", flavor, QQ)
+    if got != hamiltonian_shift_endo(term.potential):
         raise WeyliftError("corrector word failed its exactness check")
     return gens
 
@@ -337,14 +306,13 @@ def undo_shift(residual, term, maxdeg):
     built only when some image still has a nonzero m-th derivative along
     v; the series stops at the first power that truncates to zero.
     """
-    num, _ = residual[0]
-    flavor, field = num.flavor, num.field
+    flavor = term.flavor
     v = []
     for j in range(flavor.main_count):
         cj = flavor.conjugate_index(j)
         if term.covector[cj]:
             v.append((j, flavor.omega(cj, j) * term.covector[cj]))
-    step = term.power(field, flavor).truncate(maxdeg)
+    step = term.power.truncate(maxdeg)
     s = -term.lam * term.degree
     a, b = s.numerator, s.denominator
     powers = [step]
@@ -366,8 +334,8 @@ def undo_shift(residual, term, maxdeg):
             continue
         fact = factorial(top)
         weights = [a**m * b ** (top - m) * (fact // factorial(m)) for m in range(top + 1)]
-        img = Poly(field, flavor)
-        img.terms = sum_terms(field, (
+        img = Poly(QQ, flavor)
+        img.terms = sum_terms(QQ, (
             (key, c * w) for poly, w in zip(series, weights) for key, c in poly.terms.items()
         ))
         den *= b**top * fact
@@ -418,8 +386,8 @@ def _start(endo, n_target):
 
 
 def _fuse(block, gens, ident):
-    """Push the letters gens onto block, a stage's fused letters as
-    (kind, data); ident is the identity matrix as a tuple of rows.
+    """Push the letters gens onto block, a stage's fused letters; ident is
+    the identity matrix as a tuple of rows.
 
     Adjacent sp letters become one product matrix, the later letter on
     the left as evaluate reads them; adjacent shifts of one kind and pair
@@ -430,28 +398,25 @@ def _fuse(block, gens, ident):
     for gen in gens:
         top = block[-1] if block else None
         if gen.kind == SP:
-            data = gen.data
-            if top is not None and top[0] == SP:
-                block.pop()
-                data = tuple(map(tuple, mat_mul(data, top[1])))
-            if data != ident:
-                block.append((SP, data))
+            if top is not None and top.kind == SP:
+                gen = ElementaryGen(SP, mat_mul(gen.data, block.pop().data))
+            if gen.data != ident:
+                block.append(gen)
             continue
         index, poly = gen.data
-        if top is not None and top[0] == gen.kind and top[1][0] == index:
-            block.pop()
-            summed = dict(top[1][1])
+        if top is not None and top.kind == gen.kind and top.data[0] == index:
+            summed = dict(block.pop().data[1])
             for e, c in poly.items():
                 summed[e] = summed.get(e, 0) + c
-            poly = {e: c for e, c in summed.items() if c}
-        if poly:
-            block.append((gen.kind, (index, poly)))
+            gen = ElementaryGen(gen.kind, (index, summed))
+        if gen.data[1]:
+            block.append(gen)
 
 
-def _walk(word_gens, residual, first, n_target, tie_break, report, alt=None):
-    """Stages first .. n_target - 1 from the scaled residual: (word, report).
-    An empty alt list gets the alt result, forked at the first stage whose
-    alt split differs."""
+def _walk(word_gens, residual, first, n_target, report, alt=None):
+    """Stages first .. n_target - 1 from the scaled residual, split with
+    report["tie_break"]: (word, report).  An empty alt list gets the alt
+    result, forked at the first stage whose alt split differs."""
     flavor = residual[0][0].flavor
     ident = tuple(map(tuple, identity_matrix(QQ, flavor.main_count)))
     # The residual is the identity below degree rank, so those stages have
@@ -464,16 +429,16 @@ def _walk(word_gens, residual, first, n_target, tie_break, report, alt=None):
             continue
         degree_k = [dev.homogeneous_part(k).scale(QQ.inv(den)) for dev, den in devs]
         h = deviation_hamiltonian(degree_k, k)
-        terms = waring_decompose(h, tie_break)
+        terms = waring_decompose(h, report["tie_break"])
         if alt == [] and waring_decompose(h, "alt") != terms:
             fork = {key: dict(report[key]) for key in ("stages", "letters")}
             fork["tie_break"] = "alt"
-            alt.append(_walk(list(word_gens), residual, k, n_target, "alt", fork))
+            alt.append(_walk(list(word_gens), residual, k, n_target, fork))
         block = []
         for term in terms:
-            _fuse(block, corrector(term, flavor), ident)
+            _fuse(block, corrector(term), ident)
             residual = undo_shift(residual, term, n_target - 1)
-        word_gens += [ElementaryGen(kind, data) for kind, data in block]
+        word_gens += block
         report["stages"][k] = len(terms)
         report["letters"][k] = len(block)
         devs, rank = _deviations(residual)
@@ -491,7 +456,7 @@ def approximate(endo, n_target, tie_break="lex"):
     letters it emitted ("letters"), and gives the final residual height.
     """
     report = {"stages": {}, "letters": {}, "tie_break": tie_break}
-    return _walk(*_start(endo, n_target), 2, n_target, tie_break, report)
+    return _walk(*_start(endo, n_target), 2, n_target, report)
 
 
 def approximate_both(endo, n_target):
@@ -499,7 +464,7 @@ def approximate_both(endo, n_target):
     one validation and one lex walk: equal Waring terms give equal correctors
     and residuals, so the alt stages fork off at the first differing split."""
     alt, report = [], {"stages": {}, "letters": {}, "tie_break": "lex"}
-    lex = _walk(*_start(endo, n_target), 2, n_target, "lex", report, alt)
+    lex = _walk(*_start(endo, n_target), 2, n_target, report, alt)
     return lex, alt[0] if alt else (lex[0], {**report, "tie_break": "alt"})
 
 

@@ -52,8 +52,8 @@ class DiagonalCurve:
     __slots__ = ("weights",)
 
     def __init__(self, weights):
-        weights = tuple(int(m) for m in weights)
-        if not weights or any(m < 1 for m in weights):
+        weights = tuple(weights)
+        if not weights or any(type(m) is not int or m < 1 for m in weights):
             raise WeyliftError("curve weights must be positive integers")
         self.weights = weights
 

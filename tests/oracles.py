@@ -410,7 +410,7 @@ def oracle_waring_decompose(h, tie_break="lex"):
             vec[i] = s * e
         scale, vec = _canonical_covector(vec, d)
         acc[vec] = acc.get(vec, Fraction(0)) + lam * scale
-    terms = [WaringTerm(lam, vec, d) for vec, lam in sorted(acc.items()) if lam]
+    terms = [WaringTerm(lam, vec, d, flavor) for vec, lam in sorted(acc.items()) if lam]
     return terms[::-1] if alt else terms
 
 

@@ -47,6 +47,7 @@ from weylift.errors import (
     PositiveCharacteristic,
     SideMismatch,
     WeyliftError,
+    WrongArity,
     ZeroCovector,
 )
 from weylift.linalg import is_symplectic, mat_mul, transpose
@@ -150,9 +151,9 @@ def test_waring_reconstitutes():
 
 
 @st.composite
-def _forms_in_used_generators(draw):
+def _forms_in_used_generators(draw, degrees=st.integers(3, 5)):
     """(form, u, d): a degree-d form in u of the g = 4 generators."""
-    d = draw(st.integers(3, 5))
+    d = draw(degrees)
     used = draw(st.lists(st.integers(0, 3), min_size=1, max_size=4, unique=True))
     monos = draw(st.lists(
         st.lists(st.sampled_from(used), min_size=d, max_size=d), min_size=1, max_size=6,
@@ -185,6 +186,21 @@ def test_waring_basis_split_reexpands_within_its_bound(case):
         splits[tie_break] = terms
     if u == 1:
         assert len(splits["lex"]) == 1 and splits["lex"] == splits["alt"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_forms_in_used_generators(st.integers(1, 6)))
+def test_waring_covectors_are_distinct_primitive_and_sorted(case):
+    # Distinct lattice points give distinct primitive covectors, so every
+    # nonzero lambda is its own term and no two terms merge.
+    h, _, _ = case
+    if h.is_zero:
+        return
+    for tie_break in ("lex", "alt"):
+        covectors = [t.covector for t in waring_decompose(h, tie_break)]
+        assert len(set(covectors)) == len(covectors)
+        assert all(math.gcd(*c) == 1 and next(v for v in c if v) > 0 for c in covectors)
+        assert covectors == sorted(covectors, reverse=tie_break == "alt")
 
 
 def test_waring_rejects_constant_and_mixed_degree():
@@ -279,21 +295,21 @@ def test_symplectic_completion_matches_field_dispatch_oracle(flavor):
 
 
 def test_corrector_equals_hamiltonian_flow():
-    term = WaringTerm(Fraction(2, 5), (1, 2, 0, 3), 3)
-    gens = corrector(term, FL2)
+    term = WaringTerm(Fraction(2, 5), (1, 2, 0, 3), 3, FL2)
+    gens = corrector(term)
     assert [g.kind for g in gens] == ["sp", "xshift", "sp"]
     acc = gen_endo(gens[2], "P", FL2, QQ)
     acc = gen_endo(gens[1], "P", FL2, QQ).compose(acc)
     acc = gen_endo(gens[0], "P", FL2, QQ).compose(acc)
-    assert acc == hamiltonian_shift_endo(term.potential(QQ, FL2))
+    assert acc == hamiltonian_shift_endo(term.potential)
 
 
 @pytest.mark.parametrize("flavor, covector", ((FL1, (1, 2)), (FL2, (1, 2, 0, 3))))
 def test_corrector_check_rejects_a_wrong_word(monkeypatch, flavor, covector):
     import weylift.approx
 
-    term = WaringTerm(Fraction(2, 5), covector, 3)
-    corrector(term, flavor)
+    term = WaringTerm(Fraction(2, 5), covector, 3, flavor)
+    corrector(term)
     real = weylift.approx.symplectic_completion
     g = flavor.main_count
     omega = [[Fraction(flavor.omega(i, j)) for j in range(g)] for i in range(g)]
@@ -306,12 +322,26 @@ def test_corrector_check_rejects_a_wrong_word(monkeypatch, flavor, covector):
 
     monkeypatch.setattr(weylift.approx, "symplectic_completion", other)
     with pytest.raises(WeyliftError, match="failed its exactness check"):
-        corrector(term, flavor)
+        corrector(term)
 
 
 def test_corrector_rejects_low_degree():
     with pytest.raises(WeyliftError):
-        corrector(WaringTerm(Fraction(1), (0, 1), 1), FL1)
+        corrector(WaringTerm(Fraction(1), (0, 1), 1, FL1))
+
+
+def test_waring_term_refuses_entries_it_would_round():
+    with pytest.raises(ZeroCovector):
+        WaringTerm(1, (0, 0), 2, FL1)
+    # A short covector gave a form in fewer generators.
+    with pytest.raises(WrongArity):
+        WaringTerm(1, (1,), 2, FL2)
+    # Each was read through int(): (1/2, 0) as the zero covector after the
+    # zero check had passed, and the degree 2.7 as 2.
+    for covector, degree in (((Fraction(1, 2), 0), 2), ((1, 0), 2.7), ((True, 0), 2),
+                             ((1.0, 0), 2), ((1, 0), "2"), ((1, 0), True)):
+        with pytest.raises(WeyliftError, match="int covector and an int degree"):
+            WaringTerm(1, covector, degree, FL1)
 
 
 def test_approximate_recovers_shear_exactly():
@@ -411,8 +441,8 @@ def test_shift_by_minus_potential_undoes_the_shift():
             while not any(covector):
                 covector = [rng.randint(-2, 2) for _ in covector]
             lam = Fraction(rng.choice((-3, -1, 1, 2)), rng.randint(1, 4))
-            term = WaringTerm(lam, covector, rng.randint(2, top))
-            h = term.potential(QQ, flavor)
+            term = WaringTerm(lam, covector, rng.randint(2, top), flavor)
+            h = term.potential
             there, back = hamiltonian_shift_endo(h), hamiltonian_shift_endo(-h)
             assert there != ident
             assert back.compose(there) == ident, term
@@ -446,8 +476,8 @@ def test_undo_shift_matches_compose():
                     while not any(covector):
                         covector = [rng.randint(-2, 2) for _ in covector]
                     lam = Fraction(rng.choice((-3, -1, 1, 2)), rng.randint(1, 4))
-                    term = WaringTerm(lam, covector, d)
-                    undo = hamiltonian_shift_endo(-term.potential(QQ, flavor))
+                    term = WaringTerm(lam, covector, d, flavor)
+                    undo = hamiltonian_shift_endo(-term.potential)
                     want = undo.compose(residual, maxdeg)
                     got = undo_shift([scaled_image(img) for img in images], term, maxdeg)
                     assert len(got) == len(want.images)
@@ -540,7 +570,7 @@ def test_fuse_merges_across_letters_that_vanish():
     # A A^-1 between the shifts is the identity and goes; the shifts add.
     _fuse(block, [a.inverse(), shift({2: 1, 3: 1}), a], ident)
     want = [a.inverse(), shift({2: Fraction(3, 2), 3: 1}), a]
-    assert [ElementaryGen(kind, data) for kind, data in block] == want
+    assert block == want
     # The summed shift vanishes, so A^-1 meets A and the block empties.
     _fuse(block, [a.inverse(), shift({2: Fraction(-3, 2), 3: -1}), a], ident)
     assert block == []
@@ -548,7 +578,7 @@ def test_fuse_merges_across_letters_that_vanish():
 
 def _unfused(block, gens, ident):
     # Every corrector's three letters, as they come.
-    block.extend((gen.kind, gen.data) for gen in gens)
+    block.extend(gens)
 
 
 @settings(max_examples=40, deadline=None)

@@ -247,9 +247,9 @@ def test_undo_shift_keeps_raw_values(flavor, covector, lam, d, maxdeg, rng):
         extra = random_poly(rng, QQ, flavor, max_deg=3).scale(Fraction(1, rng.randint(1, 3)))
         extra = (extra - extra.homogeneous_part(0)).truncate(maxdeg)
         images.append(Poly.generator(QQ, flavor, i) + extra)
-    term = WaringTerm(lam or Fraction(1, 2), covector, d)
+    term = WaringTerm(lam or Fraction(1, 2), covector, d, flavor)
     got = undo_shift([scaled_image(img) for img in images], term, maxdeg)
-    undo = hamiltonian_shift_endo(-term.potential(QQ, flavor))
+    undo = hamiltonian_shift_endo(-term.potential)
     for (num, den), want in zip(got, undo.compose(Endo("P", flavor, QQ, images), maxdeg).images):
         assert all(type(c) is int for c in num.terms.values()), num.terms
         _assert_q_values(num.scale(QQ.inv(den)), want)

@@ -70,6 +70,10 @@ def test_curve_order():
 def test_curve_requires_positive_weights():
     with pytest.raises(Exception):
         DiagonalCurve((0, 1))
+    # A weight that is not an int was read through int(): 1.5 as 1, "3" as 3.
+    for weights in ((1.5, 2), ("3", 2), (True, 2), (Fraction(4, 2), 1)):
+        with pytest.raises(WeyliftError, match="positive integers"):
+            DiagonalCurve(weights)
 
 
 def test_conjugate_by_curve():
