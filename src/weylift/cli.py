@@ -118,8 +118,6 @@ def _maybe_out(args, payload):
 
 def _cmd_check(args):
     doc, endo = _load(args.endo, endo_from_json)
-    if args.side and args.side != endo.side:
-        raise UsageError(f"endo is side {endo.side}, not {args.side}")
     inputs = {"endo": doc}
     ok = not bracket_violations(endo)
     if endo.side == "P":
@@ -247,8 +245,6 @@ def _cmd_bracket(args):
 
 
 def _cmd_corpus(args):
-    if args.seed is None:
-        raise UsageError("--seed is required")
     field = Field("Q")
     _check_flag("--count", args.count, "words")
     # Only the flags set the size here, so a bound they exceed is a usage error.
@@ -287,7 +283,6 @@ def build_parser():
 
     p = add("check", _cmd_check, help="verify bracket preservation of an endo")
     p.add_argument("--endo", "--in", dest="endo", required=True)
-    p.add_argument("--side", choices=("P", "W"))
 
     p = add("compose", _cmd_compose, help="compose two endos (first after second)")
     p.add_argument("inputs", nargs=2, metavar="ENDO")

@@ -150,19 +150,12 @@ class Endo:
             # An h^-e prefix weighs -2e on haug: cut the products it meets that much later.
             cut -= min([0] + [key[h] for key in elem.terms]) * flavor.weights[h]
         mul = cls.__mul__ if maxdeg is None else lambda a, b: a.mul_truncated(b, cut)
-        heights = [base.height() for base in self.slots]
 
         def parts():
             for key, coeff in elem.terms.items():
                 # Only the h slot can be negative; h^-e joins the prefix.
                 exps = [(s, e) for s, e in enumerate(key[:t_slot]) if e > 0]
                 h_e = flavor.h_exponent(key)
-                if maxdeg is not None:
-                    floor = sum(heights[i] * e for i, e in exps)
-                    if h_e < 0:
-                        floor += flavor.weights[h] * h_e
-                    if floor > maxdeg:
-                        continue
                 fixed = [0] * t_slot + [flavor.t_exponent(key)]
                 if h_e < 0:
                     lam = _monomial_scale(self.h_image, flavor.h_key(1))

@@ -256,13 +256,8 @@ class _Parser:
                 den = int(self.take("INT")[1])
                 if self.field.is_zero(self.field.from_int(den)):
                     raise ExprSyntaxError(f"denominator {den} is zero in the field", slash)
-                if self.field.kind == "Q":
-                    return self.cls.constant(
-                        self.field, self.flavor, Fraction(num, den)
-                    )
-                a = self.field.from_int(num)
-                b = self.field.from_int(den)
-                return self.cls.constant(self.field, self.flavor, self.field.div(a, b))
+                value = self.field.from_fraction(Fraction(num, den))
+                return self.cls.constant(self.field, self.flavor, value)
             return self.cls.constant(self.field, self.flavor, num)
         if kind == "NAME":
             slot = self.names.get(value)

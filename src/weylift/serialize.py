@@ -2,8 +2,8 @@
 
 Elements travel as canonical printed expressions, so files stay
 readable and the parser doubles as the round-trip check.  Word data
-travels as exact rational strings and is read back in that form or as
-JSON integers, nothing looser.  Digests hash the canonical JSON
+travels as exact rational strings; ElementaryGen reads it back in that
+form or as JSON integers, nothing looser.  Digests hash the canonical JSON
 encoding (sorted keys, tight separators) so equal objects hash equal.
 """
 
@@ -13,7 +13,7 @@ import json
 import re
 
 from .endo import Endo
-from .errors import IndexOutOfRange, NotSymplectic, WeyliftError
+from .errors import NotSymplectic, WeyliftError
 from .fields import Field
 from .flavors import BracketFlavor
 from .grammar import element_to_text, parse_element
@@ -119,7 +119,6 @@ def _gen_to_json(gen, texts):
 
 
 _EXPONENT = re.compile(r"[1-9][0-9]*")
-_VALUE = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
 def _exponent(text):
@@ -129,31 +128,19 @@ def _exponent(text):
     return int(text)
 
 
-def _value(v):
-    """A word value: a JSON integer or an exact rational string, which
-    ElementaryGen reads as a Q raw value."""
-    if type(v) is int or (type(v) is str and _VALUE.fullmatch(v)):
-        return v
-    raise WeyliftError(f"word value {v!r} is not an integer or rational string")
-
-
 def _gen_from_json(doc):
-    """One letter of a word document.  ElementaryGen leaves the check that
-    an sp matrix is symplectic to its callers, so a document gets it here."""
+    """One letter of a word document.  ElementaryGen checks the letter's data
+    but leaves the check that an sp matrix is symplectic to its callers."""
     kind = doc["kind"]
     if kind == SP:
-        rows = [_array(row, "a matrix row") for row in _array(doc["matrix"], "matrix")]
-        gen = ElementaryGen(kind, [[_value(v) for v in row] for row in rows])
+        gen = ElementaryGen(kind, doc["matrix"])
         if not is_symplectic(gen.data):
             raise NotSymplectic("an sp letter's matrix is not symplectic")
         return gen
     if kind not in (XSHIFT, PSHIFT):
         raise WeyliftError(f"unknown generator kind {kind!r}")
-    index = doc["index"]
-    if type(index) is not int:
-        raise IndexOutOfRange(f"pair index {index!r} is not an integer")
-    poly = {_exponent(e): _value(c) for e, c in doc["poly"].items()}
-    return ElementaryGen(kind, (index, poly))
+    poly = {_exponent(e): c for e, c in doc["poly"].items()}
+    return ElementaryGen(kind, (doc["index"], poly))
 
 
 def word_to_json(word):

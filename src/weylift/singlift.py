@@ -38,7 +38,7 @@ from .errors import (
     WeyliftError,
 )
 from .fields import Field
-from .flavors import HAUG, STANDARD, BracketFlavor
+from .flavors import HAUG, BracketFlavor
 from .linalg import identity_matrix
 from .poly import Poly, poisson_bracket
 from .tame import SP, TameWord, evaluate
@@ -375,13 +375,9 @@ def lift(sigma, n, primes=()):
     returns its verdict, and certificate["pass"] is their conjunction.
     """
     flavor, field = sigma.flavor, sigma.field
-    if flavor.kind != STANDARD or flavor.aux:
-        raise WeyliftError("lift expects the plain paired flavor")
     if n < 2:
         raise WeyliftError("lift needs a target order of at least 2")
-    if sigma.side != "P":
-        raise SideMismatch("symplecto check applies to the commutative side")
-    # approximate_both checks sigma once, by check_symplecto alone.
+    # approximate_both checks sigma's side, field and flavor, and calls check_symplecto once.
     (word, report), (word_alt, _) = approximate_both(sigma, n)
     if sigma.linear_part() != identity_matrix(field, flavor.main_count):
         raise WeyliftError(

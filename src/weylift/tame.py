@@ -18,6 +18,7 @@ integral, and is read into the coefficient field on evaluation.
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction
 
 from .elements import check_size, substitute
@@ -30,18 +31,23 @@ SP = "sp"
 XSHIFT = "xshift"
 PSHIFT = "pshift"
 
+_VALUE = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
 
 def _q_raw(v):
-    """An int, Fraction or exact rational string as a Q raw value; a float
-    would be rounded and is refused."""
+    """An int, a Fraction or an ASCII rational string such as "-3/4" as a
+    Q raw value.  Anything looser is refused: a float would be rounded, and
+    Fraction would also read " 0.5 ", "+1", "1e3" or "1_0"."""
     if type(v) is int:
         return v
-    if isinstance(v, (Fraction, str)):
+    if isinstance(v, Fraction) or (type(v) is str and _VALUE.fullmatch(v)):
         try:
             return QQ.from_fraction(Fraction(v))
         except (ValueError, ZeroDivisionError):
             pass
-    raise WeyliftError(f"word value {v!r} is not an int, a Fraction or an exact rational")
+    raise WeyliftError(
+        f"word value {v!r} is not an integer, a Fraction or a rational string such as \"-3/4\""
+    )
 
 
 class ElementaryGen:
@@ -56,6 +62,11 @@ class ElementaryGen:
 
     def __init__(self, kind, data):
         if kind == SP:
+            # A string row would be read one character at a time.
+            if type(data) not in (list, tuple) or any(type(r) not in (list, tuple) for r in data):
+                raise WeyliftError(
+                    f"an sp matrix and its rows must be lists or tuples (JSON arrays), got {data!r}"
+                )
             matrix = tuple(tuple(map(_q_raw, row)) for row in data)
             if any(len(row) != len(matrix) for row in matrix):
                 raise WrongArity("matrix generator must be square")
@@ -63,7 +74,9 @@ class ElementaryGen:
         elif kind in (XSHIFT, PSHIFT):
             index, poly = data
             if type(index) is not int or any(type(e) is not int or e < 1 for e in poly):
-                raise WeyliftError("a shift needs an int pair index and int exponents >= 1")
+                raise WeyliftError(
+                    f"a shift needs an integer pair index and integer exponents >= 1, got {data!r}"
+                )
             self.data = (index, {e: r for e, c in poly.items() if (r := _q_raw(c))})
         else:
             raise WeyliftError(f"unknown generator kind {kind!r}")

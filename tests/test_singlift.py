@@ -494,7 +494,7 @@ def test_lift_checks_sigma_before_its_linear_part():
     with pytest.raises(NotSymplectic) as got:
         lift(bent, 4)
     assert str(got.value) == str(want.value)
-    with pytest.raises(SideMismatch, match="commutative side"):
+    with pytest.raises(SideMismatch, match="commutative images"):
         lift(Endo.identity("W", FL1, QQ), 4)
     scaled = Endo("P", FL1, QQ, [pelt("2*x1 + p1^2"), pelt("1/2*p1")])
     check_symplecto(scaled)

@@ -341,3 +341,41 @@ def test_letters_refuse_data_they_would_round():
     with pytest.raises(WeyliftError):
         ElementaryGen(XSHIFT, (0.9, {2: 1}))
     assert ElementaryGen(XSHIFT, (0, {2: "1/2", 3: 0})).data == (0, {2: Fraction(1, 2)})
+
+
+_ACCEPTED_VALUES = (1, "-3", "6/3", "1/2")
+_REFUSED_VALUES = ("0.5", " 2", "+1", "1e3", "\u0663", "1_0")
+
+
+def _built_both_ways(kind, data, doc_letter):
+    """The letter ElementaryGen builds from data and the one word_from_json
+    reads from doc_letter, or the message each refuses with."""
+    doc = {"kind": "symplectic", "n": 1, "gens": [{"kind": kind, **doc_letter}]}
+    out = []
+    for build in (lambda: ElementaryGen(kind, data), lambda: word_from_json(doc).gens[0]):
+        try:
+            out.append(build())
+        except WeyliftError as exc:
+            out.append(str(exc))
+    return out
+
+
+@pytest.mark.parametrize("value", _ACCEPTED_VALUES + _REFUSED_VALUES, ids=repr)
+def test_letters_and_documents_share_the_value_rule(value):
+    # ElementaryGen is the one reader of word values: a letter built in
+    # Python refuses what a document refuses, with the same message.
+    library, document = _built_both_ways(XSHIFT, (0, {2: value}), {"index": 0, "poly": {"2": value}})
+    if value in _ACCEPTED_VALUES:
+        assert library == document == ElementaryGen(XSHIFT, (0, {2: Fraction(value)}))
+    else:
+        assert library == document
+        assert library == f'word value {value!r} is not an integer, a Fraction or a rational string such as "-3/4"'
+
+
+@pytest.mark.parametrize("matrix", (["10", "01"], "1001", [[1, 0], "01"]), ids=repr)
+def test_letters_and_documents_share_the_row_rule(matrix):
+    # A string row would be read one character at a time, as ["10", "01"]
+    # was read as the identity.
+    library, document = _built_both_ways(SP, matrix, {"matrix": matrix})
+    assert library == document
+    assert library == f"an sp matrix and its rows must be lists or tuples (JSON arrays), got {matrix!r}"
